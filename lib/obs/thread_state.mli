@@ -9,9 +9,10 @@
     (per-thread state times sum exactly to lifetime, no gaps, no
     overlaps) is enforced by the test suite.
 
-    State semantics, and the {!Stats.Breakdown} category each state
-    feeds (the mapping is total, so breakdown output is unchanged by
-    profiling):
+    State semantics, and the [Stats.Breakdown] category each state
+    feeds.  [Stats.Breakdown.of_state] is the one place that map is
+    written; every runtime charges through it, so a breakdown is always
+    the per-category fold of the thread's state intervals:
 
     - [Run]: useful user work (breakdown [Chunk]);
     - [Token_wait]: waiting to become GMIC / for the round-robin serial

@@ -1,5 +1,4 @@
 type ordering = Round_robin | Instruction_count
-type commit_style = Synchronous | Asynchronous
 type lock_granularity = Single_global | Per_lock
 type coarsening = No_coarsening | Static of int | Adaptive
 type scheduling = Emergent | Scripted of int array array
@@ -7,7 +6,6 @@ type scheduling = Emergent | Scripted of int array array
 type t = {
   name : string;
   ordering : ordering;
-  commit_style : commit_style;
   lock_granularity : lock_granularity;
   fault_cost_mult : float;
   commit_cost_mult : float;
@@ -24,10 +22,6 @@ type t = {
   pipelined_commit : bool;
   commit_shards : int;
   incremental_gc : bool;
-  coarsen_max_initial : int;
-  coarsen_max_floor : int;
-  coarsen_max_cap : int;
-  ewma_alpha : float;
   scheduling : scheduling;
   tune : Tune_ctl.params option;
 }
@@ -36,7 +30,6 @@ let base =
   {
     name = "base";
     ordering = Instruction_count;
-    commit_style = Asynchronous;
     lock_granularity = Per_lock;
     fault_cost_mult = 1.0;
     commit_cost_mult = 1.0;
@@ -53,10 +46,6 @@ let base =
     pipelined_commit = false;
     commit_shards = 1;
     incremental_gc = false;
-    coarsen_max_initial = 300_000;
-    coarsen_max_floor = 10_000;
-    coarsen_max_cap = 2_000_000;
-    ewma_alpha = 0.3;
     scheduling = Emergent;
     tune = None;
   }
@@ -69,7 +58,6 @@ let dwc =
     base with
     name = "dwc";
     ordering = Round_robin;
-    commit_style = Asynchronous;
     lock_granularity = Single_global;
     coarsening = No_coarsening;
     adaptive_overflow = false;
@@ -83,7 +71,6 @@ let dthreads =
   {
     dwc with
     name = "dthreads";
-    commit_style = Synchronous;
     (* mprotect-based isolation: pricier faults and commits than
        Conversion's kernel support (paper section 2.5 / [23]). *)
     fault_cost_mult = 3.0;

@@ -4,12 +4,13 @@
     compared in the evaluation (section 5); each preset fixes the design
     points its paper describes:
 
-    - {!dthreads}: round-robin ordering, synchronous commits (all threads
-      rendezvous at each commit round, Fig 3a), a single global lock,
-      mprotect-based isolation cost multipliers, no Consequence
-      optimizations.
-    - {!dwc} (DThreads-with-Conversion [23]): round-robin, asynchronous
-      commits through versioned memory, single global lock.
+    - {!dthreads}: round-robin ordering (all threads rendezvous at the
+      epoch fence and commit serially in thread-id order, Fig 3a), a
+      single global lock, mprotect-based isolation cost multipliers, no
+      Consequence optimizations.
+    - {!dwc} (DThreads-with-Conversion [23]): the same ordering and
+      single global lock over Conversion's versioned memory (its fault
+      and commit costs, rate-limited GC).
     - {!consequence_rr}: full Consequence machinery with round-robin
       ordering (the Consequence-RR curve of Fig 10).
     - {!consequence_ic}: the main system — GMIC (instruction-count)
@@ -19,10 +20,6 @@
     ablation study. *)
 
 type ordering = Round_robin | Instruction_count
-
-type commit_style =
-  | Synchronous  (** commits require a global rendezvous (DThreads, Fig 3a) *)
-  | Asynchronous  (** threads commit independently under the token (Fig 3b) *)
 
 type lock_granularity =
   | Single_global  (** every mutex aliases one global lock (DThreads/DWC) *)
@@ -48,7 +45,6 @@ type scheduling =
 type t = {
   name : string;
   ordering : ordering;
-  commit_style : commit_style;
   lock_granularity : lock_granularity;
   fault_cost_mult : float;  (** isolation-cost multiplier vs Conversion *)
   commit_cost_mult : float;
@@ -97,10 +93,6 @@ type t = {
       (** replace the single rate-limited GC sweep with the incremental
           per-shard collector: bounded steps ([gc_step_pages]) that run
           in commit slack (at every pipelined-commit drain point) *)
-  coarsen_max_initial : int;  (** initial adaptive max coarsened-chunk length *)
-  coarsen_max_floor : int;
-  coarsen_max_cap : int;
-  ewma_alpha : float;  (** weight of the newest sample in chunk estimates *)
   scheduling : scheduling;
   tune : Tune_ctl.params option;
       (** [Some p]: the self-tuning controller is on — at each

@@ -1,7 +1,7 @@
 module Lc = Detclock.Logical_clock
 module Tok = Detclock.Token
 module Ofp = Detclock.Overflow_policy
-module Bd = Stats.Breakdown
+module St = Obs.Thread_state
 
 type mutex_rec = {
   mutable held_by : int option;
@@ -12,10 +12,9 @@ type mutex_rec = {
 
 type thread_state = {
   tid : int;
-  name : string;
+  acct : Rt_core.thread;  (* name, breakdown, chunk ordinal, waker *)
   clock : Lc.clock;
   ws : Vmem.Workspace.t;
-  bd : Bd.t;
   prng : Sim.Prng.t;
   ofp : Ofp.t;
   mutable instr_retired : int; (* actual user instructions *)
@@ -73,15 +72,6 @@ type thread_state = {
          the loser's *chunk*, not its commit instant. *)
   mutable token_t0 : int;  (** time the global was acquired; -1 = not held *)
   mutable chunk_open_ns : int;  (** time the current chunk opened *)
-  mutable prof_chunk : int;
-      (* Ordinal of the chunk currently charged to: bumped at every chunk
-         (re)open, so the coordination work that closes a chunk is
-         attributed to the chunk it closes.  Pure observability. *)
-  mutable prof_waker : int;
-      (* tid of the thread whose grant/serial-turn/fence release ended (or
-         will end) this thread's current wait; -1 = none recorded.  Set by
-         the waker, consumed by the wait-interval emission, and never read
-         by the algorithms. *)
   mutable serial_sticky : bool;
       (* Synchronous mode: this thread finished a sync op and still holds
          its serial turn; consecutive sync ops with no intervening user
@@ -119,8 +109,7 @@ type t = {
   seg : Vmem.Segment.t;
   clocks : Lc.t;
   token : Tok.t;
-  sync_trace : Sim.Trace.t;
-  out_trace : Sim.Trace.t;
+  core : Rt_core.t;
   (* Dense thread table: tids are handed out 0, 1, 2, ... so a flat array
      indexed by tid replaces a hashtable; the accounting folds that run on
      every commit (min_base, resident pages) touch [next_tid] slots
@@ -135,7 +124,6 @@ type t = {
   conds : (int, cond_rec) Hashtbl.t;
   barriers : (int, barrier_rec) Hashtbl.t;
   mutable next_tid : int;
-  mutable sync_ops : int;
   mutable last_coord_entrant : int;
   mutable peak_mem : int;
   mutable last_gc_ns : int;
@@ -165,10 +153,11 @@ type t = {
       (* Last thread that released the global / published a clock
          increment / departed — the best available "waker" for a token
          wait that ends without a direct grant.  Observability only. *)
-  metrics : Obs.Metrics.t;
-  (* Interned metric handles: the hot paths record through these instead
-     of string-keyed lookups (one hashtable probe per sync op adds up). *)
-  mh : metric_handles;
+  (* Interned handles for the histograms that are not per-state time
+     (those are sampled by [Rt_core.charge] / [Rt_core.wait]). *)
+  mh_chunk_instr : Obs.Metrics.histogram;
+  mh_token_hold_ns : Obs.Metrics.histogram;
+  mh_commit_pages : Obs.Metrics.histogram;
   (* Per-shard commit histograms ([shard<i>_commit_ns]/[_pages]), interned
      once at [run] when the segment is sharded (empty otherwise), plus a
      reused scratch for per-shard footprint counts — the commit path stays
@@ -176,30 +165,6 @@ type t = {
   mh_shard_commit_ns : Obs.Metrics.histogram array;
   mh_shard_commit_pages : Obs.Metrics.histogram array;
   shard_scratch : int array;
-}
-
-and metric_handles = {
-  mh_chunk_instr : Obs.Metrics.histogram;
-  mh_determ_wait_ns : Obs.Metrics.histogram;
-  mh_token_hold_ns : Obs.Metrics.histogram;
-  mh_commit_ns : Obs.Metrics.histogram;
-  mh_commit_pages : Obs.Metrics.histogram;
-  mh_commit_pipe_ns : Obs.Metrics.histogram;
-  mh_update_ns : Obs.Metrics.histogram;
-  mh_lock_wait_ns : Obs.Metrics.histogram;
-  mh_barrier_wait_ns : Obs.Metrics.histogram;
-  mh_op_lock : Obs.Metrics.counter;
-  mh_op_unlock : Obs.Metrics.counter;
-  mh_op_commit : Obs.Metrics.counter;
-  mh_op_spawn : Obs.Metrics.counter;
-  mh_op_join : Obs.Metrics.counter;
-  mh_op_exit : Obs.Metrics.counter;
-  mh_op_cond_wait : Obs.Metrics.counter;
-  mh_op_barrier : Obs.Metrics.counter;
-  mh_op_atomic : Obs.Metrics.counter;
-  mh_op_signal : Obs.Metrics.counter;
-  mh_op_broadcast : Obs.Metrics.counter;
-  mh_op_forced_commit : Obs.Metrics.counter;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -211,7 +176,6 @@ and metric_handles = {
    clock.  Every runtime algorithm below goes through these — nothing
    else may reach a scheduler directly. *)
 let e_now rt = rt.ex.Sim.Exec.now ()
-let e_advance rt ns = rt.ex.Sim.Exec.advance ns
 let e_block rt ~reason = rt.ex.Sim.Exec.block ~reason
 let e_wakeup rt tid = rt.ex.Sim.Exec.wakeup tid
 let is_real rt = rt.ex.Sim.Exec.real
@@ -264,20 +228,17 @@ let unlock_label mid =
   if mid >= 0 && mid < n_interned then interned_unlock.(mid)
   else "unlock:" ^ string_of_int mid
 
-(* [op] is the operation-family counter for the label (op_lock for
-   "lock:3"), passed as an interned handle so the hot path neither scans
-   the label nor hashes a key string. *)
+(* [op] is the label's family ([Rt_core.Lock] for "lock:3"), so the hot
+   path neither scans the label nor hashes a key string. *)
 (* CONSEQ_DEBUG_SYNC=1 prints every sync record with its clock state —
    diff two backends' streams to localize a cross-backend divergence. *)
 let debug_sync = Sys.getenv_opt "CONSEQ_DEBUG_SYNC" <> None
 
-let record_sync rt th ~op label =
-  rt.sync_ops <- rt.sync_ops + 1;
+let record_sync rt th op label =
   if debug_sync then
     Printf.eprintf "SYNC t%d %s pub=%d ic=%d\n%!" th.tid label
       (Lc.published th.clock) th.instr_retired;
-  Obs.Metrics.count op 1;
-  Sim.Trace.record rt.sync_trace ~time:(e_now rt) ~tid:th.tid ~label
+  Rt_core.sync rt.core ~tid:th.tid op label
 
 (* Observability helpers.  These read the simulated clock but never
    advance it, block, or touch algorithm state: instrumented and bare
@@ -294,47 +255,9 @@ let span rt ~cat ~name ~tid ~t0 ?(args = []) () =
    only when somebody is listening.  Call sites guard with [emitting]. *)
 let emitting rt = rt.observer <> None || not (Obs.Sink.is_null rt.obs)
 
-(* ------------------------------------------------------------------ *)
-(* Thread-state accounting (the determinism profiler's input stream)   *)
-(* ------------------------------------------------------------------ *)
-
-module St = Obs.Thread_state
-
-(* Every charge is labelled with a profiler state; the legacy Breakdown
-   category is derived from it, so the per-thread breakdown totals are
-   byte-identical to the pre-profiler accounting. *)
-let bd_of_state = function
-  | St.Run -> Bd.Chunk
-  | St.Token_wait -> Bd.Determ_wait
-  | St.Lock_wait -> Bd.Lock_wait
-  | St.Barrier_wait -> Bd.Barrier_wait
-  | St.Commit | St.Commit_pipe -> Bd.Commit
-  | St.Update -> Bd.Update
-  | St.Fault -> Bd.Page_fault
-  | St.Overflow | St.Runtime | St.Gc | St.Txn_validate | St.Txn_abort -> Bd.Library
-  | St.Fork -> Bd.Fork
-
-(* Emit one closed state interval [t0, now).  Purely observational: the
-   sink sees the interval after the time has already been spent. *)
-let state_interval rt th ~state ~t0 ?(waker = -1) () =
-  if tracing rt then begin
-    let t1 = e_now rt in
-    if t1 > t0 then
-      rt.obs.Obs.Sink.state
-        { Obs.Thread_state.stid = th.tid; state; t0; t1; chunk = th.prof_chunk; waker }
-  end
-
-(* Charge [ns] of simulated time to [th] in profiler state [st].  The
-   simulated clock only ever moves inside a charge or while blocked in
-   a measured wait loop, so each thread's intervals tile its lifetime
-   exactly (the conservation invariant test_prof enforces). *)
-let charge rt th st ns =
-  if ns > 0 then begin
-    Bd.add th.bd (bd_of_state st) ns;
-    let t0 = e_now rt in
-    e_advance rt ns;
-    state_interval rt th ~state:st ~t0 ()
-  end
+(* Every nanosecond is charged in a profiler state; the core derives
+   the breakdown category, the state interval and the histogram sample. *)
+let charge rt th st ns = Rt_core.charge rt.core th.acct st ns
 
 let emit rt ev =
   (match rt.observer with Some f -> f ev | None -> ());
@@ -387,18 +310,29 @@ let barrier_of rt id =
       Hashtbl.replace rt.barriers id b;
       b
 
-let ewma alpha sample old = if old = 0.0 then sample else (alpha *. sample) +. ((1.0 -. alpha) *. old)
+(* Coarsening bounds (section 3.1): the initial adaptive budget and the
+   MI/MD floor and cap, in retired instructions.  The self-tuning
+   controller retargets them per thread. *)
+let coarsen_max_initial = 300_000
+let coarsen_max_floor = 10_000
+let coarsen_max_cap = 2_000_000
+
+(* Weight of the newest sample in the chunk-length estimates. *)
+let ewma_alpha = 0.3
+
+let ewma sample old =
+  if old = 0.0 then sample else (ewma_alpha *. sample) +. ((1.0 -. ewma_alpha) *. old)
 
 (* At every sync-op boundary, attribute the chunk that just ended to the
    (thread, lock) pair whose unlock started it.  Purely thread-local
    state, so the fold order cannot depend on scheduling. *)
-let settle_post_unlock rt th =
+let settle_post_unlock th =
   match th.post_site with
   | None -> ()
   | Some mid ->
       let len = float_of_int (th.instr_retired - th.post_site_instr) in
       let old = match Hashtbl.find_opt th.post_ewma mid with Some v -> v | None -> 0.0 in
-      Hashtbl.replace th.post_ewma mid (ewma rt.cfg.Config.ewma_alpha len old);
+      Hashtbl.replace th.post_ewma mid (ewma len old);
       th.post_site <- None
 
 (* ------------------------------------------------------------------ *)
@@ -687,15 +621,14 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
        in
        charge rt th St.Commit (int_of_float (float_of_int ns *. rt.cfg.commit_cost_mult))
      end);
-    Obs.Metrics.record rt.mh.mh_commit_ns (e_now rt - t0);
-    Obs.Metrics.record rt.mh.mh_commit_pages ci.pages_committed;
+    Obs.Metrics.record rt.mh_commit_pages ci.pages_committed;
     if tracing rt then
       span rt ~cat:Obs.Span.Commit
         ~name:(Printf.sprintf "commit:v%d" ci.version)
         ~tid:th.tid ~t0
         ~args:[ ("pages", ci.pages_committed); ("merged", ci.pages_merged) ]
         ();
-    record_sync rt th ~op:rt.mh.mh_op_commit ("commit:" ^ string_of_int ci.version);
+    record_sync rt th Rt_core.Commit ("commit:" ^ string_of_int ci.version);
     emit_conflicts rt th ci;
     if emitting rt then begin
       emit rt (Rt_event.Commit { tid = th.tid; version = ci.version; pages = ci.committed_pages });
@@ -713,7 +646,6 @@ let charge_update rt th (ui : Vmem.Workspace.update_info) =
       + (ui.pages_refreshed * c.Cost_model.page_refresh_ns)
     in
     charge rt th St.Update ns;
-    Obs.Metrics.record rt.mh.mh_update_ns (e_now rt - t0);
     if tracing rt then
       span rt ~cat:Obs.Span.Update
         ~name:(Printf.sprintf "update:v%d-v%d" ui.from_version ui.to_version)
@@ -776,7 +708,7 @@ let fence_release rt ~waker =
   rt.serial_queue <- rt.serial_queue @ arrived;
   List.iter
     (fun tid ->
-      if tid <> waker then (thread rt tid).prof_waker <- waker;
+      if tid <> waker then (thread rt tid).acct.waker <- waker;
       e_wakeup rt tid)
     arrived
 
@@ -813,7 +745,7 @@ let serial_done rt th =
       rt.serial_queue <- rest;
       (match rest with
       | next :: _ ->
-          (thread rt next).prof_waker <- th.tid;
+          (thread rt next).acct.waker <- th.tid;
           e_wakeup rt next
       | [] -> ())
   | _ -> invalid_arg "Det_rt.serial_done: thread is not at the head of the serial queue"
@@ -837,18 +769,11 @@ let acquire_global rt th =
     end
   end
   else Tok.wait rt.token ~tid:th.tid;
-  let waited = e_now rt - t0 in
-  Bd.add th.bd Bd.Determ_wait waited;
-  Obs.Metrics.record rt.mh.mh_determ_wait_ns waited;
-  if waited > 0 then begin
-    span rt ~cat:Obs.Span.Determ_wait ~name:"determ-wait" ~tid:th.tid ~t0 ();
-    (* A token wait has no explicit grant: credit the last recorded
-       serial-turn/fence waker, falling back to the last thread that made
-       the token grantable (released it or published a clock tick). *)
-    let waker = if th.prof_waker >= 0 then th.prof_waker else rt.prof_enabler in
-    state_interval rt th ~state:St.Token_wait ~t0 ~waker ()
-  end;
-  th.prof_waker <- -1;
+  (* A token wait has no explicit grant: credit the last recorded
+     serial-turn/fence waker, falling back to the last thread that made
+     the token grantable (released it or published a clock tick). *)
+  Rt_core.wait rt.core th.acct St.Token_wait ~name:"determ-wait" ~t0
+    ~waker:(if th.acct.waker >= 0 then th.acct.waker else rt.prof_enabler);
   th.token_t0 <- e_now rt
 
 (* Drain a pipelined commit's deferred bulk cost, as a Commit_pipe
@@ -867,7 +792,6 @@ let drain_pipe rt th =
     th.pipe_pending_ns <- 0;
     let t0 = e_now rt in
     charge rt th St.Commit_pipe ns;
-    Obs.Metrics.record rt.mh.mh_commit_pipe_ns (e_now rt - t0);
     span rt ~cat:Obs.Span.Commit ~name:"commit-pipe" ~tid:th.tid ~t0 ();
     if rt.cfg.incremental_gc && not (is_real rt) then
       ignore
@@ -877,7 +801,7 @@ let drain_pipe rt th =
 
 let release_global rt th =
   if th.token_t0 >= 0 then begin
-    Obs.Metrics.record rt.mh.mh_token_hold_ns (e_now rt - th.token_t0);
+    Obs.Metrics.record rt.mh_token_hold_ns (e_now rt - th.token_t0);
     span rt ~cat:Obs.Span.Token_hold ~name:"token" ~tid:th.tid ~t0:th.token_t0 ();
     th.token_t0 <- -1
   end;
@@ -903,7 +827,7 @@ let flush_sticky rt th =
 (* End-of-chunk bookkeeping common to every coordination entry. *)
 let observe_chunk rt th =
   let chunk_len = th.instr_retired - th.chunk_start_instr in
-  Obs.Metrics.record rt.mh.mh_chunk_instr chunk_len;
+  Obs.Metrics.record rt.mh_chunk_instr chunk_len;
   if chunk_len > 0 && tracing rt then
     (* Perfetto-visible distinction between live chunks and chunks whose
        boundaries were forced by a replayed schedule. *)
@@ -914,7 +838,7 @@ let observe_chunk rt th =
 
 let close_chunk rt th =
   let chunk_len = th.instr_retired - th.chunk_start_instr in
-  th.chunk_ewma <- ewma rt.cfg.ewma_alpha (float_of_int chunk_len) th.chunk_ewma;
+  th.chunk_ewma <- ewma (float_of_int chunk_len) th.chunk_ewma;
   observe_chunk rt th;
   counter_read rt th;
   Lc.pause th.clock
@@ -923,7 +847,7 @@ let open_chunk rt th =
   Lc.resume th.clock;
   th.chunk_start_instr <- th.instr_retired;
   th.chunk_open_ns <- e_now rt;
-  th.prof_chunk <- th.prof_chunk + 1;
+  th.acct.chunk <- th.acct.chunk + 1;
   Ofp.begin_chunk th.ofp;
   th.next_overflow_in <- 0
 
@@ -935,7 +859,7 @@ let enter_coordination rt th =
   if th.coarsen_holding then begin
     (* Already holding the global: the post-unlock sample folds in global
        order. *)
-    settle_post_unlock rt th;
+    settle_post_unlock th;
     close_chunk rt th;
     th.coarsen_holding <- false;
     fence_check rt ~waker:th.tid;
@@ -955,7 +879,7 @@ let enter_coordination rt th =
     (* Post-unlock chunk samples fold into the shared per-lock estimate
        only while holding the global, so the fold order — and with it
        every later coarsening decision — is deterministic. *)
-    settle_post_unlock rt th;
+    settle_post_unlock th;
     charge rt th St.Runtime rt.costs.Cost_model.token_ns
   end;
   (* Multiplicative increase / decrease of the coarsening budget: repeated
@@ -992,7 +916,7 @@ let end_coarsen rt th =
   charge rt th St.Runtime rt.costs.Cost_model.token_ns;
   th.chunk_start_instr <- th.instr_retired;
   th.chunk_open_ns <- e_now rt;
-  th.prof_chunk <- th.prof_chunk + 1;
+  th.acct.chunk <- th.acct.chunk + 1;
   Ofp.begin_chunk th.ofp;
   th.next_overflow_in <- 0
 
@@ -1077,7 +1001,7 @@ let rec consume rt th n =
     | Some limit when th.since_commit >= limit && not th.coarsen_holding ->
         enter_coordination rt th;
         commit_and_update rt th;
-        record_sync rt th ~op:rt.mh.mh_op_forced_commit "forced-commit";
+        record_sync rt th Rt_core.Forced_commit "forced-commit";
         leave_coordination rt th
     | Some _ | None -> ());
     consume rt th (n - step)
@@ -1142,19 +1066,7 @@ let park rt th ~state ~reason ~ready =
   while not (ready ()) do
     e_block rt ~reason
   done;
-  let waited = e_now rt - t0 in
-  Bd.add th.bd (bd_of_state state) waited;
-  (let scat, hist =
-     match state with
-     | St.Barrier_wait -> (Obs.Span.Barrier_wait, rt.mh.mh_barrier_wait_ns)
-     | _ -> (Obs.Span.Lock_wait, rt.mh.mh_lock_wait_ns)
-   in
-   Obs.Metrics.record hist waited;
-   if waited > 0 then begin
-     span rt ~cat:scat ~name:reason ~tid:th.tid ~t0 ();
-     state_interval rt th ~state ~t0 ~waker:th.prof_waker ()
-   end);
-  th.prof_waker <- -1;
+  Rt_core.wait rt.core th.acct state ~name:reason ~t0 ~waker:th.acct.waker;
   (* Normally the granter already cleared these (and fast-forwarded our
      clock); when the grant landed before we even blocked — ready() was
      true on entry — restore them ourselves.  No simulated time passes in
@@ -1183,7 +1095,7 @@ let grant rt ~waker wakee ~before =
     ignore (Lc.fast_forward wakee.clock ~to_count:(Lc.published waker.clock))
   end;
   wakee.parked <- false;
-  wakee.prof_waker <- waker.tid;
+  wakee.acct.waker <- waker.tid;
   Lc.arrive wakee.clock;
   Tok.poke rt.token;
   e_wakeup rt wakee.tid
@@ -1197,14 +1109,14 @@ let measure_cs_enter th (m : mutex_rec) = m.cs_enter_instr <- th.instr_retired
 let rec mutex_lock rt th mid =
   let m = mutex_of rt mid in
   if th.coarsen_holding then begin
-    settle_post_unlock rt th;
+    settle_post_unlock th;
     if m.held_by = None then begin
       (* Coarsened fast path: we already hold the token; acquire without a
          coordination phase and defer the commit. *)
       m.held_by <- Some th.tid;
       measure_cs_enter th m;
       th.coarsen_ops <- th.coarsen_ops + 1;
-      record_sync rt th ~op:rt.mh.mh_op_lock (lock_label mid);
+      record_sync rt th Rt_core.Lock (lock_label mid);
       if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
       counter_read rt th
     end
@@ -1224,7 +1136,7 @@ and mutex_lock_slow rt th mid =
     if m.held_by = None then begin
       m.held_by <- Some th.tid;
       commit_and_update rt th;
-      record_sync rt th ~op:rt.mh.mh_op_lock (lock_label mid);
+      record_sync rt th Rt_core.Lock (lock_label mid);
       if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
       measure_cs_enter th m;
       acquired := true;
@@ -1273,16 +1185,16 @@ let release_mutex rt ~waker (m : mutex_rec) =
     grant rt ~waker waiter ~before:(fun () -> waiter.lock_grant <- true)
   end
 
-let update_cs_ewma rt th (m : mutex_rec) =
+let update_cs_ewma th (m : mutex_rec) =
   let len = float_of_int (th.instr_retired - m.cs_enter_instr) in
-  m.cs_ewma <- ewma rt.cfg.ewma_alpha len m.cs_ewma
+  m.cs_ewma <- ewma len m.cs_ewma
 
 (* The mutexUnlock() of Fig 9. *)
 let mutex_unlock rt th mid =
   let m = mutex_of rt mid in
   if m.held_by <> Some th.tid then
     invalid_arg (Printf.sprintf "unlock: thread %d does not hold mutex %d" th.tid mid);
-  update_cs_ewma rt th m;
+  update_cs_ewma th m;
   (* Expected length of the chunk that follows this unlock: this thread's
      estimate for this lock, falling back to its generic chunk estimate. *)
   let post_estimate =
@@ -1293,9 +1205,9 @@ let mutex_unlock rt th mid =
     th.post_site_instr <- th.instr_retired
   in
   if th.coarsen_holding then begin
-    settle_post_unlock rt th;
+    settle_post_unlock th;
     release_mutex rt ~waker:th m;
-    record_sync rt th ~op:rt.mh.mh_op_unlock (unlock_label mid);
+    record_sync rt th Rt_core.Unlock (unlock_label mid);
     emit_release rt th (Rt_event.obj_mutex mid);
     th.coarsen_ops <- th.coarsen_ops + 1;
     charge rt th St.Runtime rt.costs.Cost_model.sync_op_base_ns;
@@ -1308,7 +1220,7 @@ let mutex_unlock rt th mid =
     enter_coordination rt th;
     release_mutex rt ~waker:th m;
     commit_and_update rt th;
-    record_sync rt th ~op:rt.mh.mh_op_unlock (unlock_label mid);
+    record_sync rt th Rt_core.Unlock (unlock_label mid);
     emit_release rt th (Rt_event.obj_mutex mid);
     if coarsen_decision rt th ~estimate:post_estimate then begin_coarsen rt th
     else leave_coordination rt th;
@@ -1321,10 +1233,10 @@ let cond_wait rt th cid mid =
     invalid_arg (Printf.sprintf "cond_wait: thread %d does not hold mutex %d" th.tid mid);
   let c = cond_of rt cid in
   enter_coordination rt th;
-  update_cs_ewma rt th m;
+  update_cs_ewma th m;
   release_mutex rt ~waker:th m;
   commit_and_update rt th;
-  record_sync rt th ~op:rt.mh.mh_op_cond_wait ("cond_wait:" ^ string_of_int cid);
+  record_sync rt th Rt_core.Cond_wait ("cond_wait:" ^ string_of_int cid);
   emit_release rt th (Rt_event.obj_mutex mid);
   th.cond_grant <- false;
   Queue.push th.tid c.cond_waitq;
@@ -1341,13 +1253,13 @@ let cond_wait rt th cid mid =
 let rec cond_signal rt th cid ~broadcast =
   let c = cond_of rt cid in
   if th.coarsen_holding && Queue.is_empty c.cond_waitq then begin
-    settle_post_unlock rt th;
+    settle_post_unlock th;
     (* Signalling with no waiter is purely local: nothing to wake, and the
        accompanying commit may be coalesced like any other under TSO, so
        the op need not end the coarsened chunk. *)
     record_sync rt th
-    ~op:(if broadcast then rt.mh.mh_op_broadcast else rt.mh.mh_op_signal)
-    ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
+      (if broadcast then Rt_core.Broadcast else Rt_core.Signal)
+      ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
     th.coarsen_ops <- th.coarsen_ops + 1;
     charge rt th St.Runtime rt.costs.Cost_model.sync_op_base_ns
   end
@@ -1368,7 +1280,7 @@ and cond_signal_slow rt th cid ~broadcast =
   grant_one ();
   commit_and_update rt th;
   record_sync rt th
-    ~op:(if broadcast then rt.mh.mh_op_broadcast else rt.mh.mh_op_signal)
+    (if broadcast then Rt_core.Broadcast else Rt_core.Signal)
     ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
   emit_release rt th (Rt_event.obj_cond cid);
   leave_coordination rt th
@@ -1399,15 +1311,14 @@ let barrier_wait rt th bid =
        charge rt th St.Commit
          (c.Cost_model.commit_base_ns
          + (ci.Vmem.Workspace.pages_committed * c.Cost_model.barrier_phase1_page_ns));
-       Obs.Metrics.record rt.mh.mh_commit_ns (e_now rt - t0);
-       Obs.Metrics.record rt.mh.mh_commit_pages ci.Vmem.Workspace.pages_committed;
+       Obs.Metrics.record rt.mh_commit_pages ci.Vmem.Workspace.pages_committed;
        if tracing rt then
          span rt ~cat:Obs.Span.Commit
            ~name:(Printf.sprintf "commit-phase1:v%d" ci.Vmem.Workspace.version)
            ~tid:th.tid ~t0
            ~args:[ ("pages", ci.Vmem.Workspace.pages_committed) ]
            ();
-       record_sync rt th ~op:rt.mh.mh_op_commit ("commit:" ^ string_of_int ci.Vmem.Workspace.version);
+       record_sync rt th Rt_core.Commit ("commit:" ^ string_of_int ci.Vmem.Workspace.version);
        emit_conflicts rt th ci;
        if emitting rt then begin
          emit rt
@@ -1432,7 +1343,7 @@ let barrier_wait rt th bid =
      stamp_commit rt th ci;
      charge_commit rt th ci);
   th.since_commit <- 0;
-  record_sync rt th ~op:rt.mh.mh_op_barrier ("barrier:" ^ string_of_int bid);
+  record_sync rt th Rt_core.Barrier ("barrier:" ^ string_of_int bid);
   emit_release rt th (Rt_event.obj_barrier bid);
   b.arrived_tids <- th.tid :: b.arrived_tids;
   let last = List.length b.arrived_tids = b.parties in
@@ -1453,10 +1364,8 @@ let barrier_wait rt th bid =
   end;
   (let p2_t0 = e_now rt in
    charge rt th St.Commit (int_of_float (float_of_int !phase2_pages *. rt.cfg.commit_cost_mult));
-   if !phase2_pages > 0 then begin
-     Obs.Metrics.record rt.mh.mh_commit_ns (e_now rt - p2_t0);
-     span rt ~cat:Obs.Span.Commit ~name:"commit-phase2" ~tid:th.tid ~t0:p2_t0 ()
-   end);
+   if !phase2_pages > 0 then
+     span rt ~cat:Obs.Span.Commit ~name:"commit-phase2" ~tid:th.tid ~t0:p2_t0 ());
   if last then begin
     let others = List.filter (fun tid -> tid <> th.tid) b.arrived_tids in
     b.arrived_tids <- [];
@@ -1511,7 +1420,7 @@ let atomic_fetch_add rt th ~addr delta =
   charge_commit rt th ci;
   let ui = ws_update rt th in
   charge_update rt th ui;
-  record_sync rt th ~op:rt.mh.mh_op_atomic ("atomic:" ^ string_of_int addr);
+  record_sync rt th Rt_core.Atomic ("atomic:" ^ string_of_int addr);
   leave_coordination rt th;
   v
 
@@ -1522,7 +1431,7 @@ let atomic_fetch_add rt th ~addr delta =
 let rec make_ops rt th : Api.ops =
   {
     Api.tid = th.tid;
-    self_name = th.name;
+    self_name = th.acct.name;
     work = (fun n -> consume rt th n);
     read =
       (fun ~addr ~len ->
@@ -1555,8 +1464,7 @@ let rec make_ops rt th : Api.ops =
     barrier_wait = (fun b -> barrier_wait rt th b);
     spawn = (fun ?name body -> spawn_thread rt th ?name body);
     join = (fun t -> join_thread rt th t);
-    log_output =
-      (fun msg -> Sim.Trace.record rt.out_trace ~time:(e_now rt) ~tid:th.tid ~label:msg);
+    log_output = (fun msg -> Rt_core.output rt.core ~tid:th.tid msg);
     yield = (fun () -> ());
     base_version = (fun () -> Vmem.Workspace.base th.ws);
     snapshot_read =
@@ -1567,8 +1475,8 @@ let rec make_ops rt th : Api.ops =
         consume rt th (mem_instr rt len);
         unlocked_mem rt th (fun () -> Vmem.Segment.read_bytes rt.seg ~version ~addr ~len));
     now_ns = (fun () -> e_now rt);
-    metric_incr = (fun key by -> Obs.Metrics.incr rt.metrics ~by key);
-    metric_observe = (fun key v -> Obs.Metrics.observe rt.metrics key v);
+    metric_incr = (fun key by -> Obs.Metrics.incr (Rt_core.metrics rt.core) ~by key);
+    metric_observe = (fun key v -> Obs.Metrics.observe (Rt_core.metrics rt.core) key v);
     txn_validate =
       (fun ~keys ->
         charge rt th St.Txn_validate
@@ -1599,10 +1507,9 @@ and new_thread_state rt ~tid ~name ~inherit_count =
   let th =
   {
     tid;
-    name;
+    acct = Rt_core.thread ~tid ~name;
     clock;
     ws;
-    bd = Bd.create ();
     prng = Sim.Prng.split rt.ex.Sim.Exec.prng;
     ofp = Ofp.create ofp_kind;
     instr_retired = 0;
@@ -1614,9 +1521,9 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     coarsen_holding = false;
     coarsen_ops = 0;
     coarsen_start_instr = 0;
-    coarsen_max = rt.cfg.coarsen_max_initial;
-    coarsen_floor = rt.cfg.coarsen_max_floor;
-    coarsen_cap = rt.cfg.coarsen_max_cap;
+    coarsen_max = coarsen_max_initial;
+    coarsen_floor = coarsen_max_floor;
+    coarsen_cap = coarsen_max_cap;
     tune_epoch = 0;
     tune_next_at = max_int;
     exited = false;
@@ -1631,8 +1538,6 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     post_ewma = Hashtbl.create 8;
     token_t0 = -1;
     chunk_open_ns = e_now rt;
-    prof_chunk = 0;
-    prof_waker = -1;
     serial_sticky = false;
     pipe_pending_ns = 0;
     race_epoch = 1;
@@ -1652,7 +1557,7 @@ and new_thread_state rt ~tid ~name ~inherit_count =
 and thread_exit rt th =
   enter_coordination rt th;
   commit_and_update rt th;
-  record_sync rt th ~op:rt.mh.mh_op_exit "exit";
+  record_sync rt th Rt_core.Exit "exit";
   emit_release rt th (Rt_event.obj_thread th.tid ^ ":exit");
   th.exited <- true;
   if rt.cfg.thread_pool then rt.pool_size <- rt.pool_size + 1;
@@ -1672,7 +1577,7 @@ and thread_exit rt th =
        never part of the witness.  Runs under the runtime lock, like
        every other metrics access. *)
     let flush name v =
-      if v > 0 then Obs.Metrics.count (Obs.Metrics.counter rt.metrics name) v
+      if v > 0 then Obs.Metrics.count (Obs.Metrics.counter (Rt_core.metrics rt.core) name) v
     in
     flush "wall:run_ns" th.wall_run;
     flush "wall:mem_ns" th.wall_mem;
@@ -1717,7 +1622,7 @@ and spawn_thread rt th ?name body =
         thread_exit rt child)
   in
   assert (fiber_id = child_tid);
-  record_sync rt th ~op:rt.mh.mh_op_spawn ("spawn:" ^ string_of_int child_tid);
+  record_sync rt th Rt_core.Spawn ("spawn:" ^ string_of_int child_tid);
   if tracing rt then
     span rt ~cat:Obs.Span.Fork
       ~name:(Printf.sprintf "spawn:%d" child_tid)
@@ -1753,7 +1658,7 @@ and join_thread rt th target_tid =
      child's final commits. *)
   enter_coordination rt th;
   commit_and_update rt th;
-  record_sync rt th ~op:rt.mh.mh_op_join ("join:" ^ string_of_int target_tid);
+  record_sync rt th Rt_core.Join ("join:" ^ string_of_int target_tid);
   if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_thread target_tid ^ ":exit" });
   if tracing rt then
     span rt ~cat:Obs.Span.Join
@@ -1787,7 +1692,8 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
     | Config.Instruction_count -> Tok.Instruction_count
   in
   let token = Tok.create ex clocks ordering in
-  let metrics = Obs.Metrics.create () in
+  let core = Rt_core.create ~ex ~obs in
+  let metrics = Rt_core.metrics core in
   let rt =
     {
       cfg;
@@ -1796,15 +1702,13 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
       seg;
       clocks;
       token;
-      sync_trace = Sim.Trace.create ~capture:true ();
-      out_trace = Sim.Trace.create ~capture:true ();
+      core;
       threads = Array.make 8 None;
       mutex_dense = Array.make 64 None;
       mutexes = Hashtbl.create 16;
       conds = Hashtbl.create 16;
       barriers = Hashtbl.create 16;
       next_tid = 1;
-      sync_ops = 0;
       last_coord_entrant = -1;
       peak_mem = 0;
       last_gc_ns = 0;
@@ -1819,31 +1723,9 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
       race_stamp = Hashtbl.create 256;
       obs;
       prof_enabler = -1;
-      metrics;
-      mh =
-        {
-          mh_chunk_instr = Obs.Metrics.histogram metrics "chunk_instr";
-          mh_determ_wait_ns = Obs.Metrics.histogram metrics "determ_wait_ns";
-          mh_token_hold_ns = Obs.Metrics.histogram metrics "token_hold_ns";
-          mh_commit_ns = Obs.Metrics.histogram metrics "commit_ns";
-          mh_commit_pages = Obs.Metrics.histogram metrics "commit_pages";
-          mh_commit_pipe_ns = Obs.Metrics.histogram metrics "commit_pipe_ns";
-          mh_update_ns = Obs.Metrics.histogram metrics "update_ns";
-          mh_lock_wait_ns = Obs.Metrics.histogram metrics "lock_wait_ns";
-          mh_barrier_wait_ns = Obs.Metrics.histogram metrics "barrier_wait_ns";
-          mh_op_lock = Obs.Metrics.counter metrics "op:lock";
-          mh_op_unlock = Obs.Metrics.counter metrics "op:unlock";
-          mh_op_commit = Obs.Metrics.counter metrics "op:commit";
-          mh_op_spawn = Obs.Metrics.counter metrics "op:spawn";
-          mh_op_join = Obs.Metrics.counter metrics "op:join";
-          mh_op_exit = Obs.Metrics.counter metrics "op:exit";
-          mh_op_cond_wait = Obs.Metrics.counter metrics "op:cond_wait";
-          mh_op_barrier = Obs.Metrics.counter metrics "op:barrier";
-          mh_op_atomic = Obs.Metrics.counter metrics "op:atomic";
-          mh_op_signal = Obs.Metrics.counter metrics "op:signal";
-          mh_op_broadcast = Obs.Metrics.counter metrics "op:broadcast";
-          mh_op_forced_commit = Obs.Metrics.counter metrics "op:forced-commit";
-        };
+      mh_chunk_instr = Obs.Metrics.histogram metrics "chunk_instr";
+      mh_token_hold_ns = Obs.Metrics.histogram metrics "token_hold_ns";
+      mh_commit_pages = Obs.Metrics.histogram metrics "commit_pages";
       mh_shard_commit_ns =
         (if nshards <= 1 then [||]
          else
@@ -1866,30 +1748,18 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
   in
   assert (fiber_id = 0);
   start ();
-  let per_thread =
-    fold_threads rt
-      (fun th acc ->
-        {
-          Stats.Run_result.tid = th.tid;
-          thread_name = th.name;
-          breakdown = th.bd;
-          instructions = th.instr_retired;
-        }
-        :: acc)
-      []
-    |> List.rev
-  in
   let sum f = fold_threads rt (fun th acc -> acc + f th) 0 in
   let ws_stat f = sum (fun th -> f (Vmem.Workspace.stats th.ws)) in
   {
-    Stats.Run_result.program = program.Api.name;
-    runtime = cfg.Config.name;
-    nthreads;
-    seed;
-    wall_ns = e_now rt;
-    per_thread;
-    sync_ops = rt.sync_ops;
-    token_acquisitions = Tok.acquisitions token + rt.serial_acquisitions;
+    (Rt_core.result core ~program:program.Api.name ~runtime:cfg.Config.name ~nthreads ~seed
+       ~per_thread:
+         (List.rev
+            (fold_threads rt
+               (fun th acc -> Rt_core.thread_stat th.acct ~instructions:th.instr_retired :: acc)
+               []))
+       ~mem_hash:(Vmem.Segment.hash seg) ~peak_mem_pages:rt.peak_mem)
+    with
+    Stats.Run_result.token_acquisitions = Tok.acquisitions token + rt.serial_acquisitions;
     pages_propagated = ws_stat (fun s -> s.Vmem.Workspace.pages_propagated);
     pages_committed = ws_stat (fun s -> s.Vmem.Workspace.pages_committed);
     pages_merged = ws_stat (fun s -> s.Vmem.Workspace.pages_merged);
@@ -1898,17 +1768,7 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
     commits = ws_stat (fun s -> s.Vmem.Workspace.commits);
     coarsened_chunks = rt.coarsened_chunks;
     overflow_interrupts = rt.overflow_interrupts;
-    peak_mem_pages = rt.peak_mem;
     versions = Vmem.Segment.versions_created seg;
-    mem_hash = Vmem.Segment.hash seg;
-    sync_order_hash = Sim.Trace.hash rt.sync_trace;
-    output_hash = Sim.Trace.hash rt.out_trace;
-    trace_events = Sim.Trace.length rt.sync_trace;
-    schedule =
-      List.map
-        (fun (e : Sim.Trace.event) -> (e.Sim.Trace.time, e.Sim.Trace.tid, e.Sim.Trace.label))
-        (Sim.Trace.events rt.sync_trace);
-    metrics = Obs.Metrics.snapshot rt.metrics;
   }
 
 (* The discrete-event entry point every existing caller uses: wrap the

@@ -16,10 +16,10 @@
    in test/runtime).
 
    Time.  [now] is wall ns since run start and [advance] is a no-op:
-   modelled costs still flow into the per-thread Breakdown (so the
-   breakdown stays comparable to the DES), while every *wait* metric
-   (determ/lock/barrier wait, token hold) measures real ns because the
-   waits are real.  Real work is measured separately into the wall:*
+   modelled costs still flow into the per-thread Breakdown and the
+   charged-state histograms (commit/update/commit_pipe ns), so both stay
+   comparable to the DES, while every *wait* metric (determ/lock/barrier
+   wait, token hold) measures real ns because the waits are real.  Real work is measured separately into the wall:*
    calibration counters (see Det_rt's wall accumulators). *)
 
 let name = "domains"

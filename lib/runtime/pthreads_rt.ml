@@ -1,11 +1,10 @@
-module Bd = Stats.Breakdown
+module St = Obs.Thread_state
 
 let name = "pthreads"
 
 type thread_state = {
   tid : int;
-  tname : string;
-  bd : Bd.t;
+  acct : Rt_core.thread;
   prng : Sim.Prng.t;
   mutable instr_retired : int;
   mutable exited : bool;
@@ -17,9 +16,6 @@ type thread_state = {
       (* release count + 1: the thread's own vector-clock component as a
          race detector replaying our event stream would track it.  Only
          maintained (and only meaningful) when an observer is attached. *)
-  mutable prof_waker : int;
-      (* tid whose unlock/signal/barrier-arrival/exit ended this thread's
-         current wait; -1 = none.  Observability only. *)
 }
 
 type mutex_rec = { mutable held_by : int option; waitq : int Queue.t }
@@ -40,12 +36,8 @@ type t = {
   mutexes : (int, mutex_rec) Hashtbl.t;
   conds : (int, cond_rec) Hashtbl.t;
   barriers : (int, barrier_rec) Hashtbl.t;
-  sync_trace : Sim.Trace.t;
-  out_trace : Sim.Trace.t;
+  core : Rt_core.t;
   mutable next_tid : int;
-  mutable sync_ops : int;
-  obs : Obs.Sink.t;
-  metrics : Obs.Metrics.t;
   observer : Rt_event.observer option;
   shadow : (int, int array) Hashtbl.t;
       (* page -> last writer per 8-byte word, packed [(epoch lsl 20) lor
@@ -55,56 +47,19 @@ type t = {
 
 let thread rt tid = Hashtbl.find rt.threads tid
 
-module St = Obs.Thread_state
+(* Pthreads uses a strict subset of the profiler states: no token, no
+   commits, no chunks. *)
+let charge rt th st ns = Rt_core.charge rt.core th.acct st ns
+let record_sync rt th op label = Rt_core.sync rt.core ~tid:th.tid op label
 
-(* Pthreads uses a strict subset of the profiler states (no token, no
-   commits, no chunks); the Breakdown category is derived so the legacy
-   per-thread breakdown is unchanged. *)
-let bd_of_state = function
-  | St.Run -> Bd.Chunk
-  | St.Token_wait -> Bd.Determ_wait
-  | St.Lock_wait -> Bd.Lock_wait
-  | St.Barrier_wait -> Bd.Barrier_wait
-  | St.Commit | St.Commit_pipe -> Bd.Commit
-  | St.Update -> Bd.Update
-  | St.Fault -> Bd.Page_fault
-  | St.Overflow | St.Runtime | St.Gc | St.Txn_validate | St.Txn_abort -> Bd.Library
-  | St.Fork -> Bd.Fork
-
-let charge rt th st ns =
-  if ns > 0 then begin
-    Bd.add th.bd (bd_of_state st) ns;
-    let t0 = Sim.Engine.now rt.eng in
-    Sim.Engine.advance rt.eng ns;
-    if not (Obs.Sink.is_null rt.obs) then
-      rt.obs.Obs.Sink.state
-        { Obs.Thread_state.stid = th.tid; state = st; t0; t1 = t0 + ns; chunk = 0; waker = -1 }
-  end
-
-let label_family label =
-  match String.index_opt label ':' with
-  | Some i -> String.sub label 0 i
-  | None -> label
-
-let record_sync rt th label =
-  rt.sync_ops <- rt.sync_ops + 1;
-  Obs.Metrics.incr rt.metrics ("op:" ^ label_family label);
-  Sim.Trace.record rt.sync_trace ~time:(Sim.Engine.now rt.eng) ~tid:th.tid ~label
-
-(* Wait instrumentation shared by lock / cond / barrier / join blocking
-   paths: record the wait in the breakdown, the metrics histogram, and —
-   when a sink is attached — as a span. *)
-let charge_wait rt th ~state ~scat ~key ~name ~t0 =
-  let waited = Sim.Engine.now rt.eng - t0 in
-  Bd.add th.bd (bd_of_state state) waited;
-  Obs.Metrics.observe rt.metrics key waited;
-  if waited > 0 && not (Obs.Sink.is_null rt.obs) then begin
-    let t1 = Sim.Engine.now rt.eng in
-    rt.obs.Obs.Sink.span { Obs.Span.name; cat = scat; tid = th.tid; t0; t1; args = [] };
-    rt.obs.Obs.Sink.state
-      { Obs.Thread_state.stid = th.tid; state; t0; t1; chunk = 0; waker = th.prof_waker }
-  end;
-  th.prof_waker <- -1
+(* Block until [granted ()], then account the wait (breakdown, histogram
+   and, when tracing, span + state interval) under [state]. *)
+let block_until rt th ~state ~reason granted =
+  let t0 = Rt_core.now rt.core in
+  while not (granted ()) do
+    Sim.Engine.block rt.eng ~reason
+  done;
+  Rt_core.wait rt.core th.acct state ~name:reason ~t0 ~waker:th.acct.waker
 
 (* Happens-before event emission.  Pthreads has no deterministic token
    order, so the stream follows simulated wall-clock order — which is the
@@ -267,15 +222,11 @@ let mutex_lock rt th mid =
   else begin
     th.lock_grant <- false;
     Queue.push th.tid m.waitq;
-    let t0 = Sim.Engine.now rt.eng in
-    while not th.lock_grant do
-      Sim.Engine.block rt.eng ~reason:(Printf.sprintf "lock:%d" mid)
-    done;
-    charge_wait rt th ~state:St.Lock_wait ~scat:Obs.Span.Lock_wait ~key:"lock_wait_ns"
-      ~name:(Printf.sprintf "lock:%d" mid) ~t0;
+    block_until rt th ~state:St.Lock_wait ~reason:(Printf.sprintf "lock:%d" mid) (fun () ->
+        th.lock_grant);
     m.held_by <- Some th.tid
   end;
-  record_sync rt th (Printf.sprintf "lock:%d" mid);
+  record_sync rt th Rt_core.Lock (Printf.sprintf "lock:%d" mid);
   emit_acquire rt th (Rt_event.obj_mutex mid)
 
 let mutex_unlock rt th mid =
@@ -289,27 +240,23 @@ let mutex_unlock rt th mid =
     let next = Queue.pop m.waitq in
     let w = thread rt next in
     w.lock_grant <- true;
-    w.prof_waker <- th.tid;
+    w.acct.waker <- th.tid;
     Sim.Engine.wakeup rt.eng next;
     charge rt th St.Runtime rt.costs.Cost_model.wake_ns
   end;
-  record_sync rt th (Printf.sprintf "unlock:%d" mid)
+  record_sync rt th Rt_core.Unlock (Printf.sprintf "unlock:%d" mid)
 
 let cond_wait rt th cid mid =
   let c = cond_of rt cid in
   charge rt th St.Runtime rt.costs.Cost_model.pthread_cond_ns;
-  record_sync rt th (Printf.sprintf "cond_wait:%d" cid);
+  record_sync rt th Rt_core.Cond_wait (Printf.sprintf "cond_wait:%d" cid);
   (* Enqueue before releasing the mutex: wait+release must be atomic or a
      signal between them is lost (the unlock yields the simulated CPU). *)
   th.cond_grant <- false;
   Queue.push th.tid c.cond_waitq;
   mutex_unlock rt th mid;
-  let t0 = Sim.Engine.now rt.eng in
-  while not th.cond_grant do
-    Sim.Engine.block rt.eng ~reason:(Printf.sprintf "cond:%d" cid)
-  done;
-  charge_wait rt th ~state:St.Lock_wait ~scat:Obs.Span.Lock_wait ~key:"lock_wait_ns"
-    ~name:(Printf.sprintf "cond:%d" cid) ~t0;
+  block_until rt th ~state:St.Lock_wait ~reason:(Printf.sprintf "cond:%d" cid) (fun () ->
+      th.cond_grant);
   emit_acquire rt th (Rt_event.obj_cond cid);
   mutex_lock rt th mid
 
@@ -321,14 +268,15 @@ let cond_signal rt th cid ~broadcast =
       let next = Queue.pop c.cond_waitq in
       let w = thread rt next in
       w.cond_grant <- true;
-      w.prof_waker <- th.tid;
+      w.acct.waker <- th.tid;
       Sim.Engine.wakeup rt.eng next;
       charge rt th St.Runtime rt.costs.Cost_model.wake_ns;
       if broadcast then grant_one ()
     end
   in
   grant_one ();
-  record_sync rt th (Printf.sprintf "%s:%d" (if broadcast then "broadcast" else "signal") cid);
+  if broadcast then record_sync rt th Rt_core.Broadcast (Printf.sprintf "broadcast:%d" cid)
+  else record_sync rt th Rt_core.Signal (Printf.sprintf "signal:%d" cid);
   emit_release rt th (Rt_event.obj_cond cid)
 
 let barrier_init _rt _th b parties =
@@ -339,7 +287,7 @@ let barrier_wait rt th bid =
   let b = barrier_of rt bid in
   if b.parties = 0 then invalid_arg (Printf.sprintf "barrier %d: not initialized" bid);
   charge rt th St.Runtime rt.costs.Cost_model.pthread_barrier_ns;
-  record_sync rt th (Printf.sprintf "barrier:%d" bid);
+  record_sync rt th Rt_core.Barrier (Printf.sprintf "barrier:%d" bid);
   emit_release rt th (Rt_event.obj_barrier bid);
   b.arrived_tids <- th.tid :: b.arrived_tids;
   if List.length b.arrived_tids = b.parties then begin
@@ -348,27 +296,21 @@ let barrier_wait rt th bid =
     b.generation <- b.generation + 1;
     List.iter
       (fun tid ->
-        (thread rt tid).prof_waker <- th.tid;
+        (thread rt tid).acct.waker <- th.tid;
         Sim.Engine.wakeup rt.eng tid)
       others
   end
   else begin
     let gen = b.generation in
-    let t0 = Sim.Engine.now rt.eng in
-    while b.generation = gen do
-      Sim.Engine.block rt.eng ~reason:(Printf.sprintf "barrier:%d" bid)
-    done;
-    charge_wait rt th ~state:St.Barrier_wait ~scat:Obs.Span.Barrier_wait
-      ~key:"barrier_wait_ns"
-      ~name:(Printf.sprintf "barrier:%d" bid)
-      ~t0
+    block_until rt th ~state:St.Barrier_wait ~reason:(Printf.sprintf "barrier:%d" bid) (fun () ->
+        b.generation <> gen)
   end;
   emit_acquire rt th (Rt_event.obj_barrier bid)
 
 let rec make_ops rt th : Api.ops =
   {
     Api.tid = th.tid;
-    self_name = th.tname;
+    self_name = th.acct.name;
     work = (fun n -> work rt th n);
     read = (fun ~addr ~len -> read rt th ~addr ~len);
     write = (fun ~addr buf -> write rt th ~addr buf);
@@ -385,8 +327,7 @@ let rec make_ops rt th : Api.ops =
     barrier_wait = (fun b -> barrier_wait rt th b);
     spawn = (fun ?name body -> spawn_thread rt th ?name body);
     join = (fun t -> join_thread rt th t);
-    log_output =
-      (fun msg -> Sim.Trace.record rt.out_trace ~time:(Sim.Engine.now rt.eng) ~tid:th.tid ~label:msg);
+    log_output = (fun msg -> Rt_core.output rt.core ~tid:th.tid msg);
     yield = (fun () -> Sim.Engine.advance rt.eng 0);
     (* Flat shared heap: there is no version history, so the "pin" is
        always 0 and a snapshot read is a plain read of current memory.
@@ -396,8 +337,8 @@ let rec make_ops rt th : Api.ops =
     base_version = (fun () -> 0);
     snapshot_read = (fun ~version:_ ~addr ~len -> read rt th ~addr ~len);
     now_ns = (fun () -> Sim.Engine.now rt.eng);
-    metric_incr = (fun key by -> Obs.Metrics.incr rt.metrics ~by key);
-    metric_observe = (fun key v -> Obs.Metrics.observe rt.metrics key v);
+    metric_incr = (fun key by -> Obs.Metrics.incr (Rt_core.metrics rt.core) ~by key);
+    metric_observe = (fun key v -> Obs.Metrics.observe (Rt_core.metrics rt.core) key v);
     txn_validate =
       (fun ~keys ->
         charge rt th St.Txn_validate
@@ -413,8 +354,7 @@ let rec make_ops rt th : Api.ops =
 and new_thread_state rt ~tid ~tname =
   {
     tid;
-    tname;
-    bd = Bd.create ();
+    acct = Rt_core.thread ~tid ~name:tname;
     prng = Sim.Prng.split (Sim.Engine.prng rt.eng);
     instr_retired = 0;
     exited = false;
@@ -423,18 +363,17 @@ and new_thread_state rt ~tid ~tname =
     cond_grant = false;
     join_grant = false;
     epoch = 1;
-    prof_waker = -1;
   }
 
 and thread_exit rt th =
-  record_sync rt th "exit";
+  record_sync rt th Rt_core.Exit "exit";
   emit_release rt th (Rt_event.obj_thread th.tid ^ ":exit");
   th.exited <- true;
   match th.joiner with
   | Some j ->
       let w = thread rt j in
       w.join_grant <- true;
-      w.prof_waker <- th.tid;
+      w.acct.waker <- th.tid;
       Sim.Engine.wakeup rt.eng j
   | None -> ()
 
@@ -453,7 +392,7 @@ and spawn_thread rt th ?name body =
         thread_exit rt child)
   in
   assert (fiber_id = child_tid);
-  record_sync rt th (Printf.sprintf "spawn:%d" child_tid);
+  record_sync rt th Rt_core.Spawn (Printf.sprintf "spawn:%d" child_tid);
   child_tid
 
 and join_thread rt th target_tid =
@@ -467,15 +406,10 @@ and join_thread rt th target_tid =
   if not target.exited then begin
     target.joiner <- Some th.tid;
     th.join_grant <- false;
-    let t0 = Sim.Engine.now rt.eng in
-    while not th.join_grant do
-      Sim.Engine.block rt.eng ~reason:(Printf.sprintf "join:%d" target_tid)
-    done;
-    charge_wait rt th ~state:St.Lock_wait ~scat:Obs.Span.Lock_wait ~key:"lock_wait_ns"
-      ~name:(Printf.sprintf "join:%d" target_tid)
-      ~t0
+    block_until rt th ~state:St.Lock_wait ~reason:(Printf.sprintf "join:%d" target_tid) (fun () ->
+        th.join_grant)
   end;
-  record_sync rt th (Printf.sprintf "join:%d" target_tid);
+  record_sync rt th Rt_core.Join (Printf.sprintf "join:%d" target_tid);
   emit_acquire rt th (Rt_event.obj_thread target_tid ^ ":exit")
 
 let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Obs.Sink.null)
@@ -493,12 +427,8 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
       mutexes = Hashtbl.create 16;
       conds = Hashtbl.create 16;
       barriers = Hashtbl.create 16;
-      sync_trace = Sim.Trace.create ~capture:true ();
-      out_trace = Sim.Trace.create ~capture:true ();
+      core = Rt_core.create ~ex:(Sim.Exec.of_engine eng) ~obs;
       next_tid = 1;
-      sync_ops = 0;
-      obs;
-      metrics = Obs.Metrics.create ();
       observer;
       shadow = Hashtbl.create 64;
     }
@@ -512,46 +442,11 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
   in
   assert (fiber_id = 0);
   Sim.Engine.run eng;
-  let per_thread =
-    Hashtbl.fold
-      (fun _ th acc ->
-        {
-          Stats.Run_result.tid = th.tid;
-          thread_name = th.tname;
-          breakdown = th.bd;
-          instructions = th.instr_retired;
-        }
-        :: acc)
-      rt.threads []
-    |> List.sort (fun a b -> compare a.Stats.Run_result.tid b.Stats.Run_result.tid)
-  in
-  let mem_hash = Sim.Fnv.to_hex (Sim.Fnv.bytes Sim.Fnv.init rt.mem) in
-  {
-    Stats.Run_result.program = program.Api.name;
-    runtime = name;
-    nthreads;
-    seed;
-    wall_ns = Sim.Engine.now eng;
-    per_thread;
-    sync_ops = rt.sync_ops;
-    token_acquisitions = 0;
-    pages_propagated = 0;
-    pages_committed = 0;
-    pages_merged = 0;
-    bytes_merged = 0;
-    write_faults = 0;
-    commits = 0;
-    coarsened_chunks = 0;
-    overflow_interrupts = 0;
-    peak_mem_pages = Hashtbl.length rt.touched;
-    versions = 0;
-    mem_hash;
-    sync_order_hash = Sim.Trace.hash rt.sync_trace;
-    output_hash = Sim.Trace.hash rt.out_trace;
-    trace_events = Sim.Trace.length rt.sync_trace;
-    schedule =
-      List.map
-        (fun (e : Sim.Trace.event) -> (e.Sim.Trace.time, e.Sim.Trace.tid, e.Sim.Trace.label))
-        (Sim.Trace.events rt.sync_trace);
-    metrics = Obs.Metrics.snapshot rt.metrics;
-  }
+  Rt_core.result rt.core ~program:program.Api.name ~runtime:name ~nthreads ~seed
+    ~per_thread:
+      (Hashtbl.fold
+         (fun _ th acc -> Rt_core.thread_stat th.acct ~instructions:th.instr_retired :: acc)
+         rt.threads []
+      |> List.sort (fun a b -> compare a.Stats.Run_result.tid b.Stats.Run_result.tid))
+    ~mem_hash:(Sim.Fnv.to_hex (Sim.Fnv.bytes Sim.Fnv.init rt.mem))
+    ~peak_mem_pages:(Hashtbl.length rt.touched)

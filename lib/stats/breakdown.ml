@@ -23,6 +23,19 @@ let index = function
   | Library -> 7
   | Fork -> 8
 
+(* The one state -> category map: every runtime charges time in a
+   profiler state, and the breakdown category is derived here. *)
+let of_state = function
+  | Obs.Thread_state.Run -> Chunk
+  | Token_wait -> Determ_wait
+  | Lock_wait -> Lock_wait
+  | Barrier_wait -> Barrier_wait
+  | Commit | Commit_pipe -> Commit
+  | Update -> Update
+  | Fault -> Page_fault
+  | Overflow | Runtime | Gc | Txn_validate | Txn_abort -> Library
+  | Fork -> Fork
+
 let category_name = function
   | Chunk -> "chunk"
   | Determ_wait -> "determ_wait"

@@ -2,7 +2,9 @@
 
     Every nanosecond a simulated thread spends is attributed to exactly
     one category, so a breakdown sums to the thread's lifetime and the
-    Fig 15 stacked bars can be regenerated. *)
+    Fig 15 stacked bars can be regenerated.  Runtimes never pick a
+    category themselves: they charge time in an {!Obs.Thread_state.t}
+    and {!of_state} derives the category. *)
 
 type category =
   | Chunk  (** useful local work (user instructions) *)
@@ -16,6 +18,12 @@ type category =
   | Fork  (** thread creation / teardown / pool recycling *)
 
 val all : category list
+
+val of_state : Obs.Thread_state.t -> category
+(** The category a profiler state's time is charged to.  This is the
+    only state-to-category map: every runtime charges through it (see
+    [Runtime.Rt_core]), so breakdowns and state intervals agree. *)
+
 val category_name : category -> string
 
 type t

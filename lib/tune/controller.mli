@@ -8,9 +8,12 @@
     thread applies that same schedule; a thread only falls short of the
     full list when it retires fewer instructions than the last
     milestone.  That gives the cross-runtime determinism property its
-    testable shape: each thread's recorded {!Runtime.Rt_event.Tune_decision}
-    stream must be a {e prefix} of the prediction, identically on all
-    five runtimes and all seeds. *)
+    testable shape: on every runtime and seed, each thread's recorded
+    {!Runtime.Rt_event.Tune_decision} stream must be a {e prefix} of the
+    prediction.  The streams are identical across runtimes that share a
+    sync order (instruction-count ordering: ic, pipe, domains); under
+    round-robin ordering a thread's share of a pipeline's work, and so
+    its prefix length, can differ. *)
 
 type applied = {
   epoch : int;

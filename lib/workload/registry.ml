@@ -15,6 +15,12 @@ type entry = {
 let entry suite (make : ?scale:float -> unit -> Api.t) =
   { suite; program = make (); make }
 
+(* A KV service traffic shape over the deterministic transactional
+   store; the program is named after the shape ([kv_zipf], ...). *)
+let kv shape =
+  entry Service (fun ?(scale = 1.0) () ->
+      Kv.Service.workload ~requests:(Wl_util.scaled scale Kv.Service.default_requests) shape)
+
 let all =
   [
     entry Phoenix Histogram.make;
@@ -36,12 +42,12 @@ let all =
     entry Splash2 Ocean_cp.make;
     entry Splash2 Water_nsquared.make;
     entry Splash2 Water_spatial.make;
-    entry Service Kv_uniform.make;
-    entry Service Kv_zipf.make;
-    entry Service Kv_hot.make;
-    entry Service Kv_read.make;
-    entry Service Kv_write.make;
-    entry Service Kv_scan.make;
+    kv Kv.Traffic.Uniform;
+    kv Kv.Traffic.Zipf;
+    kv Kv.Traffic.Hot;
+    kv Kv.Traffic.Read_mostly;
+    kv Kv.Traffic.Write_heavy;
+    kv Kv.Traffic.Scan;
   ]
 
 let names = List.map (fun e -> e.program.Api.name) all
