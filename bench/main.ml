@@ -176,7 +176,7 @@ let sched_tests () =
          (let eng = Sim.Engine.create ~seed:1 () in
           let clocks = Lc.create () in
           let c = Lc.register clocks ~tid:0 in
-          let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
+          let token = Tok.create (Sim.Exec.of_engine eng) clocks in
           fun () ->
             Lc.tick c 1;
             Tok.wait token ~tid:0;
@@ -189,7 +189,7 @@ let sched_tests () =
       (Staged.stage (fun () ->
            let eng = Sim.Engine.create ~seed:1 () in
            let clocks = Lc.create () in
-           let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
+           let token = Tok.create (Sim.Exec.of_engine eng) clocks in
            for tid = 0 to 3 do
              ignore
                (Sim.Engine.spawn eng ~name:"t" (fun () ->
@@ -543,11 +543,6 @@ let () =
   List.iter
     (fun s ->
       run_section ~threads s;
-      (* Release the fan-out pool's domains between sections: a section
-         that spawns its own domains (the [domains] study) must not
-         compete with idle pool workers, and the pool re-creates itself
-         lazily on the next map_list. *)
-      Sim.Par.shutdown_shared ();
       print_newline ())
     sections;
   Printf.printf "bench complete in %.1f s wall / %.1f s cpu (%d job%s)\n"

@@ -180,16 +180,11 @@ let fast_forward c ~to_count =
   end
   else false
 
-let active c = (not c.finished) && not c.departed
-
 (* Lexicographic (published, tid) minimum over active clocks: the root
    of the active index. *)
 let gmic t = if t.active.size = 0 then None else Some t.active.heap.(0).tid
 
 let gmic_tid t = if t.active.size = 0 then -1 else t.active.heap.(0).tid
-
-let is_active t ~tid =
-  match Hashtbl.find_opt t.clocks tid with None -> false | Some c -> active c
 
 let is_gmic t ~tid = t.active.size > 0 && t.active.heap.(0).tid = tid
 
@@ -243,23 +238,6 @@ let next_waiting_gap t ~tid =
       | None -> 0
       | Some me -> w.published - me.published + 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Round-robin successor                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* First active tid >= turn, wrapping to the smallest active tid; -1 if
-   no clock is active.  A single scan over the active index's backing
-   array: no list is built (the index is unordered by tid, so a scan is
-   as good as it gets without a third index — n is the thread count). *)
-let rr_successor t ~turn =
-  let best_ge = ref max_int and best_all = ref max_int in
-  for i = 0 to t.active.size - 1 do
-    let tid = t.active.heap.(i).tid in
-    if tid < !best_all then best_all := tid;
-    if tid >= turn && tid < !best_ge then best_ge := tid
-  done;
-  if !best_ge < max_int then !best_ge else if !best_all < max_int then !best_all else -1
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)

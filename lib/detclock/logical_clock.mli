@@ -75,9 +75,6 @@ val gmic_tid : t -> int
 val is_gmic : t -> tid:int -> bool
 (** True iff [tid] is live, non-departed, and equal to {!gmic}.  O(1). *)
 
-val is_active : t -> tid:int -> bool
-(** True iff [tid] is registered, live and non-departed. *)
-
 val published_of : t -> tid:int -> int option
 (** Published count of a live thread by tid; [None] if unregistered or
     finished.  O(1) (no list build, unlike {!counts}). *)
@@ -102,11 +99,6 @@ val next_waiting_gap : t -> tid:int -> int
     [0] if nobody relevant is waiting.  The result may be [<= 0] when the
     waiter already precedes [tid]; callers treat any non-positive value
     as "no gap to target".  O(1). *)
-
-val rr_successor : t -> turn:int -> int
-(** Round-robin successor: the smallest active tid >= [turn], wrapping to
-    the smallest active tid; -1 if no thread is active.  A single
-    allocation-free scan of the active index. *)
 
 val live_count : t -> int
 val active_count : t -> int

@@ -1,19 +1,14 @@
 (** The global token (paper sections 2.1, 4).
 
-    Every deterministic event — lock, unlock, barrier, condition-variable
-    operation, thread create/join/exit, commit — requires holding the
-    single global token.  Who may take a free token is decided by the
-    ordering policy:
-
-    - {e Instruction_count} (Consequence-IC): only the GMIC thread of the
-      {!Logical_clock} registry may take it (Kendo-style ordering).
-    - {e Round_robin} (DThreads, DWC, Consequence-RR): the token visits
-      live, non-departed threads in thread-id order; it moves on only when
-      its current turn-holder performs a synchronization operation.
-
-    Both policies compute a unique eligible thread from deterministic
-    state (published instruction counts / turn counter), which is what
-    makes the synchronization order deterministic.
+    Under instruction-count ordering (Consequence-IC) every deterministic
+    event — lock, unlock, barrier, condition-variable operation, thread
+    create/join/exit, commit — requires holding the single global token,
+    and only the GMIC thread of the {!Logical_clock} registry may take a
+    free token (Kendo-style ordering).  The eligible thread is computed
+    from deterministic state (published instruction counts), which is
+    what makes the synchronization order deterministic.  Round-robin
+    ordering (DThreads, DWC, Consequence-RR) does not use the token: the
+    runtime orders those events with an epoch fence and a serial turn.
 
     The token does not watch clock state on its own: callers must {!poke}
     it after any change that could alter eligibility (tick, depart,
@@ -21,16 +16,13 @@
     publication point, mirroring the kernel module that notifies a newly
     appointed GMIC thread (section 3.4). *)
 
-type ordering = Round_robin | Instruction_count
-
 type t
 
 (** The execution substrate ({!Sim.Exec.t}) supplies block/wakeup: the
     DES engine in simulation, the domain scheduler under real-multicore
     execution.  Eligibility itself depends only on deterministic clock
     state, never on the substrate. *)
-val create : Sim.Exec.t -> Logical_clock.t -> ordering -> t
-val ordering : t -> ordering
+val create : Sim.Exec.t -> Logical_clock.t -> t
 
 val wait : t -> tid:int -> unit
 (** The paper's [waitToken()]: block until this thread is the eligible
@@ -38,9 +30,8 @@ val wait : t -> tid:int -> unit
     fiber whose id is [tid]. *)
 
 val release : t -> tid:int -> unit
-(** The paper's [releaseToken()].  Records the releaser's published clock
-    (for fast-forward) and, under round-robin, advances the turn.  Raises
-    if [tid] does not hold the token. *)
+(** The paper's [releaseToken()]: free the token and hand it to the
+    eligible waiter, if any.  Raises if [tid] does not hold the token. *)
 
 val holder : t -> int option
 
@@ -55,13 +46,9 @@ val waiting_count : t -> int
 val poke : t -> unit
 (** Re-evaluate eligibility and wake the winning waiter, if any.  Call
     after clock publications, departures, arrivals and thread exits.
-    O(1) under instruction-count ordering: the winner is read off the
-    clock registry's incremental GMIC index, and exactly that thread is
-    woken (direct handoff — one engine event per token transfer). *)
-
-val last_release_published : t -> int
-(** Published clock of the most recent releaser — the fast-forward target
-    (section 3.5).  0 before any release. *)
+    O(1): the winner is read off the clock registry's incremental GMIC
+    index, and exactly that thread is woken (direct handoff — one engine
+    event per token transfer). *)
 
 val acquisitions : t -> int
 (** Total successful acquisitions (a determinism-independent load metric). *)

@@ -32,10 +32,6 @@ type row = {
 }
 
 let measure ?(threads = 8) ?(seed = 1) () =
-  (* Real worker domains must not compete with the DES fan-out pool for
-     the (possibly few) cores; the pool re-creates itself lazily if a
-     later section needs it again. *)
-  Sim.Par.shutdown_shared ();
   List.map
     (fun bench ->
       let program = (Workload.Registry.find bench).Workload.Registry.program in

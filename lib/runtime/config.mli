@@ -84,11 +84,12 @@ type t = {
           and commit digests are byte-identical to the serial path. *)
   commit_shards : int;
       (** split the segment into this many contiguous page-range shards
-          with independent live accounting, GC cursors and locks;
-          commits whose footprint spans several shards install in
-          parallel (real domains for large commits, and the pipelined
-          install cost is the max over shards rather than the sum).
-          1 = unsharded (the default). *)
+          with independent live accounting and GC cursors; a commit
+          whose footprint spans several shards is charged its largest
+          single-shard footprint as the install term (the shards
+          install concurrently in the cost model) rather than the sum.
+          The pages themselves install serially, so data and witnesses
+          are unchanged.  1 = unsharded (the default). *)
   incremental_gc : bool;
       (** replace the single rate-limited GC sweep with the incremental
           per-shard collector: bounded steps ([gc_step_pages]) that run

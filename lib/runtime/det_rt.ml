@@ -79,11 +79,12 @@ type thread_state = {
          phase processes a thread's back-to-back ops under one token
          hold). The turn is surrendered as soon as user work executes. *)
   mutable pipe_pending_ns : int;
-      (* Pipelined commit: bulk install/merge cost sealed under the token
-         but not yet charged.  Drained (as a Commit_pipe interval) at the
-         next [release_global], i.e. right after the token is handed on,
-         so it overlaps the next chunk's execution on other threads.
-         Accumulates across a coarsened chunk's deferred commits. *)
+      (* Pipelined commit: bulk install/merge cost of commits made under
+         the token but not yet charged.  Drained (as a Commit_pipe
+         interval) at the next [release_global], i.e. right after the
+         token is handed on, so it overlaps the next chunk's execution
+         on other threads.  Accumulates across a coarsened chunk's
+         deferred commits. *)
   (* Wall-clock calibration accumulators (real backends only): measured
      ns spent in real spins, unlocked memory operations, and the actual
      Vmem commit/update work.  Flushed to wall:* metric counters at
@@ -553,10 +554,14 @@ let commit_digest rt (ci : Vmem.Workspace.commit_info) =
   in
   Sim.Fnv.to_hex h
 
+(* Observer-only, as [publish] does for [Boundary]: the digest is for
+   replay cross-checking, and as a trace instant it would repeat the
+   [Commit] instant beside it without carrying the hash. *)
 let emit_commit_hash rt th (ci : Vmem.Workspace.commit_info) =
-  if emitting rt then
-    emit rt
-      (Rt_event.Commit_hash { tid = th.tid; version = ci.version; hash = commit_digest rt ci })
+  match rt.observer with
+  | Some f ->
+      f (Rt_event.Commit_hash { tid = th.tid; version = ci.version; hash = commit_digest rt ci })
+  | None -> ()
 
 (* Per-shard footprint of a commit (into the reused scratch, no
    allocation): records the per-shard histograms and returns the largest
@@ -1686,12 +1691,7 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
   if cfg.Config.commit_shards > 1 then Vmem.Segment.set_shards seg cfg.Config.commit_shards;
   let nshards = Vmem.Segment.shards seg in
   let clocks = Lc.create () in
-  let ordering =
-    match cfg.Config.ordering with
-    | Config.Round_robin -> Tok.Round_robin
-    | Config.Instruction_count -> Tok.Instruction_count
-  in
-  let token = Tok.create ex clocks ordering in
+  let token = Tok.create ex clocks in
   let core = Rt_core.create ~ex ~obs in
   let metrics = Rt_core.metrics core in
   let rt =

@@ -64,7 +64,8 @@ type t =
           abort/retry decision is a pure function of committed state, so
           these events are part of the replay-checked stream — a replay
           that aborts differently diverges.  Emitted outside the token,
-          like [Boundary], and only to an [observer]. *)
+          like [Boundary], but unlike it also recorded as a trace
+          instant: nothing else on the timeline marks an abort. *)
   | Tune_decision of {
       tid : int;
       epoch : int;  (** decision ordinal: 0 at thread start, then one
@@ -83,7 +84,8 @@ type t =
           so the stream is identical across runtimes and seeds; like
           [Txn_abort] they are replay-checked — a replay whose
           controller decides differently diverges.  Emitted outside the
-          token, observer-only. *)
+          token, to the observer and as a trace instant marking where
+          the knobs changed. *)
 
 type observer = t -> unit
 

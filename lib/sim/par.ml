@@ -35,189 +35,3 @@ let map_array f arr =
 let map_list f l = Array.to_list (map_array f (Array.of_list l))
 
 let concat_map f l = List.concat (map_list f l)
-
-(* ------------------------------------------------------------------ *)
-(* Persistent worker pool                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* [map_array] spawns fresh domains per call, which is fine for figure
-   sweeps (seconds of work per call) but far too heavy for fine-grained
-   fan-out such as installing the shards of one segment commit
-   (microseconds of work, thousands of calls).  A [pool] keeps its
-   workers parked on a condition variable between jobs, so dispatch
-   costs a broadcast instead of k Domain.spawn. *)
-
-(* Each dispatch publishes a fresh immutable job descriptor with its own
-   claim/pending counters; workers capture the descriptor under [pm]
-   when they observe the generation change and claim indices only from
-   it.  This is what makes back-to-back jobs safe: a straggler that is
-   still inside [pool_work] when the next job is dispatched keeps
-   claiming from the *old* descriptor, whose exhausted counter sends it
-   back to park — it can never run (or double-complete) an index of the
-   new job.  Mutating shared slots in place instead would let exactly
-   that happen. *)
-type job = {
-  fn : int -> unit;
-  count : int;
-  next : int Atomic.t;
-  pending : int Atomic.t;  (* indices not yet completed in this job *)
-  err : exn option Atomic.t;
-}
-
-let idle_job () =
-  { fn = ignore; count = 0; next = Atomic.make 0; pending = Atomic.make 0;
-    err = Atomic.make None }
-
-type pool = {
-  pm : Mutex.t;  (* protects job / gen / stop and the two condition variables *)
-  job_m : Mutex.t;  (* serializes submitters; try_run refuses instead of queueing *)
-  cv_work : Condition.t;
-  cv_done : Condition.t;
-  mutable job : job;  (* current job; published and captured under [pm] *)
-  mutable gen : int;
-  mutable stop : bool;
-  mutable domains : unit Domain.t array;
-}
-
-(* Claim and run indices until [j] is exhausted.  Exceptions are
-   captured (first wins) and re-raised by the submitter; every claimed
-   index still counts as completed so the job always drains. *)
-let pool_work p (j : job) =
-  let continue = ref true in
-  while !continue do
-    let i = Atomic.fetch_and_add j.next 1 in
-    if i >= j.count then continue := false
-    else begin
-      (try j.fn i
-       with e -> ignore (Atomic.compare_and_set j.err None (Some e)));
-      if Atomic.fetch_and_add j.pending (-1) = 1 then begin
-        Mutex.lock p.pm;
-        Condition.broadcast p.cv_done;
-        Mutex.unlock p.pm
-      end
-    end
-  done
-
-let pool_worker p =
-  let last_gen = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock p.pm;
-    while p.gen = !last_gen && not p.stop do
-      Condition.wait p.cv_work p.pm
-    done;
-    let stop = p.stop in
-    last_gen := p.gen;
-    let j = p.job in
-    Mutex.unlock p.pm;
-    if stop then running := false else pool_work p j
-  done
-
-let create_pool ?workers () =
-  let workers =
-    match workers with Some w -> max 0 w | None -> max 0 (default_jobs () - 1)
-  in
-  let p =
-    {
-      pm = Mutex.create ();
-      job_m = Mutex.create ();
-      cv_work = Condition.create ();
-      cv_done = Condition.create ();
-      job = idle_job ();
-      gen = 0;
-      stop = false;
-      domains = [||];
-    }
-  in
-  p.domains <- Array.init workers (fun _ -> Domain.spawn (fun () -> pool_worker p));
-  p
-
-let pool_size p = Array.length p.domains + 1
-
-(* Run the job while holding [job_m]: publish a fresh descriptor, wake
-   the workers, work alongside them, then wait until every index has
-   completed (not merely been claimed).  The job record is a small
-   per-dispatch allocation — the price of making stragglers from the
-   previous job harmless (see the [job] comment above). *)
-let pool_dispatch p n f =
-  let j =
-    { fn = f; count = n; next = Atomic.make 0; pending = Atomic.make n;
-      err = Atomic.make None }
-  in
-  Mutex.lock p.pm;
-  p.job <- j;
-  p.gen <- p.gen + 1;
-  Condition.broadcast p.cv_work;
-  Mutex.unlock p.pm;
-  pool_work p j;
-  Mutex.lock p.pm;
-  while Atomic.get j.pending > 0 do
-    Condition.wait p.cv_done p.pm
-  done;
-  (* Drop the closure reference; late wakers find an exhausted job. *)
-  p.job <- idle_job ();
-  Mutex.unlock p.pm;
-  match Atomic.get j.err with Some e -> raise e | None -> ()
-
-let run_pool p n f =
-  if n > 0 then
-    if Array.length p.domains = 0 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      Mutex.lock p.job_m;
-      Fun.protect ~finally:(fun () -> Mutex.unlock p.job_m) (fun () -> pool_dispatch p n f)
-    end
-
-let try_run_pool p n f =
-  if n <= 0 then true
-  else if Array.length p.domains = 0 then false
-  else if not (Mutex.try_lock p.job_m) then false
-  else begin
-    Fun.protect ~finally:(fun () -> Mutex.unlock p.job_m) (fun () -> pool_dispatch p n f);
-    true
-  end
-
-let shutdown_pool p =
-  Mutex.lock p.job_m;
-  Mutex.lock p.pm;
-  p.stop <- true;
-  Condition.broadcast p.cv_work;
-  Mutex.unlock p.pm;
-  Array.iter Domain.join p.domains;
-  p.domains <- [||];
-  Mutex.unlock p.job_m
-
-(* Process-wide shared pool, created on first use and shut down at exit
-   so no worker domain outlives the program.  Capped: the pool exists
-   for small structured fan-outs (per-shard installs), not sweeps. *)
-let shared = ref None
-let shared_m = Mutex.create ()
-
-let shared_pool () =
-  Mutex.lock shared_m;
-  let p =
-    match !shared with
-    | Some p -> p
-    | None ->
-        let p = create_pool ~workers:(min 7 (max 0 (default_jobs () - 1))) () in
-        shared := Some p;
-        at_exit (fun () ->
-            Mutex.lock shared_m;
-            (match !shared with Some p -> shutdown_pool p | None -> ());
-            shared := None;
-            Mutex.unlock shared_m);
-        p
-  in
-  Mutex.unlock shared_m;
-  p
-
-(* Tear down the shared pool so its worker domains don't sit idle (or
-   compete for cores with real-parallel backends) between bench
-   sections.  The next [shared_pool] call lazily re-creates it. *)
-let shutdown_shared () =
-  Mutex.lock shared_m;
-  (match !shared with Some p -> shutdown_pool p | None -> ());
-  shared := None;
-  Mutex.unlock shared_m

@@ -34,50 +34,3 @@ val map_list : ('a -> 'b) -> 'a list -> 'b list
 val concat_map : ('a -> 'b list) -> 'a list -> 'b list
 (** [concat_map f l] is [List.concat_map f l] with the per-element
     calls fanned out; concatenation order follows the input order. *)
-
-(** {1 Persistent worker pool}
-
-    {!map_array} spawns fresh domains per call — right for sweeps
-    (seconds of work per call), far too heavy for fine-grained fan-out
-    such as installing the shards of one segment commit.  A {!pool}
-    keeps its workers parked on a condition variable between jobs, so
-    dispatching a job costs a broadcast instead of k [Domain.spawn]. *)
-
-type pool
-
-val create_pool : ?workers:int -> unit -> pool
-(** Spawn a pool with [workers] parked worker domains (default
-    [default_jobs () - 1]).  [workers = 0] is legal: {!run_pool}
-    degrades to a sequential loop and {!try_run_pool} always refuses. *)
-
-val pool_size : pool -> int
-(** Worker domains plus the submitting caller — the maximum number of
-    indices that can run concurrently in one job. *)
-
-val run_pool : pool -> int -> (int -> unit) -> unit
-(** [run_pool p n f] runs [f 0 .. f (n-1)] across the pool's workers
-    plus the calling domain, returning when all have completed.
-    Submitters are serialized (a second caller blocks until the current
-    job drains).  If any [f] raises, one of the exceptions is re-raised
-    after the job drains. *)
-
-val try_run_pool : pool -> int -> (int -> unit) -> bool
-(** Like {!run_pool} but refuses (returns [false], running nothing)
-    instead of blocking when another job is in flight or the pool has
-    no workers.  Callers fall back to their serial path — this is what
-    lets concurrently-simulated runs under a [-j] sweep share one pool
-    without contending on it. *)
-
-val shutdown_pool : pool -> unit
-(** Join all worker domains.  The pool remains usable afterwards in the
-    degraded [workers = 0] sense. *)
-
-val shared_pool : unit -> pool
-(** Process-wide pool, created on first use (at most
-    [min 7 (default_jobs () - 1)] workers) and shut down [at_exit]. *)
-
-val shutdown_shared : unit -> unit
-(** Join the shared pool's worker domains now (no-op when absent).  The
-    next {!shared_pool} call re-creates it lazily — call between bench
-    sections or before real-parallel runs so idle pool domains don't
-    stay parked on the machine's cores. *)

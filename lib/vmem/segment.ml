@@ -47,14 +47,13 @@ type t = {
      Replaces a per-call hashtable with zero allocation. *)
   seen_gen : int array;
   mutable gen : int;
-  (* Contiguous page-range shards with independent live accounting, GC
-     cursors and locks.  Version numbering and the [versions] log stay
-     global — shards parallelize the page-snapshot *installs* and the
-     collector, never the total store order. *)
+  (* Contiguous page-range shards with independent live accounting and
+     GC cursors.  Version numbering and the [versions] log stay global —
+     shards partition the collector's work (and the runtime's per-shard
+     install cost), never the total store order. *)
   mutable nshards : int;
   mutable shard_live : int array;  (* live snapshots per shard; sums to [live] *)
   mutable shard_cursor : int array;  (* GC resume point, relative to shard start *)
-  mutable shard_locks : Mutex.t array;
   mutable gc_shard : int;  (* next shard the incremental collector steps *)
 }
 
@@ -148,7 +147,6 @@ let create ?(name = "segment") ~pages ~page_size () =
     nshards = 1;
     shard_live = [| 0 |];
     shard_cursor = [| 0 |];
-    shard_locks = [| Mutex.create () |];
     gc_shard = 0;
   }
 
@@ -169,7 +167,6 @@ let set_shards t n =
   t.nshards <- n;
   t.shard_live <- Array.make n 0;
   t.shard_cursor <- Array.make n 0;
-  t.shard_locks <- Array.init n (fun _ -> Mutex.create ());
   t.gc_shard <- 0;
   for i = 0 to t.npages - 1 do
     let s = shard_of_page t i in
@@ -205,60 +202,6 @@ let read_bytes t ~version ~addr ~len =
   done;
   out
 
-let install_page t vnum (i, page) =
-  if Bytes.length page <> t.page_size then
-    invalid_arg (Printf.sprintf "Segment %s: bad page size in commit" t.name);
-  hist_append t.histories.(i) ~zero:t.zero vnum page;
-  t.last_mod_arr.(i) <- vnum
-
-(* Below this many pages the pool's dispatch broadcast costs more than
-   the installs it would spread. *)
-let parallel_install_threshold = 64
-
-(* Install a multi-shard footprint with one pool worker per shard.  Page
-   indices within a commit are distinct, so workers touch disjoint
-   histories; each worker owns its shard's live counter (under the shard
-   lock, so installs remain safe if commits ever arrive from several
-   domains).  Refuses — caller falls back to the serial loop — when the
-   shared pool is busy with another job. *)
-let install_sharded t vnum pages npages_committed =
-  let groups = Array.make t.nshards [] in
-  let nonempty = ref 0 in
-  List.iter
-    (fun ((i, _) as pg) ->
-      let s = shard_of_page t i in
-      if groups.(s) = [] then incr nonempty;
-      groups.(s) <- pg :: groups.(s))
-    pages;
-  !nonempty > 1
-  &&
-  let ran =
-    try
-      Sim.Par.try_run_pool (Sim.Par.shared_pool ()) t.nshards (fun s ->
-          match groups.(s) with
-          | [] -> ()
-          | g ->
-              Mutex.lock t.shard_locks.(s);
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock t.shard_locks.(s))
-                (fun () ->
-                  List.iter
-                    (fun pg ->
-                      install_page t vnum pg;
-                      t.shard_live.(s) <- t.shard_live.(s) + 1)
-                    g))
-    with e ->
-      (* A worker raised mid-install: pages installed before the failure
-         bumped their [shard_live], but the bulk [live] add below never
-         runs.  Rebuild [live] as the sum of the per-shard counters —
-         the invariant the serial path maintains page by page — so GC
-         shard selection and the [live = 0] fast path stay sound. *)
-      t.live <- Array.fold_left ( + ) 0 t.shard_live;
-      raise e
-  in
-  if ran then t.live <- t.live + npages_committed;
-  ran
-
 let commit t ~committer ~pages =
   let vnum = current_version t + 1 in
   let idxs = Array.of_list (List.map fst pages) in
@@ -270,19 +213,16 @@ let commit t ~committer ~pages =
         invalid_arg (Printf.sprintf "Segment %s: duplicate page %d in commit" t.name i);
       t.seen_gen.(i) <- t.gen)
     idxs;
-  let npages_committed = Array.length idxs in
-  let installed_parallel =
-    t.nshards > 1
-    && npages_committed >= parallel_install_threshold
-    && install_sharded t vnum pages npages_committed
-  in
-  if not installed_parallel then
-    List.iter
-      (fun ((i, _) as pg) ->
-        install_page t vnum pg;
-        t.shard_live.(shard_of_page t i) <- t.shard_live.(shard_of_page t i) + 1;
-        t.live <- t.live + 1)
-      pages;
+  List.iter
+    (fun (i, page) ->
+      if Bytes.length page <> t.page_size then
+        invalid_arg (Printf.sprintf "Segment %s: bad page size in commit" t.name);
+      hist_append t.histories.(i) ~zero:t.zero vnum page;
+      t.last_mod_arr.(i) <- vnum;
+      let s = shard_of_page t i in
+      t.shard_live.(s) <- t.shard_live.(s) + 1;
+      t.live <- t.live + 1)
+    pages;
   Sim.Vec.push t.versions { committer; page_idxs = idxs };
   vnum
 

@@ -26,12 +26,14 @@ val page_size : t -> int
 
 val set_shards : t -> int -> unit
 (** Split the segment into [n] contiguous page-range shards with
-    independent live accounting, GC cursors and locks (clamped to the
-    page count; raises for [n < 1]).  Sharding changes {e how} installs
-    and collection are scheduled, never what is installed: version
-    numbering, the commit log, reads and digests are identical at any
-    shard count.  Segments start with 1 shard.  May be called at any
-    time; per-shard accounting is recomputed from the histories. *)
+    independent live accounting and GC cursors (clamped to the page
+    count; raises for [n < 1]).  Sharding changes how collection is
+    scheduled (see {!gc_step}) and lets the runtime cost a commit by
+    its largest per-shard footprint, never what is installed: installs
+    are serial, and version numbering, the commit log, reads and
+    digests are identical at any shard count.  Segments start with 1
+    shard.  May be called at any time; per-shard accounting is
+    recomputed from the histories. *)
 
 val shards : t -> int
 (** Current shard count (1 = unsharded). *)
@@ -69,13 +71,7 @@ val read_bytes : t -> version:version -> addr:int -> len:int -> Bytes.t
 val commit : t -> committer:int -> pages:(int * Page.t) list -> version
 (** Install the given page snapshots as a new version and return its
     number.  The segment takes ownership of the snapshot buffers.  Page
-    indices must be distinct and in range.
-
-    When the segment is sharded and the footprint is large and spans
-    several shards, the installs fan out across the shared
-    {!Sim.Par.pool} (one worker per shard, under the shard locks),
-    falling back to the serial loop when the pool is busy.  Both paths
-    produce byte-identical segment state. *)
+    indices must be distinct and in range. *)
 
 val committer_of : t -> version -> int
 (** Thread id recorded for a committed version.  Raises for version 0. *)

@@ -182,16 +182,7 @@ let write_int64 t ~addr v =
 let read_int t ~addr = Int64.to_int (read_int64 t ~addr)
 let write_int t ~addr v = write_int64 t ~addr (Int64.of_int v)
 
-type sealed = {
-  sbase : int;  (* segment version the seal merged against *)
-  spages : (int * Page.t) list;
-  sdirty : int list;
-  smerged : int;
-  smerged_bytes : int;
-  sconflicts : conflict list;
-}
-
-let seal t =
+let commit t =
   let dirty =
     Hashtbl.fold (fun i () acc -> i :: acc) t.dirty []
     |> List.sort (fun (a : int) b -> compare a b)
@@ -199,12 +190,12 @@ let seal t =
   match dirty with
   | [] ->
       {
-        sbase = Segment.current_version t.seg;
-        spages = [];
-        sdirty = [];
-        smerged = 0;
-        smerged_bytes = 0;
-        sconflicts = [];
+        version = Segment.current_version t.seg;
+        pages_committed = 0;
+        pages_merged = 0;
+        bytes_merged = 0;
+        committed_pages = [];
+        conflicts = [];
       }
   | _ ->
       let latest = Segment.current_version t.seg in
@@ -247,53 +238,22 @@ let seal t =
             end)
           dirty
       in
-      {
-        sbase = latest;
-        spages = snapshots;
-        sdirty = dirty;
-        smerged = !merged;
-        smerged_bytes = !merged_bytes;
-        sconflicts = List.rev !conflicts;
-      }
-
-let sealed_pages s = List.length s.sdirty
-let sealed_merged s = s.smerged
-
-let install t s =
-  match s.sdirty with
-  | [] ->
-      {
-        version = Segment.current_version t.seg;
-        pages_committed = 0;
-        pages_merged = 0;
-        bytes_merged = 0;
-        committed_pages = [];
-        conflicts = [];
-      }
-  | _ ->
-      (* The seal merged against [sbase]; an intervening commit would make
-         the sealed snapshots stale.  The runtime installs before releasing
-         the token, so this can only trip on caller misuse. *)
-      if Segment.current_version t.seg <> s.sbase then
-        invalid_arg "Workspace.install: segment advanced since seal";
-      let version = Segment.commit t.seg ~committer:t.tid ~pages:s.spages in
-      let committed = List.length s.sdirty in
+      let version = Segment.commit t.seg ~committer:t.tid ~pages:snapshots in
+      let committed = List.length dirty in
       Hashtbl.reset t.dirty;
       Hashtbl.reset t.twins;
       t.stats.commits <- t.stats.commits + 1;
       t.stats.pages_committed <- t.stats.pages_committed + committed;
-      t.stats.pages_merged <- t.stats.pages_merged + s.smerged;
-      t.stats.bytes_merged <- t.stats.bytes_merged + s.smerged_bytes;
+      t.stats.pages_merged <- t.stats.pages_merged + !merged;
+      t.stats.bytes_merged <- t.stats.bytes_merged + !merged_bytes;
       {
         version;
         pages_committed = committed;
-        pages_merged = s.smerged;
-        bytes_merged = s.smerged_bytes;
-        committed_pages = s.sdirty;
-        conflicts = s.sconflicts;
+        pages_merged = !merged;
+        bytes_merged = !merged_bytes;
+        committed_pages = dirty;
+        conflicts = List.rev !conflicts;
       }
-
-let commit t = install t (seal t)
 
 let update t =
   if is_dirty t then invalid_arg "Workspace.update: dirty pages present; commit first";
@@ -327,9 +287,3 @@ let update t =
     t.stats.pages_refreshed <- t.stats.pages_refreshed + !refreshed;
     { from_version; to_version; pages_propagated = propagated; pages_refreshed = !refreshed }
   end
-
-let drop_residents t =
-  if is_dirty t then invalid_arg "Workspace.drop_residents: dirty pages present";
-  Hashtbl.reset t.local;
-  Hashtbl.reset t.aliased;
-  Hashtbl.reset t.twins

@@ -113,50 +113,15 @@ val commit : t -> commit_info
     local copies stay resident.  Does {e not} move the base version (TSO
     only requires the thread's own stores to be ordered; seeing remote
     stores requires {!update}).  No-op (same version) if nothing dirty.
-    [commit t] is exactly [install t (seal t)]. *)
-
-(** {2 Two-phase commit}
-
-    The pipelined runtime splits a commit into the part that must be
-    ordered (sealing the write-set: sorting the dirty pages, merging
-    against concurrent committers, capturing conflicts) and the part
-    that publishes it (installing the snapshots as a new version).  Both
-    still run under the token — only the {e cost} of the bulk install is
-    charged after the release — so [seal] then [install] with no
-    intervening segment commit is byte-identical to {!commit}. *)
-
-type sealed
-(** A sealed write-set: snapshots merged against the segment version
-    current at seal time, plus the commit metadata.  Must be passed to
-    {!install} before any other commit against the segment; {!install}
-    raises [Invalid_argument] if the segment advanced since the seal. *)
-
-val seal : t -> sealed
-(** Prepare the dirty pages for publication (phase one).  Performs all
-    merges and conflict capture; does not create a version or clear the
-    dirty set. *)
-
-val install : t -> sealed -> commit_info
-(** Publish a sealed write-set (phase two): install the snapshots as a
-    new version, clear the dirty set and twins, update the stats.  The
-    returned [commit_info] is identical to what {!commit} would have
-    returned at seal time. *)
-
-val sealed_pages : sealed -> int
-(** Pages in the sealed write-set ([pages_committed] of the eventual
-    {!commit_info}). *)
-
-val sealed_merged : sealed -> int
-(** Pages in the sealed write-set that needed a byte merge. *)
+    Merging against concurrent committers and installing the snapshots
+    both happen here, inside the caller's token hold; the pipelined
+    runtime defers only the charged {e cost} of the install past the
+    release, never the install itself. *)
 
 val update : t -> update_info
 (** Advance the base to the newest committed version, refreshing any
     resident local copies that remote commits (or our own merges)
     superseded.  Requires a clean workspace: raises [Invalid_argument] if
     dirty pages exist (commit first, as [convCommitAndUpdateMem] does). *)
-
-val drop_residents : t -> unit
-(** Forget all local copies (used when a pooled thread is recycled or a
-    fresh process would have an empty page table). *)
 
 val stats : t -> stats

@@ -199,10 +199,10 @@ let test_lc_counts_sorted () =
 
 (* Run a scenario where [n] fibers each execute [body eng clocks token
    my_clock] and return the order in which they acquired the token. *)
-let token_scenario ~ordering ~n body =
+let token_scenario ~n body =
   let eng = Sim.Engine.create ~seed:1 () in
   let clocks = Lc.create () in
-  let token = Tok.create (Sim.Exec.of_engine eng) clocks ordering in
+  let token = Tok.create (Sim.Exec.of_engine eng) clocks in
   let order = ref [] in
   for tid = 0 to n - 1 do
     let expect =
@@ -219,7 +219,7 @@ let test_token_gmic_order () =
   (* Three threads with different clocks all request the token at once;
      acquisition must follow instruction-count order. *)
   let order =
-    token_scenario ~ordering:Tok.Instruction_count ~n:3 (fun eng clocks token c ~record ->
+    token_scenario ~n:3 (fun eng clocks token c ~record ->
         let tid = Lc.tid c in
         (* Give them distinct clocks: t0=300, t1=100, t2=200. *)
         Lc.tick c (match tid with 0 -> 300 | 1 -> 100 | _ -> 200);
@@ -234,39 +234,12 @@ let test_token_gmic_order () =
   in
   Alcotest.(check (list int)) "IC order" [ 1; 2; 0 ] order
 
-let test_token_rr_order () =
-  (* Round-robin: regardless of clock values, token goes in tid order. *)
-  let order =
-    token_scenario ~ordering:Tok.Round_robin ~n:3 (fun eng _clocks token c ~record ->
-        let tid = Lc.tid c in
-        Lc.tick c (match tid with 0 -> 999 | 1 -> 5 | _ -> 500);
-        Tok.poke token;
-        Sim.Engine.advance eng 10;
-        Tok.wait token ~tid;
-        record ();
-        Tok.release token ~tid)
-  in
-  Alcotest.(check (list int)) "RR order" [ 0; 1; 2 ] order
-
-let test_token_rr_multiple_rounds () =
-  let order =
-    token_scenario ~ordering:Tok.Round_robin ~n:2 (fun eng _clocks token c ~record ->
-        let tid = Lc.tid c in
-        for _ = 1 to 2 do
-          Sim.Engine.advance eng 5;
-          Tok.wait token ~tid;
-          record ();
-          Tok.release token ~tid
-        done)
-  in
-  Alcotest.(check (list int)) "alternates" [ 0; 1; 0; 1 ] order
-
 let test_token_waits_for_nonwaiting_winner () =
   (* Under IC, the GMIC thread is busy computing; a waiter with a higher
      clock must wait until the GMIC thread's published clock passes it. *)
   let eng = Sim.Engine.create ~seed:1 () in
   let clocks = Lc.create () in
-  let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
+  let token = Tok.create (Sim.Exec.of_engine eng) clocks in
   let acquired_at = ref (-1) in
   ignore
     (Sim.Engine.spawn eng ~name:"busy" (fun () ->
@@ -295,7 +268,7 @@ let test_token_depart_unblocks_waiter () =
      with a larger clock must immediately become eligible. *)
   let eng = Sim.Engine.create ~seed:1 () in
   let clocks = Lc.create () in
-  let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
+  let token = Tok.create (Sim.Exec.of_engine eng) clocks in
   let got = ref false in
   ignore
     (Sim.Engine.spawn eng ~name:"low" (fun () ->
@@ -323,7 +296,7 @@ let test_token_depart_unblocks_waiter () =
 let test_token_release_without_hold_raises () =
   let eng = Sim.Engine.create ~seed:1 () in
   let clocks = Lc.create () in
-  let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
+  let token = Tok.create (Sim.Exec.of_engine eng) clocks in
   let raised = ref false in
   ignore
     (Sim.Engine.spawn eng (fun () ->
@@ -332,25 +305,10 @@ let test_token_release_without_hold_raises () =
   Sim.Engine.run eng;
   check_bool "raises" true !raised
 
-let test_token_last_release_published () =
-  let eng = Sim.Engine.create ~seed:1 () in
-  let clocks = Lc.create () in
-  let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
-  ignore
-    (Sim.Engine.spawn eng (fun () ->
-         let c = Lc.register clocks ~tid:0 in
-         Lc.tick c 777;
-         Tok.wait token ~tid:0;
-         Tok.release token ~tid:0;
-         ignore c));
-  Sim.Engine.run eng;
-  check_int "records releaser clock" 777 (Tok.last_release_published token);
-  check_int "one acquisition" 1 (Tok.acquisitions token)
-
 let test_token_holder_and_waiting_introspection () =
   let eng = Sim.Engine.create ~seed:1 () in
   let clocks = Lc.create () in
-  let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
+  let token = Tok.create (Sim.Exec.of_engine eng) clocks in
   let observed_holder = ref None in
   let observed_waiting = ref false in
   ignore
@@ -386,7 +344,7 @@ let test_token_handoff_single_wakeup () =
      exactly one engine wakeup — never a broadcast over the waiter set. *)
   let eng = Sim.Engine.create ~seed:1 () in
   let clocks = Lc.create () in
-  let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
+  let token = Tok.create (Sim.Exec.of_engine eng) clocks in
   let spawn tid ticks =
     ignore
       (Sim.Engine.spawn eng ~name:(Printf.sprintf "t%d" tid) (fun () ->
@@ -412,7 +370,7 @@ let test_token_handoff_single_wakeup () =
 let test_token_eligible_now () =
   let clocks = Lc.create () in
   let eng = Sim.Engine.create ~seed:1 () in
-  let token = Tok.create (Sim.Exec.of_engine eng) clocks Tok.Instruction_count in
+  let token = Tok.create (Sim.Exec.of_engine eng) clocks in
   check_opt_int "nobody" None (Tok.eligible_now token);
   let c0 = Lc.register clocks ~tid:0 in
   check_opt_int "tid 0" (Some 0) (Tok.eligible_now token);
@@ -486,12 +444,9 @@ let () =
       ( "token",
         [
           Alcotest.test_case "gmic order" `Quick test_token_gmic_order;
-          Alcotest.test_case "rr order" `Quick test_token_rr_order;
-          Alcotest.test_case "rr multiple rounds" `Quick test_token_rr_multiple_rounds;
           Alcotest.test_case "waits for busy gmic" `Quick test_token_waits_for_nonwaiting_winner;
           Alcotest.test_case "depart unblocks waiter" `Quick test_token_depart_unblocks_waiter;
           Alcotest.test_case "release without hold" `Quick test_token_release_without_hold_raises;
-          Alcotest.test_case "last release published" `Quick test_token_last_release_published;
           Alcotest.test_case "holder/waiting introspection" `Quick
             test_token_holder_and_waiting_introspection;
           Alcotest.test_case "handoff single wakeup" `Quick test_token_handoff_single_wakeup;

@@ -730,6 +730,36 @@ let test_observer_token_order () =
       check_bool (name ^ " event stream seed-invariant") true (events = events2))
     det_runtimes
 
+(* Commit_hash is observer-only, like Boundary: a trace sink records
+   each commit's instant but no hash instant, while an observer receives
+   exactly one Commit_hash, for the same version, right after every
+   Commit. *)
+let test_commit_hash_observer_only () =
+  let prog = locked_counter ~iters:6 in
+  List.iter
+    (fun rt ->
+      let name = R.name rt in
+      let tr = Obs.Tracer.create () in
+      ignore (R.run rt ~seed:1 ~nthreads:4 ~obs:(Obs.Tracer.sink tr) prog);
+      let instants = List.map (fun i -> i.Obs.Span.iname) (Obs.Tracer.instants tr) in
+      let count prefix = List.length (List.filter (String.starts_with ~prefix) instants) in
+      check_bool (name ^ " sink saw commit instants") true (count "commit:" > 0);
+      check_int (name ^ " sink saw no hash instants") 0 (count "hash:");
+      let events = ref [] in
+      ignore (R.run rt ~seed:1 ~nthreads:4 ~observer:(fun e -> events := e :: !events) prog);
+      let rec paired n = function
+        | Runtime.Rt_event.Commit { version; _ }
+          :: Runtime.Rt_event.Commit_hash { version = v; _ } :: tl ->
+            if version = v then paired (n + 1) tl else None
+        | (Runtime.Rt_event.Commit _ | Runtime.Rt_event.Commit_hash _) :: _ -> None
+        | _ :: tl -> paired n tl
+        | [] -> Some n
+      in
+      match paired 0 (List.rev !events) with
+      | Some n -> check_bool (name ^ " observer saw commits") true (n > 0)
+      | None -> Alcotest.fail (name ^ ": a Commit without its Commit_hash, or vice versa"))
+    det_runtimes
+
 (* --- Golden witnesses ------------------------------------------------- *)
 
 (* Witnesses (memory | sync-order | output hashes) captured before the
@@ -776,8 +806,8 @@ let golden_witnesses =
   ]
 
 (* Parallel-commit on/off: the sharded pipelined commit with incremental
-   GC relocates cost (off the token hold, onto pool workers, into commit
-   slack) but installs the same bytes in the same version order — every
+   GC relocates cost (off the token hold, into commit slack) but
+   installs the same bytes in the same version order — every
    registry workload must produce a byte-identical witness with the
    machinery on, on every deterministic runtime, at every seed.  This is
    the live counterpart of the hardcoded golden list above: it pins the
@@ -1139,6 +1169,8 @@ let () =
             test_obs_neutrality;
           Alcotest.test_case "observer events in token order" `Quick
             test_observer_token_order;
+          Alcotest.test_case "commit hash observer-only" `Quick
+            test_commit_hash_observer_only;
         ] );
       ( "golden",
         [

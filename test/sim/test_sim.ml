@@ -389,65 +389,6 @@ let test_trace_order_sensitivity () =
   Sim.Trace.record t2 ~time:0 ~tid:0 ~label:"a";
   check_bool "different order, different hash" false (Sim.Trace.hash t1 = Sim.Trace.hash t2)
 
-(* ------------------------------------------------------------------ *)
-(* Worker pool                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_runs_all_indices () =
-  let p = Sim.Par.create_pool ~workers:3 () in
-  Fun.protect
-    ~finally:(fun () -> Sim.Par.shutdown_pool p)
-    (fun () ->
-      let n = 1000 in
-      let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Sim.Par.run_pool p n (fun i -> Atomic.incr hits.(i));
-      Array.iteri
-        (fun i h -> check_int (Printf.sprintf "index %d exactly once" i) 1 (Atomic.get h))
-        hits)
-
-(* Regression for the back-to-back straggler race: a worker preempted
-   between claiming an index and checking it against the job bound must
-   not be able to run (or double-complete) an index of the *next* job
-   after dispatch reuses the pool.  Alternating tiny and large counts
-   maximizes the window where a straggler's stale claim would fall
-   inside the next job's range; per-index atomic counters catch any
-   duplicate execution. *)
-let test_pool_back_to_back_exactly_once () =
-  let p = Sim.Par.create_pool ~workers:3 () in
-  Fun.protect
-    ~finally:(fun () -> Sim.Par.shutdown_pool p)
-    (fun () ->
-      let rounds = 400 in
-      for r = 0 to rounds - 1 do
-        let n = if r mod 2 = 0 then 2 else 64 in
-        let hits = Array.init n (fun _ -> Atomic.make 0) in
-        Sim.Par.run_pool p n (fun i -> Atomic.incr hits.(i));
-        Array.iteri
-          (fun i h ->
-            check_int (Printf.sprintf "round %d index %d exactly once" r i) 1
-              (Atomic.get h))
-          hits
-      done)
-
-let test_pool_exception_drains_and_reraises () =
-  let p = Sim.Par.create_pool ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Sim.Par.shutdown_pool p)
-    (fun () ->
-      let ran = Atomic.make 0 in
-      (match Sim.Par.run_pool p 32 (fun i ->
-                 Atomic.incr ran;
-                 if i = 7 then failwith "boom")
-       with
-      | () -> Alcotest.fail "expected exception"
-      | exception Failure m -> check_string "exception propagated" "boom" m);
-      (* Every index was claimed and completed despite the failure, and
-         the pool is reusable afterwards. *)
-      check_int "all indices ran" 32 (Atomic.get ran);
-      let again = Atomic.make 0 in
-      Sim.Par.run_pool p 16 (fun _ -> Atomic.incr again);
-      check_int "pool reusable after exception" 16 (Atomic.get again))
-
 let () =
   Alcotest.run "sim"
     [
@@ -491,14 +432,6 @@ let () =
           Alcotest.test_case "names" `Quick test_engine_names;
           Alcotest.test_case "deterministic interleaving" `Quick test_engine_deterministic_interleaving;
           Alcotest.test_case "zero advance yields" `Quick test_engine_zero_advance_yields;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "runs all indices" `Quick test_pool_runs_all_indices;
-          Alcotest.test_case "back-to-back exactly once" `Quick
-            test_pool_back_to_back_exactly_once;
-          Alcotest.test_case "exception drains and reraises" `Quick
-            test_pool_exception_drains_and_reraises;
         ] );
       ( "fnv-trace",
         [

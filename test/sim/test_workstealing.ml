@@ -233,7 +233,7 @@ let test_sched_deadlock_detection () =
       Alcotest.(check bool) "names the green" true (contains msg "stuck")
 
 (* ------------------------------------------------------------------ *)
-(* Par-vs-deque equivalence on existing pool jobs                      *)
+(* Par-vs-deque equivalence on fan-out jobs                           *)
 (* ------------------------------------------------------------------ *)
 
 let prop_par_vs_sched_equivalence =
@@ -247,7 +247,6 @@ let prop_par_vs_sched_equivalence =
       Sim.Par.set_jobs 2;
       let via_par = Sim.Par.map_list f inputs in
       Sim.Par.set_jobs saved;
-      Sim.Par.shutdown_shared ();
       let via_sched =
         let s = Sim.Sched.create ~workers:2 () in
         let out = Array.make (List.length inputs) 0 in

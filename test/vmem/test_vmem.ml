@@ -233,20 +233,6 @@ let segments_equal ?(from_version = 0) sa sb =
        (fun v -> Vmem.Segment.committer_of sa v = Vmem.Segment.committer_of sb v)
        (List.init va (fun k -> k + 1))
 
-let test_segment_parallel_install_path () =
-  (* A single commit of >= 64 distinct pages on a multi-shard segment
-     takes the pool fan-out install; it must be indistinguishable from
-     the serial install of the same pages. *)
-  let mk () = Vmem.Segment.create ~pages:128 ~page_size:32 () in
-  let serial = mk () and sharded = mk () in
-  Vmem.Segment.set_shards sharded 8;
-  let commit = List.init 100 (fun k -> ((k * 5) mod 128, Char.chr (33 + (k mod 90)))) in
-  let commit = List.sort_uniq (fun (a, _) (b, _) -> compare a b) commit in
-  check_bool "covers parallel threshold" true (List.length commit >= 64);
-  apply_commits serial [ commit ];
-  apply_commits sharded [ commit ];
-  check_bool "byte-identical" true (segments_equal serial sharded)
-
 let test_segment_gc_step_equivalence () =
   (* Incremental per-shard gc_step, run to quiescence, reclaims exactly
      what one monolithic gc pass reclaims, and leaves identical state. *)
@@ -286,46 +272,6 @@ let test_segment_gc_step_bound () =
   let r = Vmem.Segment.gc_step seg ~min_base ~max_pages:1 in
   check_bool "per-step work bounded" true (r <= 4);
   check_bool "made progress" true (r > 0)
-
-let test_ws_seal_install_equals_commit () =
-  (* Two-phase seal/install must be observably identical to the fused
-     commit: same commit_info, same committed bytes. *)
-  let seg_a = make_segment () and seg_b = make_segment () in
-  let wa = Vmem.Workspace.create seg_a ~tid:0 in
-  let wb = Vmem.Workspace.create seg_b ~tid:0 in
-  List.iter
-    (fun ws ->
-      Vmem.Workspace.write ws ~addr:3 (bytes_of_string "fused-vs-staged");
-      Vmem.Workspace.write ws ~addr:40 (bytes_of_string "q"))
-    [ wa; wb ];
-  let ca = Vmem.Workspace.commit wa in
-  let sealed = Vmem.Workspace.seal wb in
-  check_int "sealed_pages" ca.pages_committed (Vmem.Workspace.sealed_pages sealed);
-  check_int "sealed_merged" ca.pages_merged (Vmem.Workspace.sealed_merged sealed);
-  let cb = Vmem.Workspace.install wb sealed in
-  check_int "same version" ca.version cb.version;
-  check_int "same pages" ca.pages_committed cb.pages_committed;
-  check_int "same merges" ca.pages_merged cb.pages_merged;
-  check_bool "same segment bytes" true (Vmem.Segment.hash seg_a = Vmem.Segment.hash seg_b);
-  (* Dirty state was reset by install: a second commit is empty. *)
-  check_int "workspace drained" 0 (Vmem.Workspace.commit wb).pages_committed
-
-let test_ws_install_stale_seal_rejected () =
-  (* The sealed write-set pins the base version; if the segment advanced
-     between seal and install the twin diffs are stale and install must
-     refuse rather than silently misinstall. *)
-  let seg = make_segment () in
-  let w0 = Vmem.Workspace.create seg ~tid:0 in
-  let w1 = Vmem.Workspace.create seg ~tid:1 in
-  Vmem.Workspace.write w0 ~addr:0 (bytes_of_string "early");
-  let sealed = Vmem.Workspace.seal w0 in
-  Vmem.Workspace.write w1 ~addr:64 (bytes_of_string "sneak");
-  ignore (Vmem.Workspace.commit w1);
-  let raised =
-    try ignore (Vmem.Workspace.install w0 sealed); false
-    with Invalid_argument _ -> true
-  in
-  check_bool "stale install raises" true raised
 
 (* ------------------------------------------------------------------ *)
 (* Workspace                                                          *)
@@ -510,19 +456,6 @@ let test_ws_out_of_range () =
   in
   check_bool "write oob raises" true raised
 
-let test_ws_drop_residents () =
-  let seg = make_segment () in
-  let ws = Vmem.Workspace.create seg ~tid:0 in
-  Vmem.Workspace.write ws ~addr:0 (bytes_of_string "x");
-  ignore (Vmem.Workspace.commit ws);
-  check_int "one resident" 1 (Vmem.Workspace.resident_pages ws);
-  Vmem.Workspace.drop_residents ws;
-  check_int "none resident" 0 (Vmem.Workspace.resident_pages ws);
-  (* Reads fall back to the committed state. *)
-  ignore (Vmem.Workspace.update ws);
-  check_bytes "still reads committed" "x"
-    (string_of_bytes (Vmem.Workspace.read ws ~addr:0 ~len:1))
-
 let test_ws_read_does_not_fault () =
   let seg = make_segment () in
   let ws = Vmem.Workspace.create seg ~tid:0 in
@@ -682,11 +615,13 @@ let prop_gc_never_affects_readers_at_min_base =
       before = after)
 
 let prop_sharded_commit_matches_serial =
-  (* The tentpole equivalence: for random page sets (with overlaps
-     across commits), random shard counts, and commits large enough to
-     take the pool fan-out install, the sharded segment is byte-for-byte
-     the serial segment — same hash, same per-version content, same
-     committers — and stays so after incremental vs monolithic GC. *)
+  (* For random page sets (with overlaps across commits), random shard
+     counts, and commits of up to 120 pages spanning many shards (all
+     installed serially), the sharded segment is byte-for-byte the
+     unsharded one — same hash, same per-version content, same
+     committers — and stays so after incremental gc_step (driven by the
+     per-shard live counters) vs monolithic gc, reclaiming the same
+     number of snapshots. *)
   QCheck.Test.make ~name:"sharded commit + incremental gc match serial segment" ~count:60
     QCheck.(
       triple (int_range 2 9)
@@ -715,21 +650,21 @@ let prop_sharded_commit_matches_serial =
       && Vmem.Segment.live_snapshots serial = Vmem.Segment.live_snapshots sharded
       && segments_equal ~from_version:min_base serial sharded)
 
-let prop_seal_install_equals_commit =
-  (* Random write batches through two workspaces against a sharded
-     segment: the staged seal/install path and the fused commit must
-     produce identical commit_infos and identical committed images. *)
-  QCheck.Test.make ~name:"seal/install equals fused commit on sharded segment" ~count:80
+let prop_sharded_workspace_commit_matches_unsharded =
+  (* Random write batches through two workspaces, replayed against a
+     4-shard and an unsharded segment: the fused commits must produce
+     identical commit_infos and identical committed images. *)
+  QCheck.Test.make ~name:"workspace commit on 4-shard segment equals unsharded" ~count:80
     QCheck.(
       list_of_size (Gen.int_range 1 20)
         (triple bool (int_bound 111) (string_of_size (Gen.int_range 1 16))))
     (fun writes ->
-      let mk () =
+      let mk shards =
         let seg = Vmem.Segment.create ~pages:8 ~page_size:16 () in
-        Vmem.Segment.set_shards seg 4;
+        Vmem.Segment.set_shards seg shards;
         (seg, Vmem.Workspace.create seg ~tid:0, Vmem.Workspace.create seg ~tid:1)
       in
-      let seg_a, a0, a1 = mk () and seg_b, b0, b1 = mk () in
+      let seg_a, a0, a1 = mk 4 and seg_b, b0, b1 = mk 1 in
       List.iter
         (fun (who, addr, s) ->
           let len = min (String.length s) (128 - addr) in
@@ -739,12 +674,12 @@ let prop_seal_install_equals_commit =
             Vmem.Workspace.write (if who then b1 else b0) ~addr b
           end)
         writes;
-      (* Segment A: fused commits.  Segment B: staged, in the same
-         order (t0 then t1 — the second may merge over the first). *)
+      (* Same order on both segments: t0 then t1, so the second may
+         merge over the first. *)
       let ca0 = Vmem.Workspace.commit a0 in
       let ca1 = Vmem.Workspace.commit a1 in
-      let cb0 = Vmem.Workspace.install b0 (Vmem.Workspace.seal b0) in
-      let cb1 = Vmem.Workspace.install b1 (Vmem.Workspace.seal b1) in
+      let cb0 = Vmem.Workspace.commit b0 in
+      let cb1 = Vmem.Workspace.commit b1 in
       let same (x : Vmem.Workspace.commit_info) (y : Vmem.Workspace.commit_info) =
         x.version = y.version
         && x.pages_committed = y.pages_committed
@@ -837,12 +772,8 @@ let () =
       ( "sharding",
         [
           Alcotest.test_case "shard ranges" `Quick test_segment_shard_ranges;
-          Alcotest.test_case "parallel install path" `Quick test_segment_parallel_install_path;
           Alcotest.test_case "gc_step equivalence" `Quick test_segment_gc_step_equivalence;
           Alcotest.test_case "gc_step work bound" `Quick test_segment_gc_step_bound;
-          Alcotest.test_case "seal/install equals commit" `Quick
-            test_ws_seal_install_equals_commit;
-          Alcotest.test_case "stale seal rejected" `Quick test_ws_install_stale_seal_rejected;
         ] );
       ( "workspace",
         [
@@ -866,7 +797,6 @@ let () =
           Alcotest.test_case "int64 roundtrip" `Quick test_ws_int64_roundtrip;
           Alcotest.test_case "int64 across boundary" `Quick test_ws_int64_across_page_boundary;
           Alcotest.test_case "out of range" `Quick test_ws_out_of_range;
-          Alcotest.test_case "drop residents" `Quick test_ws_drop_residents;
           Alcotest.test_case "reads don't fault" `Quick test_ws_read_does_not_fault;
         ] );
       ( "properties",
@@ -877,7 +807,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_gc_never_affects_readers_at_min_base;
           QCheck_alcotest.to_alcotest prop_workspace_gc_interplay;
           QCheck_alcotest.to_alcotest prop_sharded_commit_matches_serial;
-          QCheck_alcotest.to_alcotest prop_seal_install_equals_commit;
+          QCheck_alcotest.to_alcotest prop_sharded_workspace_commit_matches_unsharded;
           QCheck_alcotest.to_alcotest prop_word_diff_matches_byte_oracle;
           QCheck_alcotest.to_alcotest prop_word_merge_matches_byte_oracle;
         ] );
