@@ -101,6 +101,24 @@ let micro_tests () =
             in
             ignore (Vmem.Segment.read_page seg ~version:v 3)))
   in
+  let seg_gc_sweep =
+    (* The collector's steady state when it keeps up: 512 pages hold one
+       snapshot each and 4 hold a second one above min_base, so every
+       call sweeps a full cycle and reclaims nothing.  Only the 4
+       multi-version pages are visited, so the cost tracks them, not the
+       512. *)
+    Test.make ~name:"segment: budgeted gc sweep (512 pages, 4 multi-version)"
+      (Staged.stage
+         (let pages = 512 in
+          let seg = Vmem.Segment.create ~pages ~page_size () in
+          ignore
+            (Vmem.Segment.commit seg ~committer:0
+               ~pages:(List.init pages (fun i -> (i, Vmem.Page.create ~size:page_size))));
+          ignore
+            (Vmem.Segment.commit seg ~committer:0
+               ~pages:(List.map (fun i -> (i, Vmem.Page.create ~size:page_size)) [ 7; 130; 300; 511 ]));
+          fun () -> ignore (Vmem.Segment.gc seg ~min_base:1 ~budget:16)))
+  in
   let ws_read64 =
     Test.make ~name:"workspace: read_int64 (single-page fast path)"
       (Staged.stage
@@ -134,6 +152,15 @@ let micro_tests () =
          (let page = Bytes.make page_size 'z' in
           fun () -> ignore (Sim.Fnv.bytes Sim.Fnv.init page)))
   in
+  let fnv_sparse =
+    (* The common page shape in a memory image: a few live words in a
+       zero page.  Zero words fold as one multiply each. *)
+    Test.make ~name:"fnv: hash one mostly-zero page"
+      (Staged.stage
+         (let page = Bytes.make page_size '\000' in
+          List.iter (fun i -> Bytes.set page i 'z') [ 0; 1; 37; 128; 255 ];
+          fun () -> ignore (Sim.Fnv.bytes Sim.Fnv.init page)))
+  in
   let end_to_end =
     Test.make ~name:"runtime: full consequence-ic run (locked counter, 4 threads)"
       (Staged.stage
@@ -155,8 +182,8 @@ let micro_tests () =
             ignore (Runtime.Det_rt.run Runtime.Config.consequence_ic ~seed:1 ~nthreads:4 program)))
   in
   [
-    seg_commit; seg_commit_deep; ws_cycle; ws_read64; page_merge; page_merge_sparse;
-    heap_ops; gmic; fnv; end_to_end;
+    seg_commit; seg_commit_deep; seg_gc_sweep; ws_cycle; ws_read64; page_merge;
+    page_merge_sparse; heap_ops; gmic; fnv; fnv_sparse; end_to_end;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -16,6 +16,12 @@ val byte : t -> int -> t
 (** Fold one byte (low 8 bits of the int) into the state. *)
 
 val bytes : t -> Bytes.t -> t
+(** Fold every byte of the buffer, in order.  An all-zero 8-byte word
+    is folded as one multiply by [prime^8]: that is exactly what FNV-1a
+    does to eight zero bytes, so the digest is plain FNV-1a, bit for
+    bit, while a mostly-zero buffer such as a memory image costs one
+    multiply per zero word. *)
+
 val string : t -> string -> t
 val int : t -> int -> t
 (** Folds the 8 little-endian bytes of the int. *)

@@ -23,7 +23,9 @@ type entry = { committer : int; page_idxs : int array }
      is 0 every snapshot holds the same entries at the same indices
      below that [len] — entries are immutable once published.
    - GC mutates [off]/drops entries, which is only safe single-domain —
-     the domains runtime disables segment GC, so [off] stays 0 there. *)
+     the domains runtime disables segment GC, so [off] stays 0 there.
+   - The segment's [multi] bitmap (below) is written only by commit and
+     GC, both under the token; [read_page] never reads it. *)
 type arrays = { vs : int array; ps : Page.t array }
 
 type hist = {
@@ -38,6 +40,12 @@ type t = {
   npages : int;
   histories : hist array;
   last_mod_arr : int array;
+  mutable touched : int;  (* pages whose [last_mod_arr] entry is > 0 *)
+  (* Bit [i land 31] of word [i lsr 5] is set iff page [i] holds >= 2
+     live snapshots: the only pages GC can reclaim from.  The sweeps
+     visit set bits only, so their host cost follows the multi-version
+     pages, not the segment size. *)
+  multi : int array;
   versions : entry Sim.Vec.t; (* index i holds version i+1 *)
   zero : Page.t;
   mutable live : int;
@@ -60,7 +68,45 @@ type t = {
 let hist_create () =
   { arrays = Atomic.make { vs = [||]; ps = [||] }; off = 0; len = Atomic.make 0 }
 
-let hist_append h ~zero v p =
+let mark t i = t.multi.(i lsr 5) <- t.multi.(i lsr 5) lor (1 lsl (i land 31))
+let unmark t i = t.multi.(i lsr 5) <- t.multi.(i lsr 5) land lnot (1 lsl (i land 31))
+
+(* Index of the lowest set bit of a nonzero word. *)
+let ctz x =
+  let n = ref 0 and x = ref x in
+  if !x land 0xFFFF = 0 then (n := 16; x := !x lsr 16);
+  if !x land 0xFF = 0 then (n := !n + 8; x := !x lsr 8);
+  if !x land 0xF = 0 then (n := !n + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (n := !n + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then incr n;
+  !n
+
+(* Lowest marked page in [lo, hi), or [hi]. *)
+let first_multi t lo hi =
+  if lo >= hi then hi
+  else begin
+    let w = ref (lo lsr 5) and last = (hi - 1) lsr 5 in
+    let bits = ref (t.multi.(!w) land (-1 lsl (lo land 31))) in
+    while !bits = 0 && !w < last do
+      incr w;
+      bits := t.multi.(!w)
+    done;
+    if !bits = 0 then hi else min hi ((!w lsl 5) + ctz !bits)
+  end
+
+(* The sweeps walk the [span] pages from [base] cyclically, starting at
+   offset [from]: walk position [p] in [from, from + span) is page
+   [base + p mod span].  Returns the first position [>= p] on a marked
+   page, or [from + span] if none is left. *)
+let next_multi t ~base ~span ~from p =
+  if p < span then begin
+    let i = first_multi t (base + p) (base + span) - base in
+    if i < span then i else span + first_multi t base (base + from) - base
+  end
+  else span + first_multi t (base + p - span) (base + from) - base
+
+let hist_append t i v p =
+  let h = t.histories.(i) and zero = t.zero in
   let len = Atomic.get h.len in
   let a = Atomic.get h.arrays in
   let cap = Array.length a.vs in
@@ -98,27 +144,26 @@ let hist_append h ~zero v p =
   a.ps.(h.off + len) <- p;
   (* Publish: every plain write above must be visible before the new
      length (see the [hist] comment). *)
-  Atomic.set h.len (len + 1)
+  Atomic.set h.len (len + 1);
+  if len = 1 then mark t i
 
-(* Newest entry with version <= v: returns its index (into the returned
-   snapshot's vs/ps) and the snapshot itself, or -1.  Reads [len]
-   before [arrays] so the snapshot is at least as new as the one the
-   observed [len] was published against (see the [hist] comment). *)
-let hist_lookup h v =
-  let len = Atomic.get h.len in
-  let a = Atomic.get h.arrays in
-  if len = 0 || v < a.vs.(h.off) then (-1, a)
+(* Newest of the [len] entries of [a] from [off] with version <= v: its
+   index into [a], or -1.  Callers read [h.len] before [h.arrays], so
+   [a] is at least as new as the one the observed [len] was published
+   against (see the [hist] comment). *)
+let hist_find a ~off ~len v =
+  if len = 0 || v < a.vs.(off) then -1
   else begin
-    let last = h.off + len - 1 in
-    if v >= a.vs.(last) then (last, a)
+    let last = off + len - 1 in
+    if v >= a.vs.(last) then last
     else begin
       (* Invariant: vs.(lo) <= v < vs.(hi). *)
-      let lo = ref h.off and hi = ref last in
+      let lo = ref off and hi = ref last in
       while !hi - !lo > 1 do
         let mid = (!lo + !hi) / 2 in
         if a.vs.(mid) <= v then lo := mid else hi := mid
       done;
-      (!lo, a)
+      !lo
     end
   end
 
@@ -138,6 +183,8 @@ let create ?(name = "segment") ~pages ~page_size () =
     npages = pages;
     histories = Array.init pages (fun _ -> hist_create ());
     last_mod_arr = Array.make pages 0;
+    touched = 0;
+    multi = Array.make ((pages + 31) / 32) 0;
     versions = Sim.Vec.create ();
     zero = Page.create ~size:page_size;
     live = 0;
@@ -180,7 +227,9 @@ let check_page t i =
 let read_page t ~version i =
   check_page t i;
   let h = t.histories.(i) in
-  let k, a = hist_lookup h version in
+  let len = Atomic.get h.len in
+  let a = Atomic.get h.arrays in
+  let k = hist_find a ~off:h.off ~len version in
   if k < 0 then t.zero else a.ps.(k)
 
 let last_mod t i =
@@ -217,7 +266,8 @@ let commit t ~committer ~pages =
     (fun (i, page) ->
       if Bytes.length page <> t.page_size then
         invalid_arg (Printf.sprintf "Segment %s: bad page size in commit" t.name);
-      hist_append t.histories.(i) ~zero:t.zero vnum page;
+      hist_append t i vnum page;
+      if t.last_mod_arr.(i) = 0 then t.touched <- t.touched + 1;
       t.last_mod_arr.(i) <- vnum;
       let s = shard_of_page t i in
       t.shard_live.(s) <- t.shard_live.(s) + 1;
@@ -276,54 +326,60 @@ let modified_since_by_others t ~since ~tid =
 let versions_created t = current_version t
 let live_snapshots t = t.live
 
-let touched_pages t =
-  let n = ref 0 in
-  for i = 0 to t.npages - 1 do
-    if t.last_mod_arr.(i) > 0 then incr n
-  done;
-  !n
+let touched_pages t = t.touched
 
 let gc_page t ~min_base i =
   (* Keep the newest snapshot at version <= min_base plus everything newer;
-     drop the obsolete prefix.  Returns snapshots dropped. *)
+     drop the obsolete prefix.  Returns snapshots dropped.  The newest
+     snapshot at <= min_base always stays, so a page that holds snapshots
+     never loses its last one. *)
   let h = t.histories.(i) in
-  let k, a = hist_lookup h min_base in
+  let len = Atomic.get h.len in
+  let a = Atomic.get h.arrays in
+  let k = hist_find a ~off:h.off ~len min_base in
   if k <= h.off then 0
   else begin
     let dropped = k - h.off in
     (* Release the dropped snapshots so the runtime GC can reclaim them. *)
     Array.fill a.ps h.off dropped t.zero;
     h.off <- k;
-    Atomic.set h.len (Atomic.get h.len - dropped);
+    Atomic.set h.len (len - dropped);
+    if len - dropped < 2 then unmark t i;
     t.live <- t.live - dropped;
     let s = shard_of_page t i in
     t.shard_live.(s) <- t.shard_live.(s) - dropped;
     dropped
   end
 
+(* Both sweeps place their cursors exactly where a page-by-page sweep
+   calling [gc_page] on every position would, but visit only marked
+   pages: [gc_page] reclaims nothing from a page with fewer than 2 live
+   snapshots and leaves it untouched. *)
 let gc t ~min_base ~budget =
-  (* With no live snapshots a full sweep would scan every page and drop
-     nothing; skip it.  Commit-heavy workloads hit this constantly when
-     the collector keeps up. *)
-  if t.live = 0 then 0
-  else begin
+  let n = t.npages and from = t.gc_cursor in
   let reclaimed = ref 0 in
-  let scanned = ref 0 in
-  while !reclaimed < budget && !scanned < t.npages do
-    let i = t.gc_cursor in
-    t.gc_cursor <- (t.gc_cursor + 1) mod t.npages;
+  let p = ref (if budget > 0 then next_multi t ~base:0 ~span:n ~from from else from + n) in
+  while !p < from + n do
+    let i = !p mod n in
     reclaimed := !reclaimed + gc_page t ~min_base i;
-    incr scanned
+    if !reclaimed >= budget then begin
+      (* Stop after the page that met the budget; a full cycle that
+         falls short leaves the cursor where it started. *)
+      t.gc_cursor <- (i + 1) mod n;
+      p := from + n
+    end
+    else p := next_multi t ~base:0 ~span:n ~from (!p + 1)
   done;
   !reclaimed
-  end
 
-(* One step of the incremental per-shard collector: scan at most
-   [max_pages] pages of the next shard that still holds live snapshots,
-   resuming where that shard's cursor left off.  Unlike {!gc}, the work
-   bound is on pages *scanned*, not snapshots reclaimed — each step has a
-   hard cost ceiling regardless of how much garbage it finds, which is
-   what lets the runtime hide steps in commit slack. *)
+(* One step of the incremental per-shard collector: collect within the
+   next [max_pages] positions of the next shard that still holds live
+   snapshots, resuming where that shard's cursor left off.  Unlike
+   {!gc}, the work bound is on positions *swept*, not snapshots
+   reclaimed — each step has a hard cost ceiling regardless of how much
+   garbage it finds, which is what lets the runtime hide steps in commit
+   slack.  A shard with live snapshots never empties (see [gc_page]),
+   so the cursor always advances over the whole window. *)
 let gc_step t ~min_base ~max_pages =
   if max_pages <= 0 || t.live = 0 then 0
   else begin
@@ -337,15 +393,16 @@ let gc_step t ~min_base ~max_pages =
     else begin
       let shard = !s in
       t.gc_shard <- (shard + 1) mod n;
-      let start = shard_start t shard in
-      let span = shard_start t (shard + 1) - start in
-      let reclaimed = ref 0 and scanned = ref 0 in
-      let limit = min max_pages span in
-      while !scanned < limit && t.shard_live.(shard) > 0 do
-        let i = start + t.shard_cursor.(shard) in
-        t.shard_cursor.(shard) <- (t.shard_cursor.(shard) + 1) mod span;
-        reclaimed := !reclaimed + gc_page t ~min_base i;
-        incr scanned
+      let base = shard_start t shard in
+      let span = shard_start t (shard + 1) - base in
+      let from = t.shard_cursor.(shard) in
+      let stop = from + min max_pages span in
+      t.shard_cursor.(shard) <- stop mod span;
+      let reclaimed = ref 0 in
+      let p = ref (next_multi t ~base ~span ~from from) in
+      while !p < stop do
+        reclaimed := !reclaimed + gc_page t ~min_base (base + (!p mod span));
+        p := next_multi t ~base ~span ~from (!p + 1)
       done;
       !reclaimed
     end

@@ -47,7 +47,8 @@ val current_version : t -> version
 val read_page : t -> version:version -> int -> Page.t
 (** [read_page t ~version i] is the snapshot of page [i] visible at
     [version].  The result must not be mutated.  O(log h) in the page's
-    history depth [h], O(1) when [version] is the current version. *)
+    history depth [h], O(1) when [version] is the current version, and
+    allocation-free. *)
 
 val last_mod : t -> int -> version
 (** Version that last modified the page (0 if never written). *)
@@ -88,7 +89,8 @@ val versions_created : t -> int
 
 val touched_pages : t -> int
 (** Pages ever written by any commit — the "populated page-table entries"
-    a process fork must copy (paper section 3.3). *)
+    a process fork must copy (paper section 3.3).  O(1): {!commit} counts
+    each page on its first write. *)
 
 val live_snapshots : t -> int
 (** Committed page snapshots currently retained (excludes the shared
@@ -102,7 +104,14 @@ val gc : t -> min_base:version -> budget:int -> int
     [min_base] is the oldest version any live workspace still reads.
     The [budget] models Conversion's single-threaded garbage collector,
     which can be outpaced by allocation-heavy programs (paper section 5,
-    Fig 12: canneal, lu_ncb). *)
+    Fig 12: canneal, lu_ncb).
+
+    The sweep walks the pages cyclically from a cursor and stops after
+    the page that meets the budget, or back at its start after a full
+    cycle.  On the host it visits only pages holding at least 2 live
+    snapshots (the only ones with anything to reclaim), found through a
+    bitmap: O(pages / 32 + multi-version pages visited), not O(pages),
+    with the cursor left exactly where a page-by-page walk leaves it. *)
 
 val gc_step : t -> min_base:version -> max_pages:int -> int
 (** One step of the incremental per-shard collector: scan at most
@@ -111,8 +120,15 @@ val gc_step : t -> min_base:version -> max_pages:int -> int
     snapshots reclaimed.  The bound is on pages {e scanned} — a hard
     per-step cost ceiling independent of how much garbage is found —
     which is what lets the runtime run steps in commit slack instead of
-    a rate-limited background sweep.  Obsolescence is as in {!gc}. *)
+    a rate-limited background sweep.  Obsolescence is as in {!gc}.
+
+    The shard's cursor always advances over the whole [max_pages]
+    window, exactly as a page-by-page walk advances it, but only the
+    window's pages holding at least 2 live snapshots are visited: host
+    cost O(window / 32 + multi-version pages visited). *)
 
 val hash : t -> string
 (** Hex digest of the full memory image at the current version; the
-    determinism witness for final memory state. *)
+    determinism witness for final memory state.  FNV-1a over every byte
+    of the image, O(pages × page_size), with each all-zero 8-byte word
+    folded as one multiply (see {!Sim.Fnv.bytes}). *)

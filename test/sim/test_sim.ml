@@ -356,6 +356,44 @@ let test_fnv_int_order_sensitive () =
   let h2 = Sim.Fnv.int (Sim.Fnv.int Sim.Fnv.init 2) 1 in
   check_bool "order matters" false (h1 = h2)
 
+(* FNV-1a one byte at a time: the reference for [Fnv.bytes]' zero-word fold. *)
+let fnv_bytewise h buf =
+  let acc = ref h in
+  Bytes.iter (fun c -> acc := Sim.Fnv.byte !acc (Char.code c)) buf;
+  !acc
+
+let prop_fnv_zero_words_match_bytewise =
+  (* Mostly-zero buffers of length 0-600: nonzero runs painted at
+     arbitrary offsets leave zero words, zero runs that start and end
+     off 8-byte boundaries, and partial trailing words. *)
+  QCheck.Test.make ~name:"fnv bytes matches byte-at-a-time fold" ~count:500
+    QCheck.(
+      triple (int_range 0 600)
+        (small_list (triple (int_bound 600) (int_bound 24) (int_range 1 255)))
+        int)
+    (fun (len, runs, seed) ->
+      let buf = Bytes.make len '\000' in
+      List.iter
+        (fun (pos, n, c) ->
+          for i = pos to min len (pos + n) - 1 do
+            Bytes.set buf i (Char.chr c)
+          done)
+        runs;
+      let h = Sim.Fnv.int Sim.Fnv.init seed in
+      Sim.Fnv.bytes h buf = fnv_bytewise h buf)
+
+let test_fnv_zero_image () =
+  (* A fresh segment's image hash is the fold of its all-zero bytes,
+     including page sizes that are not a multiple of 8. *)
+  List.iter
+    (fun (pages, page_size) ->
+      let seg = Vmem.Segment.create ~pages ~page_size () in
+      check_string
+        (Printf.sprintf "%d x %d zero image" pages page_size)
+        (Sim.Fnv.to_hex (fnv_bytewise Sim.Fnv.init (Bytes.make (pages * page_size) '\000')))
+        (Vmem.Segment.hash seg))
+    [ (1, 1); (3, 12); (7, 100); (16, 4096) ]
+
 let test_trace_hash_ignores_time () =
   let t1 = Sim.Trace.create () and t2 = Sim.Trace.create () in
   Sim.Trace.record t1 ~time:10 ~tid:0 ~label:"x";
@@ -437,6 +475,8 @@ let () =
         [
           Alcotest.test_case "fnv known values" `Quick test_fnv_known_values;
           Alcotest.test_case "fnv int order sensitive" `Quick test_fnv_int_order_sensitive;
+          QCheck_alcotest.to_alcotest prop_fnv_zero_words_match_bytewise;
+          Alcotest.test_case "fnv zero segment image" `Quick test_fnv_zero_image;
           Alcotest.test_case "trace hash ignores time" `Quick test_trace_hash_ignores_time;
           Alcotest.test_case "trace capture off" `Quick test_trace_capture_off;
           Alcotest.test_case "trace events recording order" `Quick

@@ -688,6 +688,196 @@ let prop_sharded_workspace_commit_matches_unsharded =
       in
       same ca0 cb0 && same ca1 cb1 && Vmem.Segment.hash seg_a = Vmem.Segment.hash seg_b)
 
+(* Page-by-page reference for the collectors: [gc] and [gc_step] as
+   they were before the sweeps visited only multi-version pages — every
+   position they pass gets a [gc_page] call — over a model with its own
+   histories, live counts and cursors. *)
+module Ref_gc = struct
+  type t = {
+    npages : int;
+    hist : (int * string) list array;  (* live snapshots, ascending versions *)
+    mutable live : int;
+    mutable cursor : int;
+    nshards : int;
+    shard_live : int array;
+    shard_cursor : int array;
+    mutable gc_shard : int;
+  }
+
+  let create ~pages ~shards =
+    let nshards = min shards pages in
+    {
+      npages = pages;
+      hist = Array.make pages [];
+      live = 0;
+      cursor = 0;
+      nshards;
+      shard_live = Array.make nshards 0;
+      shard_cursor = Array.make nshards 0;
+      gc_shard = 0;
+    }
+
+  let shard_of m i = i * m.nshards / m.npages
+  let shard_start m s = ((s * m.npages) + m.nshards - 1) / m.nshards
+
+  let commit m ~version pages =
+    List.iter
+      (fun (i, content) ->
+        m.hist.(i) <- m.hist.(i) @ [ (version, content) ];
+        m.live <- m.live + 1;
+        let s = shard_of m i in
+        m.shard_live.(s) <- m.shard_live.(s) + 1)
+      pages
+
+  (* Newest live snapshot at <= version; the zero page below the oldest. *)
+  let read m ~version i =
+    List.fold_left (fun acc (v, c) -> if v <= version then Some c else acc) None m.hist.(i)
+
+  let touched m = Array.fold_left (fun n h -> if h = [] then n else n + 1) 0 m.hist
+
+  let gc_page m ~min_base i =
+    let rec prune dropped = function
+      | _ :: ((v, _) :: _ as rest) when v <= min_base -> prune (dropped + 1) rest
+      | l -> (dropped, l)
+    in
+    let dropped, l = prune 0 m.hist.(i) in
+    m.hist.(i) <- l;
+    m.live <- m.live - dropped;
+    let s = shard_of m i in
+    m.shard_live.(s) <- m.shard_live.(s) - dropped;
+    dropped
+
+  let gc m ~min_base ~budget =
+    if m.live = 0 then 0
+    else begin
+      let reclaimed = ref 0 and scanned = ref 0 in
+      while !reclaimed < budget && !scanned < m.npages do
+        let i = m.cursor in
+        m.cursor <- (m.cursor + 1) mod m.npages;
+        reclaimed := !reclaimed + gc_page m ~min_base i;
+        incr scanned
+      done;
+      !reclaimed
+    end
+
+  let gc_step m ~min_base ~max_pages =
+    if max_pages <= 0 || m.live = 0 then 0
+    else begin
+      let n = m.nshards in
+      let s = ref m.gc_shard and tried = ref 0 in
+      while !tried < n && m.shard_live.(!s) = 0 do
+        s := (!s + 1) mod n;
+        incr tried
+      done;
+      if !tried = n then 0
+      else begin
+        let shard = !s in
+        m.gc_shard <- (shard + 1) mod n;
+        let start = shard_start m shard in
+        let span = shard_start m (shard + 1) - start in
+        let reclaimed = ref 0 and scanned = ref 0 in
+        let limit = min max_pages span in
+        while !scanned < limit && m.shard_live.(shard) > 0 do
+          let i = start + m.shard_cursor.(shard) in
+          m.shard_cursor.(shard) <- (m.shard_cursor.(shard) + 1) mod span;
+          reclaimed := !reclaimed + gc_page m ~min_base i;
+          incr scanned
+        done;
+        !reclaimed
+      end
+    end
+end
+
+type gc_op =
+  | Commit of int list  (* page picks, taken mod the page count *)
+  | Advance of int  (* move min_base forward, capped at the current version *)
+  | Gc of int  (* budget *)
+  | Step of int  (* max_pages *)
+
+let gc_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun l -> Commit l) (list_size (int_range 1 12) (int_bound 199)));
+        (2, map (fun k -> Advance k) (int_range 0 4));
+        (3, map (fun b -> Gc b) (frequency [ (5, int_range 0 8); (1, return max_int) ]));
+        (3, map (fun k -> Step k) (int_range 0 16));
+      ])
+
+let gc_op_print = function
+  | Commit l -> "Commit [" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+  | Advance k -> Printf.sprintf "Advance %d" k
+  | Gc b -> Printf.sprintf "Gc %d" b
+  | Step k -> Printf.sprintf "Step %d" k
+
+let prop_gc_cursor_exact =
+  (* Budget- and window-limited sweeps stop mid-segment, so a cursor
+     left one page off changes which pages the next call collects.
+     After every call: same return value, same live snapshots and
+     touched pages, and the same [read_page] at every (page, version) —
+     at versions >= min_base that is GC safety, and below min_base it
+     shows exactly which prefixes were dropped, i.e. where each sweep
+     stopped. *)
+  QCheck.Test.make ~name:"gc and gc_step cursor-exact vs page-by-page reference" ~count:150
+    QCheck.(
+      triple (int_range 1 200) (oneofl [ 1; 3; 8 ])
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map gc_op_print ops))
+           Gen.(list_size (int_range 1 60) gc_op_gen)))
+    (fun (pages, shards, ops) ->
+      let page_size = 8 in
+      let seg = Vmem.Segment.create ~pages ~page_size () in
+      Vmem.Segment.set_shards seg shards;
+      let m = Ref_gc.create ~pages ~shards in
+      let min_base = ref 0 in
+      let zero = String.make page_size '\000' in
+      let same_reads () =
+        let current = Vmem.Segment.current_version seg in
+        List.for_all
+          (fun i ->
+            List.for_all
+              (fun version ->
+                Bytes.to_string (Vmem.Segment.read_page seg ~version i)
+                = Option.value ~default:zero (Ref_gc.read m ~version i))
+              (List.init (current + 1) Fun.id))
+          (List.init pages Fun.id)
+      in
+      let same_counts () =
+        Vmem.Segment.live_snapshots seg = m.Ref_gc.live
+        && Vmem.Segment.touched_pages seg = Ref_gc.touched m
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Commit picks ->
+              let idxs = List.sort_uniq compare (List.map (fun p -> p mod pages) picks) in
+              let version = Vmem.Segment.current_version seg + 1 in
+              let content i =
+                let b = Bytes.create page_size in
+                Bytes.set_int64_le b 0 (Int64.of_int ((version * 256) + i));
+                b
+              in
+              let committed =
+                Vmem.Segment.commit seg ~committer:0
+                  ~pages:(List.map (fun i -> (i, content i)) idxs)
+              in
+              Ref_gc.commit m ~version
+                (List.map (fun i -> (i, Bytes.to_string (content i))) idxs);
+              committed = version && same_counts ()
+          | Advance k ->
+              min_base := min (Vmem.Segment.current_version seg) (!min_base + k);
+              true
+          | Gc budget ->
+              let min_base = !min_base in
+              Vmem.Segment.gc seg ~min_base ~budget = Ref_gc.gc m ~min_base ~budget
+              && same_counts () && same_reads ()
+          | Step max_pages ->
+              let min_base = !min_base in
+              Vmem.Segment.gc_step seg ~min_base ~max_pages
+              = Ref_gc.gc_step m ~min_base ~max_pages
+              && same_counts () && same_reads ())
+        ops)
+
 (* Byte-at-a-time oracles for the word-level page scans. *)
 let oracle_diff_count ~twin ~local =
   let n = ref 0 in
@@ -808,6 +998,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_workspace_gc_interplay;
           QCheck_alcotest.to_alcotest prop_sharded_commit_matches_serial;
           QCheck_alcotest.to_alcotest prop_sharded_workspace_commit_matches_unsharded;
+          QCheck_alcotest.to_alcotest prop_gc_cursor_exact;
           QCheck_alcotest.to_alcotest prop_word_diff_matches_byte_oracle;
           QCheck_alcotest.to_alcotest prop_word_merge_matches_byte_oracle;
         ] );
