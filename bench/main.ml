@@ -119,6 +119,34 @@ let micro_tests () =
                ~pages:(List.map (fun i -> (i, Vmem.Page.create ~size:page_size)) [ 7; 130; 300; 511 ]));
           fun () -> ignore (Vmem.Segment.gc seg ~min_base:1 ~budget:16)))
   in
+  let ws_update =
+    (* A reader holding 1,024 resident pages updates past one remote
+       commit of one page.  Update visits the pages committed since its
+       base, so its cost follows the window (1 page), not the resident
+       set.  Each iteration also pays the writer's fault, commit and
+       update and a GC call that keeps the page's history at one
+       snapshot. *)
+    Test.make ~name:"workspace: update past a 1-page remote commit (1,024 resident pages)"
+      (Staged.stage
+         (let pages = 1024 in
+          let seg = Vmem.Segment.create ~pages ~page_size () in
+          let reader = Vmem.Workspace.create seg ~tid:0 in
+          let writer = Vmem.Workspace.create seg ~tid:1 in
+          for p = 0 to pages - 1 do
+            Vmem.Workspace.write_int reader ~addr:(p * page_size) 1
+          done;
+          ignore (Vmem.Workspace.commit reader);
+          ignore (Vmem.Workspace.update writer);
+          let n = ref 0 in
+          fun () ->
+            incr n;
+            Vmem.Workspace.write_int writer ~addr:(512 * page_size) !n;
+            ignore (Vmem.Workspace.commit writer);
+            ignore (Vmem.Workspace.update writer);
+            ignore (Vmem.Workspace.update reader);
+            ignore
+              (Vmem.Segment.gc seg ~min_base:(Vmem.Segment.current_version seg) ~budget:1)))
+  in
   let ws_read64 =
     Test.make ~name:"workspace: read_int64 (single-page fast path)"
       (Staged.stage
@@ -182,7 +210,7 @@ let micro_tests () =
             ignore (Runtime.Det_rt.run Runtime.Config.consequence_ic ~seed:1 ~nthreads:4 program)))
   in
   [
-    seg_commit; seg_commit_deep; seg_gc_sweep; ws_cycle; ws_read64; page_merge;
+    seg_commit; seg_commit_deep; seg_gc_sweep; ws_cycle; ws_update; ws_read64; page_merge;
     page_merge_sparse; heap_ops; gmic; fnv; fnv_sparse; end_to_end;
   ]
 

@@ -31,7 +31,8 @@ type t = {
   eng : Sim.Engine.t;
   mem : Bytes.t;
   page_size : int;
-  touched : (int, unit) Hashtbl.t;
+  touched : Bytes.t;  (* one byte per page: '\001' once written *)
+  mutable touched_pages : int;
   threads : (int, thread_state) Hashtbl.t;
   mutexes : (int, mutex_rec) Hashtbl.t;
   conds : (int, cond_rec) Hashtbl.t;
@@ -173,7 +174,10 @@ let check_range rt ~addr ~len =
 let touch rt ~addr ~len =
   let first = addr / rt.page_size and last = (addr + len - 1) / rt.page_size in
   for p = first to last do
-    Hashtbl.replace rt.touched p ()
+    if Bytes.get rt.touched p = '\000' then begin
+      Bytes.set rt.touched p '\001';
+      rt.touched_pages <- rt.touched_pages + 1
+    end
   done
 
 let read rt th ~addr ~len =
@@ -422,7 +426,8 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
       eng;
       mem = Bytes.make (program.Api.heap_pages * program.Api.page_size) '\000';
       page_size = program.Api.page_size;
-      touched = Hashtbl.create 64;
+      touched = Bytes.make program.Api.heap_pages '\000';
+      touched_pages = 0;
       threads = Hashtbl.create 64;
       mutexes = Hashtbl.create 16;
       conds = Hashtbl.create 16;
@@ -449,4 +454,4 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
          rt.threads []
       |> List.sort (fun a b -> compare a.Stats.Run_result.tid b.Stats.Run_result.tid))
     ~mem_hash:(Sim.Fnv.to_hex (Sim.Fnv.bytes Sim.Fnv.init rt.mem))
-    ~peak_mem_pages:(Hashtbl.length rt.touched)
+    ~peak_mem_pages:rt.touched_pages

@@ -50,9 +50,9 @@ type t = {
   zero : Page.t;
   mutable live : int;
   mutable gc_cursor : int;
-  (* Generation-stamped scratch for distinct-page window scans: page [i]
-     was already counted in the current scan iff [seen_gen.(i) = gen].
-     Replaces a per-call hashtable with zero allocation. *)
+  (* Generation-stamped scratch for distinct-page scans (duplicate check
+     at commit, [visit_window]): a page is marked in the current scan iff
+     its stamp is from the scan's generation(s).  Zero allocation. *)
   seen_gen : int array;
   mutable gen : int;
   (* Contiguous page-range shards with independent live accounting and
@@ -281,47 +281,31 @@ let committer_of t v =
     invalid_arg (Printf.sprintf "Segment %s: no committer for version %d" t.name v);
   (Sim.Vec.get t.versions (v - 1)).committer
 
-let fold_modified_since t ~since f acc =
-  let upto = current_version t in
-  let acc = ref acc in
-  for v = since + 1 to upto do
+(* Two generations per scan: [seen_gen.(i)] is [mine] once page [i] was
+   visited and only [tid] has modified it so far in the window, [others]
+   once another thread has too. *)
+let visit_window t ~since ~tid f =
+  let mine = t.gen + 1 and others = t.gen + 2 in
+  t.gen <- others;
+  let count = ref 0 in
+  for v = since + 1 to current_version t do
     let entry = Sim.Vec.get t.versions (v - 1) in
-    acc := f !acc entry
+    let by_other = entry.committer <> tid in
+    let idxs = entry.page_idxs in
+    for k = 0 to Array.length idxs - 1 do
+      let i = idxs.(k) in
+      let g = t.seen_gen.(i) in
+      if g < mine then begin
+        f i;
+        t.seen_gen.(i) <- mine
+      end;
+      if by_other && g < others then begin
+        t.seen_gen.(i) <- others;
+        incr count
+      end
+    done
   done;
-  !acc
-
-let modified_since t ~since =
-  t.gen <- t.gen + 1;
-  let distinct =
-    fold_modified_since t ~since
-      (fun acc entry ->
-        Array.fold_left
-          (fun acc i ->
-            if t.seen_gen.(i) = t.gen then acc
-            else begin
-              t.seen_gen.(i) <- t.gen;
-              i :: acc
-            end)
-          acc entry.page_idxs)
-      []
-  in
-  List.sort (fun (a : int) b -> compare a b) distinct
-
-let modified_since_by_others t ~since ~tid =
-  t.gen <- t.gen + 1;
-  fold_modified_since t ~since
-    (fun acc entry ->
-      if entry.committer = tid then acc
-      else
-        Array.fold_left
-          (fun acc i ->
-            if t.seen_gen.(i) = t.gen then acc
-            else begin
-              t.seen_gen.(i) <- t.gen;
-              acc + 1
-            end)
-          acc entry.page_idxs)
-    0
+  !count
 
 let versions_created t = current_version t
 let live_snapshots t = t.live

@@ -77,13 +77,14 @@ val commit : t -> committer:int -> pages:(int * Page.t) list -> version
 val committer_of : t -> version -> int
 (** Thread id recorded for a committed version.  Raises for version 0. *)
 
-val modified_since : t -> since:version -> int list
-(** Distinct pages modified by versions in [(since, current]], ascending. *)
-
-val modified_since_by_others : t -> since:version -> tid:int -> int
-(** Number of distinct pages modified in [(since, current]] by commits
-    from threads other than [tid]; the inter-thread page-propagation
-    metric of Fig 16. *)
+val visit_window : t -> since:version -> tid:int -> (int -> unit) -> int
+(** [visit_window t ~since ~tid f] calls [f] once on each distinct page
+    modified by the versions in [(since, current]], in order of first
+    modification, and returns how many of those pages commits from
+    threads other than [tid] modified: the inter-thread page-propagation
+    metric of Fig 16.  One scan of the commit log over the window,
+    O(pages committed in the window), allocation-free.  [f] must not
+    commit to [t]. *)
 
 val versions_created : t -> int
 

@@ -33,32 +33,48 @@ type stats = {
   mutable updates : int;
 }
 
-(* Resident local copies come in two flavors:
-   - owned buffers the thread may mutate (every dirty page is owned);
-   - aliases of immutable segment snapshots ([aliased] holds their
-     indices), installed by commit and update so that clean pages cost no
-     copy.  An aliased page is copied lazily on the next write fault. *)
+(* The page table: [pages.(i)] is the thread's resident copy of page [i],
+   or the shared [absent] sentinel (no real page is empty) when the
+   thread reads page [i] from the segment snapshot at [base].  The state
+   byte [state.[i]] says what a resident copy is:
+   - [st_owned]: a private buffer the thread may mutate;
+   - [st_aliased]: an immutable segment snapshot, installed by commit or
+     update so that clean pages cost no copy; the next write fault
+     copies it back into private ownership;
+   - [st_dirty]: an owned buffer written this chunk, with its twin
+     beside it in [dirty].
+   A non-resident page has state [st_absent].  Pages never leave the
+   table, so [resident] only grows. *)
+let absent = Bytes.empty
+let st_absent = '\000'
+let st_owned = '\001'
+let st_aliased = '\002'
+let st_dirty = '\003'
+
 type t = {
   seg : Segment.t;
   tid : int;
   mutable base : Segment.version;
-  local : (int, Page.t) Hashtbl.t; (* resident local copies *)
-  aliased : (int, unit) Hashtbl.t; (* local entries that alias snapshots *)
-  twins : (int, Page.t) Hashtbl.t; (* pristine copies of dirty pages *)
-  dirty : (int, unit) Hashtbl.t;
+  pages : Page.t array;
+  state : Bytes.t;
+  mutable resident : int;
+  mutable dirty : (int * Page.t) list;  (* (page, twin), newest fault first *)
+  mutable ndirty : int;
   mutable track_conflicts : bool;
   stats : stats;
 }
 
 let create seg ~tid =
+  let n = Segment.page_count seg in
   {
     seg;
     tid;
     base = Segment.current_version seg;
-    local = Hashtbl.create 64;
-    aliased = Hashtbl.create 64;
-    twins = Hashtbl.create 16;
-    dirty = Hashtbl.create 16;
+    pages = Array.make n absent;
+    state = Bytes.make n st_absent;
+    resident = 0;
+    dirty = [];
+    ndirty = 0;
     track_conflicts = false;
     stats =
       {
@@ -77,11 +93,11 @@ let tid t = t.tid
 let segment t = t.seg
 let base t = t.base
 let stats t = t.stats
-let is_dirty t = Hashtbl.length t.dirty > 0
-let dirty_count t = Hashtbl.length t.dirty
+let is_dirty t = t.ndirty > 0
+let dirty_count t = t.ndirty
 let set_track_conflicts t on = t.track_conflicts <- on
 let track_conflicts t = t.track_conflicts
-let resident_pages t = Hashtbl.length t.local
+let resident_pages t = t.resident
 
 let page_size t = Segment.page_size t.seg
 
@@ -93,11 +109,11 @@ let check_range t ~addr ~len =
          limit)
 
 (* The page content this thread currently sees for [i]: its own local copy
-   if resident, else the committed snapshot at its base version. *)
+   if resident, else the committed snapshot at its base version.  [i] is
+   in range: every caller has passed [check_range]. *)
 let view_page t i =
-  match Hashtbl.find_opt t.local i with
-  | Some page -> page
-  | None -> Segment.read_page t.seg ~version:t.base i
+  let page = Array.unsafe_get t.pages i in
+  if page != absent then page else Segment.read_page t.seg ~version:t.base i
 
 (* Fault a page into the local workspace for writing: make sure the
    resident copy is an owned, mutable buffer, keep a twin with the
@@ -105,20 +121,20 @@ let view_page t i =
    never needs a copy when the pristine content is itself an immutable
    snapshot (first write to a non-resident or aliased page). *)
 let fault_for_write t i =
-  if not (Hashtbl.mem t.dirty i) then begin
-    (match Hashtbl.find_opt t.local i with
-    | Some page ->
-        if Hashtbl.mem t.aliased i then begin
-          Hashtbl.replace t.local i (Page.copy page);
-          Hashtbl.remove t.aliased i;
-          Hashtbl.replace t.twins i page
-        end
-        else Hashtbl.replace t.twins i (Page.copy page)
-    | None ->
-        let snap = Segment.read_page t.seg ~version:t.base i in
-        Hashtbl.replace t.local i (Page.copy snap);
-        Hashtbl.replace t.twins i snap);
-    Hashtbl.replace t.dirty i ();
+  let st = Bytes.unsafe_get t.state i in
+  if st <> st_dirty then begin
+    let twin =
+      if st = st_owned then Page.copy t.pages.(i)
+      else begin
+        let snap = view_page t i in
+        if st = st_absent then t.resident <- t.resident + 1;
+        t.pages.(i) <- Page.copy snap;
+        snap
+      end
+    in
+    Bytes.unsafe_set t.state i st_dirty;
+    t.dirty <- (i, twin) :: t.dirty;
+    t.ndirty <- t.ndirty + 1;
     t.stats.write_faults <- t.stats.write_faults + 1
   end
 
@@ -146,7 +162,7 @@ let write t ~addr buf =
     let pg = a / psize and off = a mod psize in
     let n = min (len - !pos) (psize - off) in
     fault_for_write t pg;
-    Bytes.blit buf !pos (Hashtbl.find t.local pg) off n;
+    Bytes.blit buf !pos t.pages.(pg) off n;
     pos := !pos + n
   done
 
@@ -171,7 +187,7 @@ let write_int64 t ~addr v =
   if off + 8 <= psize then begin
     let pg = addr / psize in
     fault_for_write t pg;
-    Bytes.set_int64_le (Hashtbl.find t.local pg) off v
+    Bytes.set_int64_le t.pages.(pg) off v
   end
   else begin
     let b = Bytes.create 8 in
@@ -183,11 +199,7 @@ let read_int t ~addr = Int64.to_int (read_int64 t ~addr)
 let write_int t ~addr v = write_int64 t ~addr (Int64.of_int v)
 
 let commit t =
-  let dirty =
-    Hashtbl.fold (fun i () acc -> i :: acc) t.dirty []
-    |> List.sort (fun (a : int) b -> compare a b)
-  in
-  match dirty with
+  match t.dirty with
   | [] ->
       {
         version = Segment.current_version t.seg;
@@ -197,19 +209,20 @@ let commit t =
         committed_pages = [];
         conflicts = [];
       }
-  | _ ->
+  | dirty ->
+      let dirty = List.sort (fun ((a : int), _) (b, _) -> compare a b) dirty in
       let latest = Segment.current_version t.seg in
       let merged = ref 0 and merged_bytes = ref 0 in
       let conflicts = ref [] in
       let snapshots =
         List.map
-          (fun i ->
-            let local = Hashtbl.find t.local i in
+          (fun (i, twin) ->
+            let local = t.pages.(i) in
             if Segment.last_mod t.seg i > t.base then begin
               (* A concurrent committer beat us to this page: byte-merge our
-                 modifications onto the newest committed copy. *)
+                 modifications onto the newest committed copy.  The local
+                 copy stays owned. *)
               let target = Page.copy (Segment.read_page t.seg ~version:latest i) in
-              let twin = Hashtbl.find t.twins i in
               (if t.track_conflicts then begin
                  (* Capture before merge_into overwrites [target].  The
                     dirty list is ascending, so appending keeps conflicts
@@ -227,21 +240,22 @@ let commit t =
               let nbytes = Page.merge_into ~twin ~local ~target in
               incr merged;
               merged_bytes := !merged_bytes + nbytes;
+              Bytes.set t.state i st_owned;
               (i, target)
             end
             else begin
               (* Unconflicted: hand the local buffer itself to the segment
                  as the immutable snapshot and keep it resident as an
                  alias — no copy.  The next write fault copies it back. *)
-              Hashtbl.replace t.aliased i ();
+              Bytes.set t.state i st_aliased;
               (i, local)
             end)
           dirty
       in
       let version = Segment.commit t.seg ~committer:t.tid ~pages:snapshots in
-      let committed = List.length dirty in
-      Hashtbl.reset t.dirty;
-      Hashtbl.reset t.twins;
+      let committed = t.ndirty in
+      t.dirty <- [];
+      t.ndirty <- 0;
       t.stats.commits <- t.stats.commits + 1;
       t.stats.pages_committed <- t.stats.pages_committed + committed;
       t.stats.pages_merged <- t.stats.pages_merged + !merged;
@@ -251,7 +265,7 @@ let commit t =
         pages_committed = committed;
         pages_merged = !merged;
         bytes_merged = !merged_bytes;
-        committed_pages = dirty;
+        committed_pages = List.map fst dirty;
         conflicts = List.rev !conflicts;
       }
 
@@ -262,25 +276,22 @@ let update t =
   if to_version = from_version then
     { from_version; to_version; pages_propagated = 0; pages_refreshed = 0 }
   else begin
-    let propagated = Segment.modified_since_by_others t.seg ~since:from_version ~tid:t.tid in
+    (* Only a page some commit in (from_version, to_version] touched can
+       have gone stale, so the refresh visits those pages, not the
+       resident set. *)
     let refreshed = ref 0 in
-    (* Refresh stale residents: a resident copy of page [i] can only be
-       out of date if some commit in (from_version, to_version] touched
-       [i], i.e. if its last modifier is newer than our base — no need to
-       materialize the modified-page list. *)
-    Hashtbl.filter_map_inplace
-      (fun i local ->
-        if Segment.last_mod t.seg i > from_version then begin
-          let fresh = Segment.read_page t.seg ~version:to_version i in
-          if not (Page.equal local fresh) then begin
-            incr refreshed;
-            Hashtbl.replace t.aliased i ();
-            Some fresh
-          end
-          else Some local
-        end
-        else Some local)
-      t.local;
+    let propagated =
+      Segment.visit_window t.seg ~since:from_version ~tid:t.tid (fun i ->
+          let local = t.pages.(i) in
+          if local != absent then begin
+            let fresh = Segment.read_page t.seg ~version:to_version i in
+            if not (Page.equal local fresh) then begin
+              incr refreshed;
+              t.pages.(i) <- fresh;
+              Bytes.set t.state i st_aliased
+            end
+          end)
+    in
     t.base <- to_version;
     t.stats.updates <- t.stats.updates + 1;
     t.stats.pages_propagated <- t.stats.pages_propagated + propagated;

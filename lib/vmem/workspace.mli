@@ -24,7 +24,14 @@
     an update that must refresh a stale resident simply re-points it at
     the fresh snapshot.  The next write fault copies the page back into
     private ownership, so the observable semantics (and all counters)
-    are exactly those of the always-copy scheme, minus the copies. *)
+    are exactly those of the always-copy scheme, minus the copies.
+
+    The workspace is a dense page table: one slot per segment page
+    holding the resident copy (or a shared sentinel when the page is
+    read from the base snapshot) and one state byte per page (owned,
+    aliased or dirty).  A read, write or fault finds its page in O(1)
+    with no hashing; each dirty page's twin sits beside it in the dirty
+    list.  {!create} allocates the table, O(segment pages). *)
 
 type t
 
@@ -106,7 +113,7 @@ val track_conflicts : t -> bool
 
 val resident_pages : t -> int
 (** Local page copies currently held — the workspace-side contribution to
-    Fig 12's memory footprint. *)
+    Fig 12's memory footprint.  O(1), as is {!dirty_count}. *)
 
 val commit : t -> commit_info
 (** Publish dirty pages as a new version.  Clears the dirty set and twins;
@@ -122,6 +129,12 @@ val update : t -> update_info
 (** Advance the base to the newest committed version, refreshing any
     resident local copies that remote commits (or our own merges)
     superseded.  Requires a clean workspace: raises [Invalid_argument] if
-    dirty pages exist (commit first, as [convCommitAndUpdateMem] does). *)
+    dirty pages exist (commit first, as [convCommitAndUpdateMem] does).
+
+    Cost: one scan of the segment's commit log over the window
+    (base, current] ({!Segment.visit_window}), which yields both the
+    distinct pages to check and [pages_propagated].  Only those pages are
+    looked up in the page table, so an update costs the pages committed
+    since the base, not the resident set. *)
 
 val stats : t -> stats

@@ -114,25 +114,40 @@ let test_segment_duplicate_page_in_commit () =
   in
   check_bool "duplicate rejected" true raised
 
+(* [Segment.visit_window]'s visited pages, in visit order, and its count
+   of pages other threads modified. *)
+let window seg ~since ~tid =
+  let visited = ref [] in
+  let others = Vmem.Segment.visit_window seg ~since ~tid (fun i -> visited := i :: !visited) in
+  (List.rev !visited, others)
+
 let test_segment_modified_since () =
   let seg = make_segment () in
   ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (1, mk_page seg "a") ]);
   ignore (Vmem.Segment.commit seg ~committer:1 ~pages:[ (2, mk_page seg "b"); (3, mk_page seg "c") ]);
   ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (1, mk_page seg "d") ]);
-  Alcotest.(check (list int)) "since 0" [ 1; 2; 3 ] (Vmem.Segment.modified_since seg ~since:0);
-  Alcotest.(check (list int)) "since 1" [ 1; 2; 3 ] (Vmem.Segment.modified_since seg ~since:1);
-  Alcotest.(check (list int)) "since 2" [ 1 ] (Vmem.Segment.modified_since seg ~since:2);
-  Alcotest.(check (list int)) "since 3" [] (Vmem.Segment.modified_since seg ~since:3)
+  (* Each distinct page once, in order of first modification. *)
+  let pages ~since = fst (window seg ~since ~tid:0) in
+  Alcotest.(check (list int)) "since 0" [ 1; 2; 3 ] (pages ~since:0);
+  Alcotest.(check (list int)) "since 1" [ 2; 3; 1 ] (pages ~since:1);
+  Alcotest.(check (list int)) "since 2" [ 1 ] (pages ~since:2);
+  Alcotest.(check (list int)) "since 3" [] (pages ~since:3)
 
 let test_segment_modified_by_others () =
   let seg = make_segment () in
   ignore (Vmem.Segment.commit seg ~committer:0 ~pages:[ (1, mk_page seg "a") ]);
   ignore (Vmem.Segment.commit seg ~committer:1 ~pages:[ (2, mk_page seg "b") ]);
-  check_int "tid 0 sees only tid 1's page" 1
-    (Vmem.Segment.modified_since_by_others seg ~since:0 ~tid:0);
-  check_int "tid 1 sees only tid 0's page" 1
-    (Vmem.Segment.modified_since_by_others seg ~since:0 ~tid:1);
-  check_int "tid 2 sees both" 2 (Vmem.Segment.modified_since_by_others seg ~since:0 ~tid:2)
+  let others ~tid = snd (window seg ~since:0 ~tid) in
+  check_int "tid 0 sees only tid 1's page" 1 (others ~tid:0);
+  check_int "tid 1 sees only tid 0's page" 1 (others ~tid:1);
+  check_int "tid 2 sees both" 2 (others ~tid:2);
+  (* A page both this thread and another modified counts once. *)
+  ignore
+    (Vmem.Segment.commit seg ~committer:1 ~pages:[ (1, mk_page seg "c"); (2, mk_page seg "d") ]);
+  check_int "tid 0: pages 1 and 2" 2 (others ~tid:0);
+  check_int "tid 1: page 1" 1 (others ~tid:1);
+  check_int "later window, tid 0" 2 (snd (window seg ~since:2 ~tid:0));
+  check_int "later window, tid 1" 0 (snd (window seg ~since:2 ~tid:1))
 
 let test_segment_gc_reclaims_obsolete () =
   let seg = make_segment () in
@@ -878,6 +893,366 @@ let prop_gc_cursor_exact =
               && same_counts () && same_reads ())
         ops)
 
+(* ------------------------------------------------------------------ *)
+(* Workspace vs the hashtable reference                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The hashtable-based workspace the dense page table replaced, kept as
+   the oracle: polymorphic hashtables for resident copies, aliases,
+   twins and the dirty set, and an update that rescans every resident
+   page.  Two differences: the segment no longer counts
+   [pages_propagated], so the oracle counts it from a commit log its
+   workspaces share, and the 8-byte accessors always go through
+   [read]/[write]. *)
+module Ref_ws = struct
+  open Vmem.Workspace
+
+  type log = (int * int list) Sim.Vec.t  (* index v - 1: committer, pages of version v *)
+
+  type t = {
+    seg : Vmem.Segment.t;
+    log : log;
+    tid : int;
+    mutable base : Vmem.Segment.version;
+    local : (int, Vmem.Page.t) Hashtbl.t;
+    aliased : (int, unit) Hashtbl.t;
+    twins : (int, Vmem.Page.t) Hashtbl.t;
+    dirty : (int, unit) Hashtbl.t;
+    mutable track_conflicts : bool;
+    stats : stats;
+  }
+
+  let create seg log ~tid =
+    {
+      seg;
+      log;
+      tid;
+      base = Vmem.Segment.current_version seg;
+      local = Hashtbl.create 64;
+      aliased = Hashtbl.create 64;
+      twins = Hashtbl.create 16;
+      dirty = Hashtbl.create 16;
+      track_conflicts = false;
+      stats =
+        {
+          write_faults = 0;
+          pages_committed = 0;
+          pages_merged = 0;
+          bytes_merged = 0;
+          pages_propagated = 0;
+          pages_refreshed = 0;
+          commits = 0;
+          updates = 0;
+        };
+    }
+
+  let base t = t.base
+  let is_dirty t = Hashtbl.length t.dirty > 0
+  let dirty_count t = Hashtbl.length t.dirty
+  let resident_pages t = Hashtbl.length t.local
+  let page_size t = Vmem.Segment.page_size t.seg
+
+  let modified_since_by_others t ~since =
+    let seen = Hashtbl.create 16 in
+    for v = since + 1 to Sim.Vec.length t.log do
+      let committer, pages = Sim.Vec.get t.log (v - 1) in
+      if committer <> t.tid then List.iter (fun i -> Hashtbl.replace seen i ()) pages
+    done;
+    Hashtbl.length seen
+
+  let check_range t ~addr ~len =
+    let limit = Vmem.Segment.page_count t.seg * page_size t in
+    if addr < 0 || len < 0 || addr + len > limit then invalid_arg "Ref_ws: access out of range"
+
+  let view_page t i =
+    match Hashtbl.find_opt t.local i with
+    | Some page -> page
+    | None -> Vmem.Segment.read_page t.seg ~version:t.base i
+
+  let fault_for_write t i =
+    if not (Hashtbl.mem t.dirty i) then begin
+      (match Hashtbl.find_opt t.local i with
+      | Some page ->
+          if Hashtbl.mem t.aliased i then begin
+            Hashtbl.replace t.local i (Vmem.Page.copy page);
+            Hashtbl.remove t.aliased i;
+            Hashtbl.replace t.twins i page
+          end
+          else Hashtbl.replace t.twins i (Vmem.Page.copy page)
+      | None ->
+          let snap = Vmem.Segment.read_page t.seg ~version:t.base i in
+          Hashtbl.replace t.local i (Vmem.Page.copy snap);
+          Hashtbl.replace t.twins i snap);
+      Hashtbl.replace t.dirty i ();
+      t.stats.write_faults <- t.stats.write_faults + 1
+    end
+
+  let read t ~addr ~len =
+    check_range t ~addr ~len;
+    let psize = page_size t in
+    let out = Bytes.create len in
+    let pos = ref 0 in
+    while !pos < len do
+      let a = addr + !pos in
+      let pg = a / psize and off = a mod psize in
+      let n = min (len - !pos) (psize - off) in
+      Bytes.blit (view_page t pg) off out !pos n;
+      pos := !pos + n
+    done;
+    out
+
+  let write t ~addr buf =
+    let len = Bytes.length buf in
+    check_range t ~addr ~len;
+    let psize = page_size t in
+    let pos = ref 0 in
+    while !pos < len do
+      let a = addr + !pos in
+      let pg = a / psize and off = a mod psize in
+      let n = min (len - !pos) (psize - off) in
+      fault_for_write t pg;
+      Bytes.blit buf !pos (Hashtbl.find t.local pg) off n;
+      pos := !pos + n
+    done
+
+  let read_int t ~addr = Int64.to_int (Bytes.get_int64_le (read t ~addr ~len:8) 0)
+
+  let write_int t ~addr v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int v);
+    write t ~addr b
+
+  let commit t =
+    let dirty =
+      Hashtbl.fold (fun i () acc -> i :: acc) t.dirty []
+      |> List.sort (fun (a : int) b -> compare a b)
+    in
+    match dirty with
+    | [] ->
+        {
+          version = Vmem.Segment.current_version t.seg;
+          pages_committed = 0;
+          pages_merged = 0;
+          bytes_merged = 0;
+          committed_pages = [];
+          conflicts = [];
+        }
+    | _ ->
+        let latest = Vmem.Segment.current_version t.seg in
+        let merged = ref 0 and merged_bytes = ref 0 in
+        let conflicts = ref [] in
+        let snapshots =
+          List.map
+            (fun i ->
+              let local = Hashtbl.find t.local i in
+              if Vmem.Segment.last_mod t.seg i > t.base then begin
+                let target = Vmem.Page.copy (Vmem.Segment.read_page t.seg ~version:latest i) in
+                let twin = Hashtbl.find t.twins i in
+                (if t.track_conflicts then begin
+                   let loser_version = Vmem.Segment.last_mod t.seg i in
+                   let loser_tid = Vmem.Segment.committer_of t.seg loser_version in
+                   if loser_tid <> t.tid then
+                     List.iter
+                       (fun (first_byte, last_byte) ->
+                         conflicts :=
+                           { cpage = i; first_byte; last_byte; loser_tid; loser_version }
+                           :: !conflicts)
+                       (Vmem.Page.conflict_runs ~twin ~local ~target)
+                 end);
+                let nbytes = Vmem.Page.merge_into ~twin ~local ~target in
+                incr merged;
+                merged_bytes := !merged_bytes + nbytes;
+                (i, target)
+              end
+              else begin
+                Hashtbl.replace t.aliased i ();
+                (i, local)
+              end)
+            dirty
+        in
+        let version = Vmem.Segment.commit t.seg ~committer:t.tid ~pages:snapshots in
+        Sim.Vec.push t.log (t.tid, dirty);
+        let committed = List.length dirty in
+        Hashtbl.reset t.dirty;
+        Hashtbl.reset t.twins;
+        t.stats.commits <- t.stats.commits + 1;
+        t.stats.pages_committed <- t.stats.pages_committed + committed;
+        t.stats.pages_merged <- t.stats.pages_merged + !merged;
+        t.stats.bytes_merged <- t.stats.bytes_merged + !merged_bytes;
+        {
+          version;
+          pages_committed = committed;
+          pages_merged = !merged;
+          bytes_merged = !merged_bytes;
+          committed_pages = dirty;
+          conflicts = List.rev !conflicts;
+        }
+
+  let update t =
+    if is_dirty t then invalid_arg "Ref_ws.update: dirty pages present; commit first";
+    let from_version = t.base in
+    let to_version = Vmem.Segment.current_version t.seg in
+    if to_version = from_version then
+      { from_version; to_version; pages_propagated = 0; pages_refreshed = 0 }
+    else begin
+      let propagated = modified_since_by_others t ~since:from_version in
+      let refreshed = ref 0 in
+      Hashtbl.filter_map_inplace
+        (fun i local ->
+          if Vmem.Segment.last_mod t.seg i > from_version then begin
+            let fresh = Vmem.Segment.read_page t.seg ~version:to_version i in
+            if not (Vmem.Page.equal local fresh) then begin
+              incr refreshed;
+              Hashtbl.replace t.aliased i ();
+              Some fresh
+            end
+            else Some local
+          end
+          else Some local)
+        t.local;
+      t.base <- to_version;
+      t.stats.updates <- t.stats.updates + 1;
+      t.stats.pages_propagated <- t.stats.pages_propagated + propagated;
+      t.stats.pages_refreshed <- t.stats.pages_refreshed + !refreshed;
+      { from_version; to_version; pages_propagated = propagated; pages_refreshed = !refreshed }
+    end
+end
+
+type ws_op =
+  | Read of int * int * int  (* workspace, addr, len *)
+  | Write of int * int * string
+  | Read_int of int * int
+  | Write_int of int * int * int
+  | Commit_ws of int
+  | Update_ws of int
+  | Collect of int  (* Segment.gc budget at the oldest workspace base *)
+
+(* 6 pages of 16 bytes: spans of up to 24 bytes and 8-byte accesses at
+   any offset straddle page boundaries; a 3-letter alphabet makes
+   overlapping writes, byte conflicts and writes of unchanged bytes
+   common. *)
+let ref_pages = 6
+let ref_page_size = 16
+let ref_bytes = ref_pages * ref_page_size
+
+let ws_op_gen nws =
+  QCheck.Gen.(
+    let ws = int_bound (nws - 1) in
+    let span =
+      int_range 1 24 >>= fun len ->
+      map (fun addr -> (addr, len)) (int_bound (ref_bytes - len))
+    in
+    frequency
+      [
+        (3, map2 (fun k (addr, len) -> Read (k, addr, len)) ws span);
+        ( 5,
+          map3
+            (fun k (addr, len) s -> Write (k, addr, String.sub s 0 len))
+            ws span
+            (string_size ~gen:(oneofl [ '\000'; 'a'; 'b' ]) (return 24)) );
+        (2, map2 (fun k addr -> Read_int (k, addr)) ws (int_bound (ref_bytes - 8)));
+        ( 3,
+          map3
+            (fun k addr v -> Write_int (k, addr, v))
+            ws (int_bound (ref_bytes - 8)) (int_bound 3) );
+        (3, map (fun k -> Commit_ws k) ws);
+        (3, map (fun k -> Update_ws k) ws);
+        (1, map (fun b -> Collect b) (oneofl [ 0; 1; 3; max_int ]));
+      ])
+
+let ws_op_print = function
+  | Read (k, addr, len) -> Printf.sprintf "Read(%d,%d,%d)" k addr len
+  | Write (k, addr, s) -> Printf.sprintf "Write(%d,%d,%S)" k addr s
+  | Read_int (k, addr) -> Printf.sprintf "Read_int(%d,%d)" k addr
+  | Write_int (k, addr, v) -> Printf.sprintf "Write_int(%d,%d,%d)" k addr v
+  | Commit_ws k -> Printf.sprintf "Commit %d" k
+  | Update_ws k -> Printf.sprintf "Update %d" k
+  | Collect b -> Printf.sprintf "Collect %d" b
+
+let ws_case_gen =
+  QCheck.Gen.(
+    int_range 2 4 >>= fun nws ->
+    map2 (fun track ops -> (track, ops)) (list_repeat nws bool)
+      (list_size (int_range 1 80) (ws_op_gen nws)))
+
+let ws_case_print (track, ops) =
+  Printf.sprintf "track=[%s] ops=[%s]"
+    (String.concat ";" (List.map string_of_bool track))
+    (String.concat "; " (List.map ws_op_print ops))
+
+let prop_workspace_matches_reference =
+  (* 2-4 workspaces on one segment (each with conflict capture on or
+     off) against the same number of reference workspaces on a second
+     segment, fed the same operations.  Every result must agree, and
+     after every step so must each workspace's stats, resident and dirty
+     counts and full view of memory, and the segments' live snapshots. *)
+  QCheck.Test.make ~name:"workspace matches hashtable reference" ~count:200 ~long_factor:50
+    (QCheck.make ~print:ws_case_print ws_case_gen)
+    (fun (track, ops) ->
+      let seg = Vmem.Segment.create ~pages:ref_pages ~page_size:ref_page_size () in
+      let ref_seg = Vmem.Segment.create ~pages:ref_pages ~page_size:ref_page_size () in
+      let log = Sim.Vec.create () in
+      let wss =
+        Array.of_list
+          (List.mapi
+             (fun tid on ->
+               let ws = Vmem.Workspace.create seg ~tid in
+               Vmem.Workspace.set_track_conflicts ws on;
+               ws)
+             track)
+      in
+      let refs =
+        Array.of_list
+          (List.mapi
+             (fun tid on ->
+               let r = Ref_ws.create ref_seg log ~tid in
+               r.Ref_ws.track_conflicts <- on;
+               r)
+             track)
+      in
+      let agree k =
+        let ws = wss.(k) and r = refs.(k) in
+        Vmem.Workspace.stats ws = r.Ref_ws.stats
+        && Vmem.Workspace.base ws = Ref_ws.base r
+        && Vmem.Workspace.resident_pages ws = Ref_ws.resident_pages r
+        && Vmem.Workspace.dirty_count ws = Ref_ws.dirty_count r
+        && Vmem.Workspace.is_dirty ws = Ref_ws.is_dirty r
+        && Bytes.equal
+             (Vmem.Workspace.read ws ~addr:0 ~len:ref_bytes)
+             (Ref_ws.read r ~addr:0 ~len:ref_bytes)
+      in
+      let outcome f = try Ok (f ()) with Invalid_argument _ -> Error () in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Read (k, addr, len) ->
+                Bytes.equal
+                  (Vmem.Workspace.read wss.(k) ~addr ~len)
+                  (Ref_ws.read refs.(k) ~addr ~len)
+            | Write (k, addr, s) ->
+                Vmem.Workspace.write wss.(k) ~addr (Bytes.of_string s);
+                Ref_ws.write refs.(k) ~addr (Bytes.of_string s);
+                true
+            | Read_int (k, addr) ->
+                Vmem.Workspace.read_int wss.(k) ~addr = Ref_ws.read_int refs.(k) ~addr
+            | Write_int (k, addr, v) ->
+                Vmem.Workspace.write_int wss.(k) ~addr v;
+                Ref_ws.write_int refs.(k) ~addr v;
+                true
+            | Commit_ws k -> Vmem.Workspace.commit wss.(k) = Ref_ws.commit refs.(k)
+            | Update_ws k ->
+                outcome (fun () -> Vmem.Workspace.update wss.(k))
+                = outcome (fun () -> Ref_ws.update refs.(k))
+            | Collect budget ->
+                let min_base = Array.fold_left (fun m r -> min m (Ref_ws.base r)) max_int refs in
+                Vmem.Segment.gc seg ~min_base ~budget = Vmem.Segment.gc ref_seg ~min_base ~budget
+          in
+          same
+          && Vmem.Segment.live_snapshots seg = Vmem.Segment.live_snapshots ref_seg
+          && List.for_all agree (List.init (Array.length wss) Fun.id))
+        ops)
+
 (* Byte-at-a-time oracles for the word-level page scans. *)
 let oracle_diff_count ~twin ~local =
   let n = ref 0 in
@@ -999,6 +1374,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_sharded_commit_matches_serial;
           QCheck_alcotest.to_alcotest prop_sharded_workspace_commit_matches_unsharded;
           QCheck_alcotest.to_alcotest prop_gc_cursor_exact;
+          QCheck_alcotest.to_alcotest prop_workspace_matches_reference;
           QCheck_alcotest.to_alcotest prop_word_diff_matches_byte_oracle;
           QCheck_alcotest.to_alcotest prop_word_merge_matches_byte_oracle;
         ] );
