@@ -338,7 +338,10 @@ let bench_cmd =
           p.Api.description)
       Workload.Registry.all
   in
-  Cmd.v (Cmd.info "bench" ~doc:"List the 19-benchmark suite.") Term.(const action $ const ())
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:"List the benchmarks: the 19 paper programs of Fig 10, then the six KV traffic shapes.")
+    Term.(const action $ const ())
 
 (* --- litmus ----------------------------------------------------------- *)
 
@@ -398,7 +401,7 @@ let schedule_cmd =
         prerr_endline e;
         exit 1
     | Ok program ->
-        let r = Runtime.Run.run runtime ~seed ~nthreads:threads program in
+        let r = Runtime.Run.run runtime ~seed ~nthreads:threads ~schedule:true program in
         Printf.printf
           "# %s on %s, %d threads — first %d of %d synchronization events\n"
           name (Runtime.Run.name runtime) threads
@@ -569,11 +572,20 @@ let load_log_and_program file =
           exit 1
       | Ok program -> (log, program))
 
+(* A log that parses can still describe a run its program cannot make;
+   report that as one line, not an uncaught exception. *)
+let guarded_run file f =
+  match Replay.Replayer.guarded f with
+  | Ok v -> v
+  | Error e ->
+      Printf.eprintf "%s: replay failed: %s\n" file e;
+      exit 1
+
 let replay_cmd =
   let action file =
     let log, program = load_log_and_program file in
     Format.printf "%a@." Replay.Schedule.pp_meta log;
-    let o = Replay.Replayer.replay log program in
+    let o = guarded_run file (fun () -> Replay.Replayer.replay log program) in
     Format.printf "%a@." Replay.Replayer.pp_outcome o;
     if not (Replay.Replayer.ok o) then exit 1
   in
@@ -588,7 +600,7 @@ let replay_cmd =
 let explore_cmd =
   let action file variants seed json =
     let log, program = load_log_and_program file in
-    let r = Replay.Explore.explore ~variants ~seed log program in
+    let r = guarded_run file (fun () -> Replay.Explore.explore ~variants ~seed log program) in
     if json then print_endline (Obs.Json.to_string (Replay.Explore.to_json r))
     else Format.printf "%a@." Replay.Explore.pp_report r;
     if not (r.Replay.Explore.deterministic && r.Replay.Explore.conflicts_stable) then exit 1

@@ -30,10 +30,7 @@ let measure ?(threads = 8) ?(seed = 1) () =
   Sim.Par.map_list
     (fun (variant, cfg) ->
       let r = Runtime.Det_rt.run cfg ~seed ~nthreads:threads program in
-      let forced =
-        List.length
-          (List.filter (fun (_, _, l) -> l = "forced-commit") r.Stats.Run_result.schedule)
-      in
+      let forced = Obs.Metrics.counter_value r.Stats.Run_result.metrics "op:forced-commit" in
       { variant; wall_ns = r.Stats.Run_result.wall_ns; commits = r.Stats.Run_result.commits; forced })
     variants
 

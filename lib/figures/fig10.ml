@@ -49,8 +49,14 @@ let run ?threads ?seed () =
       Stats.Table.add_row table
         (row.benchmark :: List.map (fun n -> Stats.Table.cell_ratio (ratio_of row n)) names))
     rows;
+  (* The notes quote the paper, so they fold over its 19 programs; the
+     KV traffic shapes stay in the table, below them. *)
+  let paper =
+    let names = List.map (fun e -> e.Workload.Registry.program.Api.name) Workload.Registry.paper in
+    List.filter (fun row -> List.mem row.benchmark names) rows
+  in
   let max_of name =
-    List.fold_left (fun acc row -> max acc (ratio_of row name)) 0.0 rows
+    List.fold_left (fun acc row -> max acc (ratio_of row name)) 0.0 paper
   in
   let hardest = Workload.Registry.hardest_five in
   let avg_improvement name =
@@ -60,12 +66,12 @@ let run ?threads ?seed () =
           if List.mem row.benchmark hardest then
             Some (ratio_of row name /. ratio_of row "consequence-ic")
           else None)
-        rows
+        paper
     in
     List.fold_left ( +. ) 0.0 ratios /. float_of_int (List.length ratios)
   in
   let below_25 =
-    List.length (List.filter (fun row -> ratio_of row "consequence-ic" <= 2.5) rows)
+    List.length (List.filter (fun row -> ratio_of row "consequence-ic" <= 2.5) paper)
   in
   {
     Fig_output.id = "fig10";
@@ -76,7 +82,7 @@ let run ?threads ?seed () =
         Printf.sprintf "max slowdown: consequence-ic %.1fx (paper: 3.9x), dthreads %.1fx (12.5x), dwc %.1fx (11.0x)"
           (max_of "consequence-ic") (max_of "dthreads") (max_of "dwc");
         Printf.sprintf "%d of %d programs at or below 2.5x under consequence-ic (paper: 14 of 19)"
-          below_25 (List.length rows);
+          below_25 (List.length paper);
         Printf.sprintf
           "hardest five: consequence-ic beats dthreads by %.1fx (paper: 2.8x) and dwc by %.1fx (paper: 2.2x) on average"
           (avg_improvement "dthreads") (avg_improvement "dwc");

@@ -2,9 +2,15 @@
    bucket 0 holds values <= 1, bucket i holds (2^(i-1), 2^i]. *)
 let nbuckets = 63
 
+(* A loop, not a local recursive function: that would allocate a
+   closure over [v] on every observation. *)
 let bucket_of v =
-  let rec go i bound = if v <= bound || i = nbuckets - 1 then i else go (i + 1) (bound * 2) in
-  go 0 1
+  let i = ref 0 and bound = ref 1 in
+  while v > !bound && !i < nbuckets - 1 do
+    incr i;
+    bound := !bound * 2
+  done;
+  !i
 
 let bucket_upper i = if i >= 62 then max_int else 1 lsl i
 

@@ -63,62 +63,103 @@ type t = {
 let lifetime_ns tp = tp.last_ns - tp.first_ns
 let busy_ns tp = Array.fold_left ( + ) 0 tp.by_state
 
+(* One thread's aggregates.  [hists] holds the interned per-state
+   histogram handles, by state index. *)
+let profile_thread hists tid (ivs : St.interval array) =
+  let n = Array.length ivs in
+  let by_state = Array.make St.n 0 in
+  (* Chunk ordinals count a thread's chunk opens, so they index a dense
+     slot array directly; [[||]] marks an ordinal no interval carried. *)
+  let ck_lo = ref max_int and ck_hi = ref min_int in
+  Array.iter
+    (fun (iv : St.interval) ->
+      if iv.St.chunk < !ck_lo then ck_lo := iv.St.chunk;
+      if iv.St.chunk > !ck_hi then ck_hi := iv.St.chunk)
+    ivs;
+  let ck_lo = !ck_lo in
+  let slots = Array.make (if n = 0 then 0 else !ck_hi - ck_lo + 1) [||] in
+  let gap = ref 0 and overlap = ref 0 in
+  for i = 0 to n - 1 do
+    let iv = Array.unsafe_get ivs i in
+    let d = St.duration iv in
+    let si = St.index iv.St.state in
+    by_state.(si) <- by_state.(si) + d;
+    Obs.Metrics.record hists.(si) d;
+    let k = iv.St.chunk - ck_lo in
+    let slot =
+      let a = slots.(k) in
+      if a != [||] then a
+      else begin
+        let a = Array.make St.n 0 in
+        slots.(k) <- a;
+        a
+      end
+    in
+    slot.(si) <- slot.(si) + d;
+    if i > 0 then begin
+      let prev_t1 = ivs.(i - 1).St.t1 in
+      if iv.St.t0 > prev_t1 then gap := !gap + (iv.St.t0 - prev_t1)
+      else if iv.St.t0 < prev_t1 then overlap := !overlap + (prev_t1 - iv.St.t0)
+    end
+  done;
+  let nchunks = Array.fold_left (fun acc a -> if a != [||] then acc + 1 else acc) 0 slots in
+  let chunks = Array.make nchunks (0, [||]) in
+  let j = ref 0 in
+  Array.iteri
+    (fun k a ->
+      if a != [||] then begin
+        chunks.(!j) <- (k + ck_lo, a);
+        incr j
+      end)
+    slots;
+  {
+    ptid = tid;
+    by_state;
+    intervals = ivs;
+    first_ns = (if n = 0 then 0 else ivs.(0).St.t0);
+    last_ns = (if n = 0 then 0 else ivs.(n - 1).St.t1);
+    gap_ns = !gap;
+    overlap_ns = !overlap;
+    chunks;
+  }
+
 let finish c ~wall_ns =
-  let by_tid : (int, St.interval list ref) Hashtbl.t = Hashtbl.create 64 in
-  (* states_rev is newest-first: prepending preserves per-thread time
-     order without a sort. *)
+  (* Tids are dense from 0, so they index per-thread arrays directly.  A
+     counting pass sizes each thread's interval array exactly; states_rev
+     is newest-first, so filling each array from its end leaves it in
+     per-thread time order without a sort. *)
+  let lo = ref max_int and hi = ref min_int in
   List.iter
     (fun (iv : St.interval) ->
-      match Hashtbl.find_opt by_tid iv.St.stid with
-      | Some r -> r := iv :: !r
-      | None -> Hashtbl.add by_tid iv.St.stid (ref [ iv ]))
+      if iv.St.stid < !lo then lo := iv.St.stid;
+      if iv.St.stid > !hi then hi := iv.St.stid)
+    c.states_rev;
+  let lo = !lo in
+  let counts = Array.make (if c.nstates = 0 then 0 else !hi - lo + 1) 0 in
+  List.iter
+    (fun (iv : St.interval) ->
+      let k = iv.St.stid - lo in
+      counts.(k) <- counts.(k) + 1)
+    c.states_rev;
+  let by_tid = Array.make (Array.length counts) [||] in
+  List.iter
+    (fun (iv : St.interval) ->
+      let k = iv.St.stid - lo in
+      if by_tid.(k) == [||] then by_tid.(k) <- Array.make counts.(k) iv;
+      let j = counts.(k) - 1 in
+      counts.(k) <- j;
+      by_tid.(k).(j) <- iv)
     c.states_rev;
   let metrics = Obs.Metrics.create () in
-  let threads =
-    Hashtbl.fold (fun tid r acc -> (tid, Array.of_list !r) :: acc) by_tid []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun (tid, ivs) ->
-           let n = Array.length ivs in
-           let by_state = Array.make St.n 0 in
-           let chunk_acc : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-           let gap = ref 0 and overlap = ref 0 in
-           Array.iteri
-             (fun i (iv : St.interval) ->
-               let d = St.duration iv in
-               let si = St.index iv.St.state in
-               by_state.(si) <- by_state.(si) + d;
-               Obs.Metrics.observe metrics ("state:" ^ St.name iv.St.state) d;
-               (let slot =
-                  match Hashtbl.find_opt chunk_acc iv.St.chunk with
-                  | Some a -> a
-                  | None ->
-                      let a = Array.make St.n 0 in
-                      Hashtbl.add chunk_acc iv.St.chunk a;
-                      a
-                in
-                slot.(si) <- slot.(si) + d);
-               if i > 0 then begin
-                 let prev_t1 = ivs.(i - 1).St.t1 in
-                 if iv.St.t0 > prev_t1 then gap := !gap + (iv.St.t0 - prev_t1)
-                 else if iv.St.t0 < prev_t1 then overlap := !overlap + (prev_t1 - iv.St.t0)
-               end)
-             ivs;
-           let chunks =
-             Hashtbl.fold (fun ck a acc -> (ck, a) :: acc) chunk_acc []
-             |> List.sort (fun (a, _) (b, _) -> compare a b)
-             |> Array.of_list
-           in
-           {
-             ptid = tid;
-             by_state;
-             intervals = ivs;
-             first_ns = (if n = 0 then 0 else ivs.(0).St.t0);
-             last_ns = (if n = 0 then 0 else ivs.(n - 1).St.t1);
-             gap_ns = !gap;
-             overlap_ns = !overlap;
-             chunks;
-           })
+  let hists =
+    Array.of_list
+      (List.map (fun st -> Obs.Metrics.histogram metrics ("state:" ^ St.name st)) St.all)
   in
+  let threads = ref [] in
+  for k = Array.length by_tid - 1 downto 0 do
+    if by_tid.(k) != [||] then threads := profile_thread hists (k + lo) by_tid.(k) :: !threads
+  done;
+  let threads = !threads in
   let totals = Array.make St.n 0 in
   List.iter
     (fun tp -> Array.iteri (fun i v -> totals.(i) <- totals.(i) + v) tp.by_state)

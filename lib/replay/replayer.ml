@@ -110,6 +110,13 @@ let replay ?costs ?runtime (log : Schedule.t) (program : Api.t) =
 
 let ok o = o.divergence = None && o.hash_match
 
+let guarded f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid_argument msg -> Error msg
+  | exception Sim.Engine.Deadlock msg -> Error ("deadlock: " ^ msg)
+  | exception Sim.Engine.Stuck msg -> Error ("stuck: " ^ msg)
+
 let pp_event_opt ppf = function
   | Some ev -> Ev.pp ppf ev
   | None -> Format.pp_print_string ppf "<nothing>"

@@ -65,5 +65,13 @@ val replay :
 val ok : outcome -> bool
 (** No divergence and matching final witnesses. *)
 
+val guarded : (unit -> 'a) -> ('a, string) result
+(** [guarded (fun () -> replay log program)] returns a run that fails
+    as [Error] rather than raising.  A log can pass
+    {!Schedule.of_json} and still describe a run its program cannot
+    make ([nthreads] 100000 overflows kmeans' heap), so the runtime's
+    [Invalid_argument], a deadlock or an exhausted event budget becomes
+    the message.  The CLI's [replay] and [explore] run through it. *)
+
 val pp_divergence : Format.formatter -> divergence -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -47,12 +47,7 @@ let boundaries t =
   let rev = Array.make (max_tid + 1) [] in
   Array.iter
     (function
-      | Ev.Boundary { tid; ic; overflow = true } ->
-          (* Guard against a malformed (hand-edited) log: scripted
-             policies require strictly ascending boundaries. *)
-          (match rev.(tid) with
-          | prev :: _ when ic <= prev -> ()
-          | _ -> rev.(tid) <- ic :: rev.(tid))
+      | Ev.Boundary { tid; ic; overflow = true } -> rev.(tid) <- ic :: rev.(tid)
       | _ -> ())
     t.events;
   Array.map (fun l -> Array.of_list (List.rev l)) rev
@@ -95,6 +90,60 @@ let to_json t =
       ("output_hash", String t.meta.output_hash);
       ("events", List (Array.to_list (Array.map Ev.to_json t.events)));
     ]
+
+(* The child a spawn's [Release] names: "t:<k>" (a thread exit releases
+   "t:<k>:exit", which the int parse rejects). *)
+let spawned_child obj =
+  if String.starts_with ~prefix:"t:" obj then
+    int_of_string_opt (String.sub obj 2 (String.length obj - 2))
+  else None
+
+(* A log that parses but that no run could have recorded must fail
+   here, not as an exception raised deep inside its replay: at least
+   one thread; every event on the main thread (tid 0) or on a thread a
+   spawn in the log created; and each thread's overflow boundaries
+   positive and strictly ascending, as the scripted overflow policy
+   requires.  The tid rule is not "below nthreads": the main thread
+   comes on top of the [nthreads] workers, and pipeline programs
+   spawn more stages than that. *)
+let validate meta events =
+  let fail i fmt =
+    Printf.ksprintf (fun s -> Error (Printf.sprintf "schedule: event %d: %s" i s)) fmt
+  in
+  if meta.nthreads < 1 then
+    Error (Printf.sprintf "schedule: nthreads %d is below 1" meta.nthreads)
+  else begin
+    let spawned = Hashtbl.create 16 in
+    Array.iter
+      (function
+        | Ev.Release { obj; _ } ->
+            Option.iter (fun c -> Hashtbl.replace spawned c ()) (spawned_child obj)
+        | _ -> ())
+      events;
+    let last_overflow = Hashtbl.create 16 in
+    let rec check i =
+      if i = Array.length events then Ok ()
+      else
+        let ev = events.(i) in
+        let tid = Ev.tid ev in
+        if tid <> 0 && not (Hashtbl.mem spawned tid) then
+          fail i "thread %d is not spawned anywhere in the log" tid
+        else
+          match ev with
+          | Ev.Boundary { ic; overflow = true; _ } ->
+              let prev = Option.value (Hashtbl.find_opt last_overflow tid) ~default:0 in
+              if ic <= 0 then fail i "overflow boundary %d of thread %d is not positive" ic tid
+              else if ic <= prev then
+                fail i "overflow boundary %d of thread %d is not above the previous one, %d" ic
+                  tid prev
+              else begin
+                Hashtbl.replace last_overflow tid ic;
+                check (i + 1)
+              end
+          | _ -> check (i + 1)
+    in
+    check 0
+  end
 
 let of_json j =
   let open Obs.Json in
@@ -140,7 +189,9 @@ let of_json j =
       let meta =
         { program; runtime; nthreads; seed; wall_ns; mem_hash; sync_order_hash; output_hash }
       in
-      Ok { meta; events = Array.of_list (List.rev events) }
+      let events = Array.of_list (List.rev events) in
+      let* () = validate meta events in
+      Ok { meta; events }
 
 let save t path = Obs.Json.to_file path (to_json t)
 

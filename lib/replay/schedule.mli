@@ -59,7 +59,9 @@ val boundaries : t -> int array array
     exactly the argument of {!Runtime.Config.with_scripted_schedule}.
     Chunk-end boundaries are excluded: they are placed by the program's
     own sync ops and need no forcing.  Empty arrays for threads that
-    never overflowed; [[||]] for a pthreads log. *)
+    never overflowed; [[||]] for a pthreads log.  A recorded or
+    {!of_json}-validated log always yields strictly ascending
+    positive boundaries. *)
 
 val chunk_of : t -> index:int -> tid:int -> int
 (** The 0-based chunk ordinal of thread [tid] at event position [index]:
@@ -72,6 +74,11 @@ val context : t -> index:int -> ?radius:int -> unit -> (int * Runtime.Rt_event.t
 
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
+(** [Error] for a malformed document, and for a well-formed one no run
+    could have recorded: [nthreads] below 1, an event on a thread that
+    is neither the main thread (tid 0) nor spawned in the log, or a
+    thread's overflow boundaries not positive and strictly ascending. *)
+
 val save : t -> string -> unit
 val load : string -> (t, string) result
 val pp_meta : Format.formatter -> t -> unit

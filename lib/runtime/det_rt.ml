@@ -3,10 +3,15 @@ module Tok = Detclock.Token
 module Ofp = Detclock.Overflow_policy
 module St = Obs.Thread_state
 
+(* A length estimate, alone in an all-float record so OCaml stores it
+   unboxed: a float field of a mixed record would box a fresh value on
+   every update, that is on every sync op. *)
+type estimate = { mutable ewma : float }
+
 type mutex_rec = {
-  mutable held_by : int option;
+  mutable holder : int; (* tid holding the mutex; -1 = free *)
   lock_waitq : int Queue.t;
-  mutable cs_ewma : float; (* per-lock critical-section length estimate *)
+  cs : estimate; (* per-lock critical-section length estimate *)
   mutable cs_enter_instr : int;
 }
 
@@ -22,7 +27,7 @@ type thread_state = {
   mutable next_overflow_in : int; (* instructions until the next overflow; 0 = fetch new *)
   mutable chunk_start_instr : int;
   mutable since_commit : int; (* instructions since last commit (for chunk_limit) *)
-  mutable chunk_ewma : float; (* thread-local estimate of chunk length (section 3.1) *)
+  chunk_est : estimate; (* thread-local estimate of chunk length (section 3.1) *)
   (* Coarsening state *)
   mutable coarsen_holding : bool;
   mutable coarsen_ops : int;
@@ -49,15 +54,18 @@ type thread_state = {
   mutable cond_grant : bool;
   mutable join_grant : bool;
   mutable barrier_grant : bool;
-  mutable post_site : int option;
-      (* mutex id whose unlock opened the current chunk; its length is
-         attributed to this thread's per-lock post-unlock estimate at the
-         next sync op.  Thread-local (paper section 3.1: "a thread-local
+  mutable post_site : int;
+      (* mutex id whose unlock opened the current chunk, or
+         [no_post_site]; its length is attributed to this thread's
+         per-lock post-unlock estimate at the next sync op.  Thread-local (paper section 3.1: "a thread-local
          estimate is maintained for use with coarsening unlock
          operations"), refined per lock so producer and consumer roles on
          the same lock do not pollute each other. *)
   mutable post_site_instr : int;
-  post_ewma : (int, float) Hashtbl.t;
+  post_ewma_small : float array;
+      (* per-lock post-unlock estimates for ids [0, n_interned), 0.0 = no
+         sample; a float array stores them unboxed *)
+  post_ewma : (int, float) Hashtbl.t;  (* the same for every other id *)
   (* Observability bookkeeping (never read by the algorithms) *)
   mutable race_epoch : int;
       (* release count + 1: the thread's own vector-clock component as a
@@ -212,34 +220,27 @@ let fold_threads rt f init =
   done;
   !acc
 
-(* Sync-op labels for small ids are interned: the common case allocates
-   neither the string_of_int nor the concatenation on every operation.
-   The strings are identical to the dynamic path, so trace hashes are
-   unchanged. *)
+(* Lock-wait reasons and thread names for small ids are interned: the
+   common case allocates neither the string_of_int nor the
+   concatenation. *)
 let n_interned = 64
-let interned_lock = Array.init n_interned (fun i -> "lock:" ^ string_of_int i)
-let interned_unlock = Array.init n_interned (fun i -> "unlock:" ^ string_of_int i)
+let interned_lock = Array.init n_interned (fun i -> Rt_core.label Rt_core.Lock i)
 let interned_tname = Array.init n_interned (fun i -> "t" ^ string_of_int i)
 
 let lock_label mid =
-  if mid >= 0 && mid < n_interned then interned_lock.(mid)
-  else "lock:" ^ string_of_int mid
+  if mid >= 0 && mid < n_interned then interned_lock.(mid) else Rt_core.label Rt_core.Lock mid
 
-let unlock_label mid =
-  if mid >= 0 && mid < n_interned then interned_unlock.(mid)
-  else "unlock:" ^ string_of_int mid
-
-(* [op] is the label's family ([Rt_core.Lock] for "lock:3"), so the hot
-   path neither scans the label nor hashes a key string. *)
+(* [op] and [id] stand for the witness label ("lock:3" is [Rt_core.Lock]
+   on 3), which the core hashes without building the string. *)
 (* CONSEQ_DEBUG_SYNC=1 prints every sync record with its clock state —
    diff two backends' streams to localize a cross-backend divergence. *)
 let debug_sync = Sys.getenv_opt "CONSEQ_DEBUG_SYNC" <> None
 
-let record_sync rt th op label =
+let record_sync rt th op id =
   if debug_sync then
-    Printf.eprintf "SYNC t%d %s pub=%d ic=%d\n%!" th.tid label
+    Printf.eprintf "SYNC t%d %s pub=%d ic=%d\n%!" th.tid (Rt_core.label op id)
       (Lc.published th.clock) th.instr_retired;
-  Rt_core.sync rt.core ~tid:th.tid op label
+  Rt_core.sync rt.core ~tid:th.tid op id
 
 (* Observability helpers.  These read the simulated clock but never
    advance it, block, or touch algorithm state: instrumented and bare
@@ -276,7 +277,7 @@ let emit rt ev =
   end
 
 let new_mutex_rec () =
-  { held_by = None; lock_waitq = Queue.create (); cs_ewma = 0.0; cs_enter_instr = 0 }
+  { holder = -1; lock_waitq = Queue.create (); cs = { ewma = 0.0 }; cs_enter_instr = 0 }
 
 let mutex_of rt id =
   let id = match rt.cfg.lock_granularity with Config.Single_global -> 0 | Config.Per_lock -> id in
@@ -321,20 +322,27 @@ let coarsen_max_cap = 2_000_000
 (* Weight of the newest sample in the chunk-length estimates. *)
 let ewma_alpha = 0.3
 
-let ewma sample old =
+let[@inline] ewma sample old =
   if old = 0.0 then sample else (ewma_alpha *. sample) +. ((1.0 -. ewma_alpha) *. old)
+
+let no_post_site = min_int
+
+(* This thread's post-unlock estimate for lock [mid]; 0.0 = no sample. *)
+let[@inline] post_ewma th mid =
+  if mid >= 0 && mid < n_interned then Array.unsafe_get th.post_ewma_small mid
+  else match Hashtbl.find_opt th.post_ewma mid with Some v -> v | None -> 0.0
 
 (* At every sync-op boundary, attribute the chunk that just ended to the
    (thread, lock) pair whose unlock started it.  Purely thread-local
    state, so the fold order cannot depend on scheduling. *)
 let settle_post_unlock th =
-  match th.post_site with
-  | None -> ()
-  | Some mid ->
-      let len = float_of_int (th.instr_retired - th.post_site_instr) in
-      let old = match Hashtbl.find_opt th.post_ewma mid with Some v -> v | None -> 0.0 in
-      Hashtbl.replace th.post_ewma mid (ewma len old);
-      th.post_site <- None
+  let mid = th.post_site in
+  if mid <> no_post_site then begin
+    let v = ewma (float_of_int (th.instr_retired - th.post_site_instr)) (post_ewma th mid) in
+    if mid >= 0 && mid < n_interned then Array.unsafe_set th.post_ewma_small mid v
+    else Hashtbl.replace th.post_ewma mid v;
+    th.post_site <- no_post_site
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Memory accounting and GC                                           *)
@@ -491,10 +499,12 @@ let tune_apply rt th =
    moves the chunk start past itself, since it cannot order writes that
    have not happened yet.  Coarsened fast-path releases over a dirty
    workspace leave the chunk start alone: the deferred commit's writes
-   straddle them, and the chunk is classified as a whole. *)
-let emit_release rt th obj =
+   straddle them, and the chunk is classified as a whole.  [obj id]
+   names the object ([Rt_event.obj_mutex] ...): like every payload, the
+   name is built only when somebody is listening. *)
+let emit_release rt th obj id =
   if emitting rt then begin
-    emit rt (Rt_event.Release { tid = th.tid; obj });
+    emit rt (Rt_event.Release { tid = th.tid; obj = obj id });
     th.race_epoch <- th.race_epoch + 1;
     if not (Vmem.Workspace.is_dirty th.ws) then th.chunk_epoch <- th.race_epoch
   end
@@ -633,7 +643,7 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
         ~tid:th.tid ~t0
         ~args:[ ("pages", ci.pages_committed); ("merged", ci.pages_merged) ]
         ();
-    record_sync rt th Rt_core.Commit ("commit:" ^ string_of_int ci.version);
+    record_sync rt th Rt_core.Commit ci.version;
     emit_conflicts rt th ci;
     if emitting rt then begin
       emit rt (Rt_event.Commit { tid = th.tid; version = ci.version; pages = ci.committed_pages });
@@ -843,7 +853,7 @@ let observe_chunk rt th =
 
 let close_chunk rt th =
   let chunk_len = th.instr_retired - th.chunk_start_instr in
-  th.chunk_ewma <- ewma (float_of_int chunk_len) th.chunk_ewma;
+  th.chunk_est.ewma <- ewma (float_of_int chunk_len) th.chunk_est.ewma;
   observe_chunk rt th;
   counter_read rt th;
   Lc.pause th.clock
@@ -927,7 +937,7 @@ let end_coarsen rt th =
 
 (* Should we coarsen past this coordination phase?  [estimate] is the
    expected length of the upcoming piece of local work. *)
-let coarsen_decision rt th ~estimate =
+let[@inline] coarsen_decision rt th ~estimate =
   match rt.cfg.coarsening with
   | Config.No_coarsening -> false
   | Config.Static k -> th.coarsen_ops < k
@@ -1006,7 +1016,7 @@ let rec consume rt th n =
     | Some limit when th.since_commit >= limit && not th.coarsen_holding ->
         enter_coordination rt th;
         commit_and_update rt th;
-        record_sync rt th Rt_core.Forced_commit "forced-commit";
+        record_sync rt th Rt_core.Forced_commit 0;
         leave_coordination rt th
     | Some _ | None -> ());
     consume rt th (n - step)
@@ -1115,13 +1125,13 @@ let rec mutex_lock rt th mid =
   let m = mutex_of rt mid in
   if th.coarsen_holding then begin
     settle_post_unlock th;
-    if m.held_by = None then begin
+    if m.holder < 0 then begin
       (* Coarsened fast path: we already hold the token; acquire without a
          coordination phase and defer the commit. *)
-      m.held_by <- Some th.tid;
+      m.holder <- th.tid;
       measure_cs_enter th m;
       th.coarsen_ops <- th.coarsen_ops + 1;
-      record_sync rt th Rt_core.Lock (lock_label mid);
+      record_sync rt th Rt_core.Lock mid;
       if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
       counter_read rt th
     end
@@ -1138,16 +1148,16 @@ and mutex_lock_slow rt th mid =
   let acquired = ref false in
   while not !acquired do
     enter_coordination rt th;
-    if m.held_by = None then begin
-      m.held_by <- Some th.tid;
+    if m.holder < 0 then begin
+      m.holder <- th.tid;
       commit_and_update rt th;
-      record_sync rt th Rt_core.Lock (lock_label mid);
+      record_sync rt th Rt_core.Lock mid;
       if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
       measure_cs_enter th m;
       acquired := true;
       (* Coarsen across the critical section if its estimated length fits
          (section 3.1, per-lock estimate). *)
-      if coarsen_decision rt th ~estimate:m.cs_ewma then begin
+      if coarsen_decision rt th ~estimate:m.cs.ewma then begin
         begin_coarsen rt th;
         th.coarsen_ops <- 1
       end
@@ -1175,7 +1185,7 @@ and mutex_lock_slow rt th mid =
           Queue.push th.tid m.lock_waitq;
           release_global rt th;
           park rt th ~state:St.Lock_wait
-            ~reason:(Printf.sprintf "lock:%d" mid)
+            ~reason:(lock_label mid)
             ~ready:(fun () -> th.lock_grant)
     end
   done
@@ -1183,72 +1193,73 @@ and mutex_lock_slow rt th mid =
 (* Release the mutex and grant the next waiter; shared by unlock and
    cond_wait.  Must run while holding the token. *)
 let release_mutex rt ~waker (m : mutex_rec) =
-  m.held_by <- None;
+  m.holder <- -1;
   if not (Queue.is_empty m.lock_waitq) then begin
     let next = Queue.pop m.lock_waitq in
     let waiter = thread rt next in
     grant rt ~waker waiter ~before:(fun () -> waiter.lock_grant <- true)
   end
 
+let note_post th mid =
+  th.post_site <- mid;
+  th.post_site_instr <- th.instr_retired
+
 let update_cs_ewma th (m : mutex_rec) =
   let len = float_of_int (th.instr_retired - m.cs_enter_instr) in
-  m.cs_ewma <- ewma len m.cs_ewma
+  m.cs.ewma <- ewma len m.cs.ewma
 
 (* The mutexUnlock() of Fig 9. *)
 let mutex_unlock rt th mid =
   let m = mutex_of rt mid in
-  if m.held_by <> Some th.tid then
+  if m.holder <> th.tid then
     invalid_arg (Printf.sprintf "unlock: thread %d does not hold mutex %d" th.tid mid);
   update_cs_ewma th m;
   (* Expected length of the chunk that follows this unlock: this thread's
      estimate for this lock, falling back to its generic chunk estimate. *)
   let post_estimate =
-    match Hashtbl.find_opt th.post_ewma mid with Some v when v > 0.0 -> v | _ -> th.chunk_ewma
-  in
-  let note_post () =
-    th.post_site <- Some mid;
-    th.post_site_instr <- th.instr_retired
+    let v = post_ewma th mid in
+    if v > 0.0 then v else th.chunk_est.ewma
   in
   if th.coarsen_holding then begin
     settle_post_unlock th;
     release_mutex rt ~waker:th m;
-    record_sync rt th Rt_core.Unlock (unlock_label mid);
-    emit_release rt th (Rt_event.obj_mutex mid);
+    record_sync rt th Rt_core.Unlock mid;
+    emit_release rt th Rt_event.obj_mutex mid;
     th.coarsen_ops <- th.coarsen_ops + 1;
     charge rt th St.Runtime rt.costs.Cost_model.sync_op_base_ns;
     (* Continue coarsening over the upcoming chunk if it is expected to
        fit (section 3.1). *)
     if not (coarsen_decision rt th ~estimate:post_estimate) then end_coarsen rt th;
-    note_post ()
+    note_post th mid
   end
   else begin
     enter_coordination rt th;
     release_mutex rt ~waker:th m;
     commit_and_update rt th;
-    record_sync rt th Rt_core.Unlock (unlock_label mid);
-    emit_release rt th (Rt_event.obj_mutex mid);
+    record_sync rt th Rt_core.Unlock mid;
+    emit_release rt th Rt_event.obj_mutex mid;
     if coarsen_decision rt th ~estimate:post_estimate then begin_coarsen rt th
     else leave_coordination rt th;
-    note_post ()
+    note_post th mid
   end
 
 let cond_wait rt th cid mid =
   let m = mutex_of rt mid in
-  if m.held_by <> Some th.tid then
+  if m.holder <> th.tid then
     invalid_arg (Printf.sprintf "cond_wait: thread %d does not hold mutex %d" th.tid mid);
   let c = cond_of rt cid in
   enter_coordination rt th;
   update_cs_ewma th m;
   release_mutex rt ~waker:th m;
   commit_and_update rt th;
-  record_sync rt th Rt_core.Cond_wait ("cond_wait:" ^ string_of_int cid);
-  emit_release rt th (Rt_event.obj_mutex mid);
+  record_sync rt th Rt_core.Cond_wait cid;
+  emit_release rt th Rt_event.obj_mutex mid;
   th.cond_grant <- false;
   Queue.push th.tid c.cond_waitq;
   release_global rt th;
   charge rt th St.Runtime rt.costs.Cost_model.token_ns;
   park rt th ~state:St.Lock_wait
-    ~reason:(Printf.sprintf "cond:%d" cid)
+    ~reason:("cond:" ^ string_of_int cid)
     ~ready:(fun () -> th.cond_grant);
   if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_cond cid });
   open_chunk rt th;
@@ -1262,9 +1273,7 @@ let rec cond_signal rt th cid ~broadcast =
     (* Signalling with no waiter is purely local: nothing to wake, and the
        accompanying commit may be coalesced like any other under TSO, so
        the op need not end the coarsened chunk. *)
-    record_sync rt th
-      (if broadcast then Rt_core.Broadcast else Rt_core.Signal)
-      ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
+    record_sync rt th (if broadcast then Rt_core.Broadcast else Rt_core.Signal) cid;
     th.coarsen_ops <- th.coarsen_ops + 1;
     charge rt th St.Runtime rt.costs.Cost_model.sync_op_base_ns
   end
@@ -1284,10 +1293,8 @@ and cond_signal_slow rt th cid ~broadcast =
   in
   grant_one ();
   commit_and_update rt th;
-  record_sync rt th
-    (if broadcast then Rt_core.Broadcast else Rt_core.Signal)
-    ((if broadcast then "broadcast:" else "signal:") ^ string_of_int cid);
-  emit_release rt th (Rt_event.obj_cond cid);
+  record_sync rt th (if broadcast then Rt_core.Broadcast else Rt_core.Signal) cid;
+  emit_release rt th Rt_event.obj_cond cid;
   leave_coordination rt th
 
 let barrier_init rt th bid parties =
@@ -1323,7 +1330,7 @@ let barrier_wait rt th bid =
            ~tid:th.tid ~t0
            ~args:[ ("pages", ci.Vmem.Workspace.pages_committed) ]
            ();
-       record_sync rt th Rt_core.Commit ("commit:" ^ string_of_int ci.Vmem.Workspace.version);
+       record_sync rt th Rt_core.Commit ci.Vmem.Workspace.version;
        emit_conflicts rt th ci;
        if emitting rt then begin
          emit rt
@@ -1348,8 +1355,8 @@ let barrier_wait rt th bid =
      stamp_commit rt th ci;
      charge_commit rt th ci);
   th.since_commit <- 0;
-  record_sync rt th Rt_core.Barrier ("barrier:" ^ string_of_int bid);
-  emit_release rt th (Rt_event.obj_barrier bid);
+  record_sync rt th Rt_core.Barrier bid;
+  emit_release rt th Rt_event.obj_barrier bid;
   b.arrived_tids <- th.tid :: b.arrived_tids;
   let last = List.length b.arrived_tids = b.parties in
   th.barrier_grant <- false;
@@ -1387,7 +1394,7 @@ let barrier_wait rt th bid =
        plus a generation test could let a waiter slip out of the park
        before its grant ran (leaving it departed forever). *)
     park rt th ~state:St.Barrier_wait
-      ~reason:(Printf.sprintf "barrier:%d" bid)
+      ~reason:(Rt_core.label Rt_core.Barrier bid)
       ~ready:(fun () -> th.barrier_grant);
   if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_barrier bid });
   (* Everyone updates to the latest version after the internal barrier;
@@ -1425,7 +1432,7 @@ let atomic_fetch_add rt th ~addr delta =
   charge_commit rt th ci;
   let ui = ws_update rt th in
   charge_update rt th ui;
-  record_sync rt th Rt_core.Atomic ("atomic:" ^ string_of_int addr);
+  record_sync rt th Rt_core.Atomic addr;
   leave_coordination rt th;
   v
 
@@ -1522,7 +1529,7 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     next_overflow_in = 0;
     chunk_start_instr = 0;
     since_commit = 0;
-    chunk_ewma = 0.0;
+    chunk_est = { ewma = 0.0 };
     coarsen_holding = false;
     coarsen_ops = 0;
     coarsen_start_instr = 0;
@@ -1538,8 +1545,9 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     cond_grant = false;
     join_grant = false;
     barrier_grant = false;
-    post_site = None;
+    post_site = no_post_site;
     post_site_instr = 0;
+    post_ewma_small = Array.make n_interned 0.0;
     post_ewma = Hashtbl.create 8;
     token_t0 = -1;
     chunk_open_ns = e_now rt;
@@ -1562,8 +1570,8 @@ and new_thread_state rt ~tid ~name ~inherit_count =
 and thread_exit rt th =
   enter_coordination rt th;
   commit_and_update rt th;
-  record_sync rt th Rt_core.Exit "exit";
-  emit_release rt th (Rt_event.obj_thread th.tid ^ ":exit");
+  record_sync rt th Rt_core.Exit 0;
+  emit_release rt th Rt_event.obj_thread_exit th.tid;
   th.exited <- true;
   if rt.cfg.thread_pool then rt.pool_size <- rt.pool_size + 1;
   release_global rt th;
@@ -1616,7 +1624,7 @@ and spawn_thread rt th ?name body =
    end);
   let child = new_thread_state rt ~tid:child_tid ~name ~inherit_count:(Lc.published th.clock) in
   add_thread rt child;
-  emit_release rt th (Rt_event.obj_thread child_tid);
+  emit_release rt th Rt_event.obj_thread child_tid;
   let fiber_id =
     rt.ex.Sim.Exec.spawn ~name (fun () ->
         (* A recycled thread must refresh its view of memory. *)
@@ -1627,7 +1635,7 @@ and spawn_thread rt th ?name body =
         thread_exit rt child)
   in
   assert (fiber_id = child_tid);
-  record_sync rt th Rt_core.Spawn ("spawn:" ^ string_of_int child_tid);
+  record_sync rt th Rt_core.Spawn child_tid;
   if tracing rt then
     span rt ~cat:Obs.Span.Fork
       ~name:(Printf.sprintf "spawn:%d" child_tid)
@@ -1654,7 +1662,7 @@ and join_thread rt th target_tid =
     th.join_grant <- false;
     close_chunk rt th;
     park rt th ~state:St.Lock_wait
-      ~reason:(Printf.sprintf "join:%d" target_tid)
+      ~reason:(Rt_core.label Rt_core.Join target_tid)
       ~ready:(fun () -> th.join_grant);
     Lc.resume th.clock;
     th.chunk_start_instr <- th.instr_retired
@@ -1663,8 +1671,8 @@ and join_thread rt th target_tid =
      child's final commits. *)
   enter_coordination rt th;
   commit_and_update rt th;
-  record_sync rt th Rt_core.Join ("join:" ^ string_of_int target_tid);
-  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_thread target_tid ^ ":exit" });
+  record_sync rt th Rt_core.Join target_tid;
+  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_thread_exit target_tid });
   if tracing rt then
     span rt ~cat:Obs.Span.Join
       ~name:(Printf.sprintf "join:%d" target_tid)
@@ -1682,7 +1690,7 @@ and join_thread rt th target_tid =
    ids, token grants, commits, witnesses — is computed by the same code
    on every substrate; only time and physical placement differ. *)
 let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer
-    ?(obs = Obs.Sink.null) (program : Api.t) =
+    ?(obs = Obs.Sink.null) ?(schedule = false) (program : Api.t) =
   let nthreads = match nthreads with Some n -> n | None -> program.Api.default_threads in
   let seg =
     Vmem.Segment.create ~name:program.Api.name ~pages:program.Api.heap_pages
@@ -1692,7 +1700,7 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
   let nshards = Vmem.Segment.shards seg in
   let clocks = Lc.create () in
   let token = Tok.create ex clocks in
-  let core = Rt_core.create ~ex ~obs in
+  let core = Rt_core.create ~schedule ~ex ~obs in
   let metrics = Rt_core.metrics core in
   let rt =
     {
@@ -1773,9 +1781,9 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
 
 (* The discrete-event entry point every existing caller uses: wrap the
    DES engine as the execution substrate and drive it to quiescence. *)
-let run cfg ?costs ?seed ?nthreads ?observer ?obs (program : Api.t) =
+let run cfg ?costs ?seed ?nthreads ?observer ?obs ?schedule (program : Api.t) =
   let eng = Sim.Engine.create ~seed:(Option.value seed ~default:1) () in
   run_exec cfg
     ~ex:(Sim.Exec.of_engine eng)
     ~start:(fun () -> Sim.Engine.run eng)
-    ?costs ?seed ?nthreads ?observer ?obs program
+    ?costs ?seed ?nthreads ?observer ?obs ?schedule program

@@ -30,6 +30,7 @@ val run_exec :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?schedule:bool ->
   Api.t ->
   Stats.Run_result.t
 (** Run the program on an arbitrary execution substrate ({!Sim.Exec.t}).
@@ -47,6 +48,7 @@ val run :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?schedule:bool ->
   Api.t ->
   Stats.Run_result.t
 (** [run cfg program] executes the program to completion.  [seed]
@@ -64,7 +66,10 @@ val run :
     invariant), with completed waits stamped with the waking thread's
     tid.  Instrumentation is determinism-neutral: an instrumented run
     produces the same witnesses {e and} the same [wall_ns] as a bare
-    run (enforced by the neutrality tests).
+    run (enforced by the neutrality tests).  [schedule] (default false)
+    keeps every sync op in {!Stats.Run_result.schedule}; without it
+    that list is empty and the witnesses are streaming hashes, so a
+    run's host memory does not grow with its length.
 
     @raise Sim.Engine.Deadlock if the program deadlocks.
     @raise Sim.Engine.Stuck if the program exceeds the event budget,

@@ -37,7 +37,7 @@ let spin_body n =
   done;
   ignore (Sys.opaque_identity !acc)
 
-let run cfg ?domains ?costs ?seed ?nthreads ?observer ?obs (program : Api.t) =
+let run cfg ?domains ?costs ?seed ?nthreads ?observer ?obs ?schedule (program : Api.t) =
   let workers =
     match domains with
     | Some 0 -> Sim.Par.default_jobs ()
@@ -80,4 +80,4 @@ let run cfg ?domains ?costs ?seed ?nthreads ?observer ?obs (program : Api.t) =
   let cfg = Config.with_name cfg (cfg.Config.name ^ "-domains") in
   Det_rt.run_exec cfg ~ex
     ~start:(fun () -> Sim.Sched.run sched)
-    ?costs ?seed ?nthreads ?observer ?obs program
+    ?costs ?seed ?nthreads ?observer ?obs ?schedule program

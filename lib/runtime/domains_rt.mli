@@ -28,6 +28,7 @@ val run :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?schedule:bool ->
   Api.t ->
   Stats.Run_result.t
 (** [domains]: worker-domain count; [0] means auto

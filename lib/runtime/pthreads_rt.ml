@@ -51,7 +51,7 @@ let thread rt tid = Hashtbl.find rt.threads tid
 (* Pthreads uses a strict subset of the profiler states: no token, no
    commits, no chunks. *)
 let charge rt th st ns = Rt_core.charge rt.core th.acct st ns
-let record_sync rt th op label = Rt_core.sync rt.core ~tid:th.tid op label
+let record_sync rt th op id = Rt_core.sync rt.core ~tid:th.tid op id
 
 (* Block until [granted ()], then account the wait (breakdown, histogram
    and, when tracing, span + state interval) under [state]. *)
@@ -71,11 +71,14 @@ let block_until rt th ~state ~reason granted =
 let emitting rt = rt.observer <> None
 let emit rt ev = match rt.observer with Some f -> f ev | None -> ()
 
-let emit_acquire rt th obj = if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj })
+(* [obj id] names the object ([Rt_event.obj_mutex] ...), built only when
+   somebody is listening. *)
+let emit_acquire rt th obj id =
+  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = obj id })
 
-let emit_release rt th obj =
+let emit_release rt th obj id =
   if emitting rt then begin
-    emit rt (Rt_event.Release { tid = th.tid; obj });
+    emit rt (Rt_event.Release { tid = th.tid; obj = obj id });
     th.epoch <- th.epoch + 1
   end
 
@@ -226,19 +229,19 @@ let mutex_lock rt th mid =
   else begin
     th.lock_grant <- false;
     Queue.push th.tid m.waitq;
-    block_until rt th ~state:St.Lock_wait ~reason:(Printf.sprintf "lock:%d" mid) (fun () ->
+    block_until rt th ~state:St.Lock_wait ~reason:(Rt_core.label Rt_core.Lock mid) (fun () ->
         th.lock_grant);
     m.held_by <- Some th.tid
   end;
-  record_sync rt th Rt_core.Lock (Printf.sprintf "lock:%d" mid);
-  emit_acquire rt th (Rt_event.obj_mutex mid)
+  record_sync rt th Rt_core.Lock mid;
+  emit_acquire rt th Rt_event.obj_mutex mid
 
 let mutex_unlock rt th mid =
   let m = mutex_of rt mid in
   if m.held_by <> Some th.tid then
     invalid_arg (Printf.sprintf "unlock: thread %d does not hold mutex %d" th.tid mid);
   charge rt th St.Runtime rt.costs.Cost_model.pthread_unlock_ns;
-  emit_release rt th (Rt_event.obj_mutex mid);
+  emit_release rt th Rt_event.obj_mutex mid;
   m.held_by <- None;
   if not (Queue.is_empty m.waitq) then begin
     let next = Queue.pop m.waitq in
@@ -248,20 +251,20 @@ let mutex_unlock rt th mid =
     Sim.Engine.wakeup rt.eng next;
     charge rt th St.Runtime rt.costs.Cost_model.wake_ns
   end;
-  record_sync rt th Rt_core.Unlock (Printf.sprintf "unlock:%d" mid)
+  record_sync rt th Rt_core.Unlock mid
 
 let cond_wait rt th cid mid =
   let c = cond_of rt cid in
   charge rt th St.Runtime rt.costs.Cost_model.pthread_cond_ns;
-  record_sync rt th Rt_core.Cond_wait (Printf.sprintf "cond_wait:%d" cid);
+  record_sync rt th Rt_core.Cond_wait cid;
   (* Enqueue before releasing the mutex: wait+release must be atomic or a
      signal between them is lost (the unlock yields the simulated CPU). *)
   th.cond_grant <- false;
   Queue.push th.tid c.cond_waitq;
   mutex_unlock rt th mid;
-  block_until rt th ~state:St.Lock_wait ~reason:(Printf.sprintf "cond:%d" cid) (fun () ->
+  block_until rt th ~state:St.Lock_wait ~reason:("cond:" ^ string_of_int cid) (fun () ->
       th.cond_grant);
-  emit_acquire rt th (Rt_event.obj_cond cid);
+  emit_acquire rt th Rt_event.obj_cond cid;
   mutex_lock rt th mid
 
 let cond_signal rt th cid ~broadcast =
@@ -279,9 +282,8 @@ let cond_signal rt th cid ~broadcast =
     end
   in
   grant_one ();
-  if broadcast then record_sync rt th Rt_core.Broadcast (Printf.sprintf "broadcast:%d" cid)
-  else record_sync rt th Rt_core.Signal (Printf.sprintf "signal:%d" cid);
-  emit_release rt th (Rt_event.obj_cond cid)
+  record_sync rt th (if broadcast then Rt_core.Broadcast else Rt_core.Signal) cid;
+  emit_release rt th Rt_event.obj_cond cid
 
 let barrier_init _rt _th b parties =
   if parties <= 0 then invalid_arg "barrier_init: parties must be > 0";
@@ -291,8 +293,8 @@ let barrier_wait rt th bid =
   let b = barrier_of rt bid in
   if b.parties = 0 then invalid_arg (Printf.sprintf "barrier %d: not initialized" bid);
   charge rt th St.Runtime rt.costs.Cost_model.pthread_barrier_ns;
-  record_sync rt th Rt_core.Barrier (Printf.sprintf "barrier:%d" bid);
-  emit_release rt th (Rt_event.obj_barrier bid);
+  record_sync rt th Rt_core.Barrier bid;
+  emit_release rt th Rt_event.obj_barrier bid;
   b.arrived_tids <- th.tid :: b.arrived_tids;
   if List.length b.arrived_tids = b.parties then begin
     let others = List.filter (fun tid -> tid <> th.tid) b.arrived_tids in
@@ -306,10 +308,10 @@ let barrier_wait rt th bid =
   end
   else begin
     let gen = b.generation in
-    block_until rt th ~state:St.Barrier_wait ~reason:(Printf.sprintf "barrier:%d" bid) (fun () ->
+    block_until rt th ~state:St.Barrier_wait ~reason:(Rt_core.label Rt_core.Barrier bid) (fun () ->
         b.generation <> gen)
   end;
-  emit_acquire rt th (Rt_event.obj_barrier bid)
+  emit_acquire rt th Rt_event.obj_barrier bid
 
 let rec make_ops rt th : Api.ops =
   {
@@ -370,8 +372,8 @@ and new_thread_state rt ~tid ~tname =
   }
 
 and thread_exit rt th =
-  record_sync rt th Rt_core.Exit "exit";
-  emit_release rt th (Rt_event.obj_thread th.tid ^ ":exit");
+  record_sync rt th Rt_core.Exit 0;
+  emit_release rt th Rt_event.obj_thread_exit th.tid;
   th.exited <- true;
   match th.joiner with
   | Some j ->
@@ -388,15 +390,15 @@ and spawn_thread rt th ?name body =
   let tname = match name with Some n -> n | None -> Printf.sprintf "t%d" child_tid in
   let child = new_thread_state rt ~tid:child_tid ~tname in
   Hashtbl.replace rt.threads child_tid child;
-  emit_release rt th (Rt_event.obj_thread child_tid);
+  emit_release rt th Rt_event.obj_thread child_tid;
   let fiber_id =
     Sim.Engine.spawn rt.eng ~name:tname (fun () ->
-        emit_acquire rt child (Rt_event.obj_thread child_tid);
+        emit_acquire rt child Rt_event.obj_thread child_tid;
         body (make_ops rt child);
         thread_exit rt child)
   in
   assert (fiber_id = child_tid);
-  record_sync rt th Rt_core.Spawn (Printf.sprintf "spawn:%d" child_tid);
+  record_sync rt th Rt_core.Spawn child_tid;
   child_tid
 
 and join_thread rt th target_tid =
@@ -410,14 +412,14 @@ and join_thread rt th target_tid =
   if not target.exited then begin
     target.joiner <- Some th.tid;
     th.join_grant <- false;
-    block_until rt th ~state:St.Lock_wait ~reason:(Printf.sprintf "join:%d" target_tid) (fun () ->
+    block_until rt th ~state:St.Lock_wait ~reason:(Rt_core.label Rt_core.Join target_tid) (fun () ->
         th.join_grant)
   end;
-  record_sync rt th Rt_core.Join (Printf.sprintf "join:%d" target_tid);
-  emit_acquire rt th (Rt_event.obj_thread target_tid ^ ":exit")
+  record_sync rt th Rt_core.Join target_tid;
+  emit_acquire rt th Rt_event.obj_thread_exit target_tid
 
 let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Obs.Sink.null)
-    (program : Api.t) =
+    ?(schedule = false) (program : Api.t) =
   let nthreads = match nthreads with Some n -> n | None -> program.Api.default_threads in
   let eng = Sim.Engine.create ~seed () in
   let rt =
@@ -432,7 +434,7 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
       mutexes = Hashtbl.create 16;
       conds = Hashtbl.create 16;
       barriers = Hashtbl.create 16;
-      core = Rt_core.create ~ex:(Sim.Exec.of_engine eng) ~obs;
+      core = Rt_core.create ~schedule ~ex:(Sim.Exec.of_engine eng) ~obs;
       next_tid = 1;
       observer;
       shadow = Hashtbl.create 64;

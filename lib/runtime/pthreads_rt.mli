@@ -15,6 +15,7 @@ val run :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?schedule:bool ->
   Api.t ->
   Stats.Run_result.t
 (** [obs] (default {!Obs.Sink.null}) receives lock / barrier / join wait

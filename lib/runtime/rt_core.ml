@@ -43,19 +43,26 @@ let op_index = function
   | Broadcast -> 10
   | Forced_commit -> 11
 
-let op_key = function
-  | Lock -> "op:lock"
-  | Unlock -> "op:unlock"
-  | Commit -> "op:commit"
-  | Spawn -> "op:spawn"
-  | Join -> "op:join"
-  | Exit -> "op:exit"
-  | Cond_wait -> "op:cond_wait"
-  | Barrier -> "op:barrier"
-  | Atomic -> "op:atomic"
-  | Signal -> "op:signal"
-  | Broadcast -> "op:broadcast"
-  | Forced_commit -> "op:forced-commit"
+(* The witness label of an op is its family name, followed for ops on
+   an object by [":<id>"]; the [op:*] counter adds the "op:" prefix. *)
+let on_object = function Exit | Forced_commit -> false | _ -> true
+
+let family = function
+  | Lock -> "lock"
+  | Unlock -> "unlock"
+  | Commit -> "commit"
+  | Spawn -> "spawn"
+  | Join -> "join"
+  | Exit -> "exit"
+  | Cond_wait -> "cond_wait"
+  | Barrier -> "barrier"
+  | Atomic -> "atomic"
+  | Signal -> "signal"
+  | Broadcast -> "broadcast"
+  | Forced_commit -> "forced-commit"
+
+let prefixes = Array.map (fun op -> family op ^ ":") ops
+let label op n = if on_object op then family op ^ ":" ^ string_of_int n else family op
 
 let span_cat = function
   | St.Token_wait -> Obs.Span.Determ_wait
@@ -79,7 +86,7 @@ type t = {
   mutable sync_ops : int;
 }
 
-let create ~ex ~obs =
+let create ~schedule ~ex ~obs =
   let metrics = Obs.Metrics.create () in
   let hist = Obs.Metrics.histogram metrics in
   {
@@ -92,9 +99,9 @@ let create ~ex ~obs =
     determ_wait_ns = hist "determ_wait_ns";
     lock_wait_ns = hist "lock_wait_ns";
     barrier_wait_ns = hist "barrier_wait_ns";
-    op_counters = Array.map (fun op -> Obs.Metrics.counter metrics (op_key op)) ops;
-    sync_trace = Sim.Trace.create ~capture:true ();
-    out_trace = Sim.Trace.create ~capture:true ();
+    op_counters = Array.map (fun op -> Obs.Metrics.counter metrics ("op:" ^ family op)) ops;
+    sync_trace = Sim.Trace.create ~capture:schedule ();
+    out_trace = Sim.Trace.create ();
     sync_ops = 0;
   }
 
@@ -144,10 +151,13 @@ let wait c th st ~name ~t0 ~waker =
   end;
   th.waker <- -1
 
-let sync c ~tid op label =
+let sync c ~tid op id =
+  let i = op_index op in
   c.sync_ops <- c.sync_ops + 1;
-  Obs.Metrics.count (Array.unsafe_get c.op_counters (op_index op)) 1;
-  Sim.Trace.record c.sync_trace ~time:(now c) ~tid ~label
+  Obs.Metrics.count (Array.unsafe_get c.op_counters i) 1;
+  if on_object op then
+    Sim.Trace.record_int c.sync_trace ~time:(now c) ~tid ~prefix:(Array.unsafe_get prefixes i) id
+  else Sim.Trace.record c.sync_trace ~time:(now c) ~tid ~label:(family op)
 
 let output c ~tid msg = Sim.Trace.record c.out_trace ~time:(now c) ~tid ~label:msg
 

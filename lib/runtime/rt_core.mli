@@ -6,8 +6,9 @@
       {!Stats.Breakdown} (through {!Stats.Breakdown.of_state}), the
       {!Obs.Thread_state} interval stream, and the state's latency
       histogram together, so the three cannot disagree;
-    - how a sync op is recorded: the sync-order witness, [sync_ops] and
-      the interned [op:*] counters;
+    - how a sync op is recorded: the sync-order witness (a streaming
+      hash; the schedule itself is kept only on request), [sync_ops]
+      and the interned [op:*] counters;
     - how the {!Stats.Run_result.t} is assembled.
 
     Event emission (spans other than waits, instants, the
@@ -48,7 +49,12 @@ type op =
 
 type t
 
-val create : ex:Sim.Exec.t -> obs:Obs.Sink.t -> t
+val create : schedule:bool -> ex:Sim.Exec.t -> obs:Obs.Sink.t -> t
+(** [schedule] keeps every sync op in full for
+    {!Stats.Run_result.schedule}; otherwise the sync and output
+    witnesses are hashed as the run goes and recording allocates
+    nothing. *)
+
 val metrics : t -> Obs.Metrics.t
 val now : t -> int
 
@@ -67,8 +73,16 @@ val wait : t -> thread -> Obs.Thread_state.t -> name:string -> t0:int -> waker:i
     called [name] plus the state interval credited to [waker].  Resets
     [th.waker]. *)
 
-val sync : t -> tid:int -> op -> string -> unit
-(** Record one synchronization operation in the sync-order witness. *)
+val sync : t -> tid:int -> op -> int -> unit
+(** [sync c ~tid op id] records one synchronization operation on object
+    [id] (mutex, condition variable, barrier, address, version or
+    thread) in the sync-order witness, under {!label}[ op id], which it
+    hashes without building.  [Exit] and [Forced_commit] act on no
+    object and ignore [id]. *)
+
+val label : op -> int -> string
+(** [label Lock 3] is ["lock:3"]; [label Exit _] is ["exit"] and
+    [label Forced_commit _] is ["forced-commit"]. *)
 
 val output : t -> tid:int -> string -> unit
 (** Record one application output event in the output witness. *)

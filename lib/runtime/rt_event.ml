@@ -31,6 +31,7 @@ let obj_mutex m = Printf.sprintf "m:%d" m
 let obj_cond c = Printf.sprintf "c:%d" c
 let obj_barrier b = Printf.sprintf "b:%d" b
 let obj_thread t = Printf.sprintf "t:%d" t
+let obj_thread_exit t = obj_thread t ^ ":exit"
 
 let label = function
   | Commit { version; _ } -> Printf.sprintf "commit:v%d" version

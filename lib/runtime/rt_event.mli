@@ -94,6 +94,10 @@ val obj_cond : int -> string
 val obj_barrier : int -> string
 val obj_thread : int -> string
 
+val obj_thread_exit : int -> string
+(** ["t:<k>:exit"]: released by thread [k]'s exit, acquired by its
+    joiner. *)
+
 val label : t -> string
 (** Short instant name used for trace spans: ["commit:v12"],
     ["rel:m:3"], ["acq:b:0"], ["conflict:p4+16..23"]. *)

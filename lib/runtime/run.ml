@@ -33,11 +33,11 @@ let deterministic = function
   | Pthreads -> false
   | Det cfg | Domains cfg -> cfg.Config.counter_jitter_ppm = 0
 
-let run rt ?costs ?seed ?nthreads ?observer ?obs program =
+let run rt ?costs ?seed ?nthreads ?observer ?obs ?schedule program =
   match rt with
-  | Pthreads -> Pthreads_rt.run ?costs ?seed ?nthreads ?observer ?obs program
-  | Det cfg -> Det_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs program
-  | Domains cfg -> Domains_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs program
+  | Pthreads -> Pthreads_rt.run ?costs ?seed ?nthreads ?observer ?obs ?schedule program
+  | Det cfg -> Det_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs ?schedule program
+  | Domains cfg -> Domains_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs ?schedule program
 
 let best_over_threads rt ?costs ?seed ~threads program =
   match threads with

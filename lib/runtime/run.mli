@@ -49,6 +49,7 @@ val run :
   ?nthreads:int ->
   ?observer:Rt_event.observer ->
   ?obs:Obs.Sink.t ->
+  ?schedule:bool ->
   Api.t ->
   Stats.Run_result.t
 (** [observer] receives the runtime's happens-before events.  Under the
@@ -56,7 +57,8 @@ val run :
     is seed-invariant; under [Pthreads] it follows simulated wall-clock
     order and varies with the seed for racy programs.  [obs] receives
     timing spans and thread-state intervals on any runtime; see
-    {!Det_rt.run} for the determinism-neutrality guarantee. *)
+    {!Det_rt.run} for the determinism-neutrality guarantee.  [schedule]
+    (default false) fills {!Stats.Run_result.schedule}. *)
 
 val best_over_threads :
   runtime ->

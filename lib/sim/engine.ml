@@ -141,7 +141,28 @@ let schedule_resume t fiber k =
   fiber.resume <- Resume k;
   schedule_now t fiber
 
+(* The effect handlers are built once per fiber, not once per effect:
+   [effc] stores the effect's argument where its handler reads it and
+   returns the fiber's preallocated [Some handler]. *)
 let run_fiber t fiber body =
+  let advance_ns = ref 0 and block_reason = ref "" in
+  let on_advance =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        fiber.resume <- Resume k;
+        schedule_at t fiber ~key:(t.now + !advance_ns))
+  in
+  let on_block =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        if fiber.pending_wakeup then begin
+          (* A wakeup arrived before we blocked: consume the permit and
+             resume at the current instant. *)
+          fiber.pending_wakeup <- false;
+          schedule_resume t fiber k
+        end
+        else fiber.state <- Blocked (k, !block_reason))
+  in
   match_with
     (fun () -> (try body () with Fiber_exit -> ()))
     ()
@@ -152,23 +173,14 @@ let run_fiber t fiber body =
           fiber.state <- Finished;
           raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Advance ns ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  fiber.resume <- Resume k;
-                  schedule_at t fiber ~key:(t.now + ns))
+              advance_ns := ns;
+              on_advance
           | Block reason ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  if fiber.pending_wakeup then begin
-                    (* A wakeup arrived before we blocked: consume the
-                       permit and resume at the current instant. *)
-                    fiber.pending_wakeup <- false;
-                    schedule_resume t fiber k
-                  end
-                  else fiber.state <- Blocked (k, reason))
+              block_reason := reason;
+              on_block
           | _ -> None);
     }
 

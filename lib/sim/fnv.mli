@@ -27,3 +27,27 @@ val int : t -> int -> t
 (** Folds the 8 little-endian bytes of the int. *)
 
 val to_hex : t -> string
+
+(** {1 Streaming state}
+
+    A mutable accumulator for hashes folded one event at a time over a
+    whole run.  A record field of type {!t} boxes a fresh [int64] on
+    every update; a [stream] keeps its state in place, so none of the
+    [add_*] folds allocates.  Each fold gives the same value as the
+    matching pure function. *)
+
+type stream
+
+val stream : unit -> stream
+(** A fresh accumulator at {!init}. *)
+
+val value : stream -> t
+
+val add_int : stream -> int -> unit
+(** As {!int}. *)
+
+val add_string : stream -> string -> unit
+(** As {!string}. *)
+
+val add_decimal : stream -> int -> unit
+(** Folds the bytes of [string_of_int n] without building the string. *)

@@ -10,8 +10,8 @@
     - [mem_hash]: digest of the final committed memory image.
     - [output_hash]: digest of the application's logged output events.
 
-    Wall-clock quantities and [timed_hash]es legitimately differ across
-    seeds even under deterministic runtimes — determinism fixes {e what}
+    Wall-clock quantities and [schedule] timestamps legitimately differ
+    across seeds even under deterministic runtimes — determinism fixes {e what}
     happens, not {e how fast} (paper section 3). *)
 
 type thread_stat = {
@@ -45,9 +45,10 @@ type t = {
   output_hash : string;
   trace_events : int;
   schedule : (int * int * string) list;
-      (** the deterministic synchronization schedule: (time ns, tid,
-          operation label) in global order — the artifact a record/replay
-          debugger would consume *)
+      (** the synchronization schedule: (time ns, tid, operation label)
+          in global order.  Captured only on request ([~schedule:true]
+          on [Runtime.Run.run]); empty otherwise, since
+          [sync_order_hash] is hashed as the run goes *)
   metrics : Obs.Metrics.snapshot;
       (** per-run counters and latency histograms (token hold, commit,
           determ wait, pages/commit, chunk length, ...); derived purely

@@ -169,18 +169,23 @@ let write t ~addr buf =
 (* 8-byte accessors: the common case (the access stays inside one page)
    reads or writes the resident buffer directly, with no intermediate
    allocation; only page-spanning accesses fall back to the generic
-   buffer-based path. *)
-let read_int64 t ~addr =
+   buffer-based path.  Both are inlined into the [int] accessors, so the
+   in-page case never boxes an [int64] either. *)
+let read_spanning t ~addr = Bytes.get_int64_le (read t ~addr ~len:8) 0
+
+let write_spanning t ~addr v =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 v;
+  write t ~addr b
+
+let[@inline] read_int64 t ~addr =
   check_range t ~addr ~len:8;
   let psize = page_size t in
   let off = addr mod psize in
   if off + 8 <= psize then Bytes.get_int64_le (view_page t (addr / psize)) off
-  else begin
-    let b = read t ~addr ~len:8 in
-    Bytes.get_int64_le b 0
-  end
+  else read_spanning t ~addr
 
-let write_int64 t ~addr v =
+let[@inline] write_int64 t ~addr v =
   check_range t ~addr ~len:8;
   let psize = page_size t in
   let off = addr mod psize in
@@ -189,11 +194,7 @@ let write_int64 t ~addr v =
     fault_for_write t pg;
     Bytes.set_int64_le t.pages.(pg) off v
   end
-  else begin
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 v;
-    write t ~addr b
-  end
+  else write_spanning t ~addr v
 
 let read_int t ~addr = Int64.to_int (read_int64 t ~addr)
 let write_int t ~addr v = write_int64 t ~addr (Int64.of_int v)

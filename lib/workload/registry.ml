@@ -50,6 +50,7 @@ let all =
     kv Kv.Traffic.Scan;
   ]
 
+let paper = List.filter (fun e -> e.suite <> Service) all
 let names = List.map (fun e -> e.program.Api.name) all
 
 let kv_set =

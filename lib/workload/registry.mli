@@ -19,6 +19,10 @@ val all : entry list
 (** The 19 Fig 10 benchmarks in display order, then the six KV traffic
     shapes. *)
 
+val paper : entry list
+(** The 19 Fig 10 benchmarks: {!all} without the KV traffic shapes.
+    Every number compared with one of the paper's folds over these. *)
+
 val kv_set : string list
 (** The six KV service traffic shapes, in registry order. *)
 

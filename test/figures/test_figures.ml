@@ -23,7 +23,16 @@ let test_fig10_output_renders () =
   let out = Figures.Fig10.run ~threads:quick_threads () in
   let rendered = Figures.Fig_output.render out in
   check_bool "has table" true (String.length rendered > 200);
-  check_int "3 notes" 3 (List.length out.Figures.Fig_output.notes)
+  check_int "3 notes" 3 (List.length out.Figures.Fig_output.notes);
+  (* The KV shapes are table rows, but the paper's claims fold over its
+     19 programs only. *)
+  check_bool "kv rows in the table" true
+    (List.exists
+       (fun line -> String.length line >= 3 && String.sub line 0 3 = "kv_")
+       (String.split_on_char '\n' rendered));
+  let counted = List.nth out.Figures.Fig_output.notes 1 in
+  check_bool ("note counts the 19 paper programs: " ^ counted) true
+    (Scanf.sscanf counted "%d of %d programs" (fun _ n -> n = 19))
 
 let test_fig11_shape () =
   let series = Figures.Fig11.measure ~threads:quick_threads () in

@@ -1,8 +1,9 @@
 (* Tests for lib/prof: the conservation invariant (states tile every
    thread's lifetime exactly) as a qcheck property over random programs
    and all runtimes, determinism-neutrality of profiling, per-chunk
-   consistency, critical-path sanity, what-if validity, and the
-   histogram p999 quantile. *)
+   consistency, critical-path sanity, what-if validity, the histogram
+   p999 quantile, and [Profile.finish] against its previous
+   implementation (test/prof/profile_oracle.ml). *)
 
 module St = Obs.Thread_state
 module Res = Stats.Run_result
@@ -12,6 +13,7 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let program_of name = (Workload.Registry.find name).Workload.Registry.program
+
 let det_runtimes = List.filter Runtime.Run.deterministic Runtime.Run.all
 
 let profile_run rt ?(seed = 1) ?(nthreads = 8) program =
@@ -234,6 +236,56 @@ let test_profile_hists_have_states () =
     [ "state:run"; "state:token_wait"; "state:commit" ]
 
 (* ------------------------------------------------------------------ *)
+(* finish against the previous implementation                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A random interleaving of per-thread interval streams: each step picks
+   a thread (tids are sparse, so the dense tid index has holes), a
+   state, a duration, an offset from the thread's last t1 (usually 0;
+   sometimes a gap or an overlap) and a chunk step that may go back. *)
+let stream_gen =
+  QCheck.(
+    small_list
+      (pair
+         (pair (oneofl [ 0; 1; 2; 5; 9 ]) (int_bound (St.n - 1)))
+         (triple (int_bound 50)
+            (oneofl [ 0; 0; 0; 0; 3; -2 ])
+            (oneofl [ 0; 0; 1; 1; 2; -1; -3 ]))))
+
+let prop_finish_matches_oracle =
+  QCheck.Test.make ~name:"finish equals the previous implementation" ~count:500
+    QCheck.(pair stream_gen (small_list (pair (int_bound 9) (int_bound 9))))
+    (fun (steps, spawns) ->
+      let c = Prof.Profile.create () in
+      let sink = Prof.Profile.sink c in
+      let clock = Hashtbl.create 8 and chunk = Hashtbl.create 8 in
+      let fed =
+        List.map
+          (fun ((tid, si), (dur, offset, step)) ->
+            let last = Option.value (Hashtbl.find_opt clock tid) ~default:0 in
+            let ck = Option.value (Hashtbl.find_opt chunk tid) ~default:0 + step in
+            let t0 = max 0 (last + offset) in
+            let iv =
+              { St.stid = tid; state = St.of_index si; t0; t1 = t0 + dur; chunk = ck; waker = -1 }
+            in
+            Hashtbl.replace clock tid iv.St.t1;
+            Hashtbl.replace chunk tid ck;
+            sink.Obs.Sink.state iv;
+            iv)
+          steps
+      in
+      List.iter
+        (fun (child, parent) ->
+          Prof.Profile.observer c
+            (Runtime.Rt_event.Release { tid = parent; obj = "t:" ^ string_of_int child }))
+        spawns;
+      let wall_ns = List.fold_left (fun m (iv : St.interval) -> max m iv.St.t1) 0 fed in
+      Prof.Profile.finish c ~wall_ns
+      = Profile_oracle.finish ~states_rev:(List.rev fed) ~nstates:(List.length fed)
+          ~parents_rev:(List.rev spawns)
+          ~wall_ns)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "prof"
@@ -269,6 +321,7 @@ let () =
           Alcotest.test_case "cheaper costs never slower" `Quick
             test_whatif_cheaper_never_much_slower;
         ] );
+      ("finish", [ QCheck_alcotest.to_alcotest prop_finish_matches_oracle ]);
       ( "quantiles",
         [
           Alcotest.test_case "p999 ordering and JSON export" `Quick test_p999;

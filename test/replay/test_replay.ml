@@ -381,6 +381,101 @@ let test_schedule_file_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loading a missing file succeeded"
 
+(* Mutated logs: each parses, but no run could have recorded it.  They
+   go through the printer and parser, as a hand-edited file would. *)
+
+let set_field name v = function
+  | Obs.Json.Obj kvs -> Obs.Json.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) kvs)
+  | j -> j
+
+let field name = function Obs.Json.Obj kvs -> List.assoc_opt name kvs | _ -> None
+
+(* Rewrite every overflow boundary event of the log through [f]. *)
+let map_overflow_boundaries f j =
+  let ev e =
+    if field "kind" e = Some (Obs.Json.String "boundary")
+       && field "overflow" e = Some (Obs.Json.Bool true)
+    then f e
+    else e
+  in
+  match field "events" j with
+  | Some (Obs.Json.List evs) -> set_field "events" (Obs.Json.List (List.map ev evs)) j
+  | _ -> Alcotest.fail "log has no event list"
+
+(* Apply [g] to the first overflow boundary only. *)
+let map_first_overflow_boundary g =
+  let seen = ref false in
+  map_overflow_boundaries (fun e ->
+      if !seen then e
+      else begin
+        seen := true;
+        g e
+      end)
+
+let reparse j =
+  match Obs.Json.parse (Obs.Json.to_string j) with
+  | Ok j -> Sch.of_json j
+  | Error e -> Alcotest.failf "printed log does not parse: %s" e
+
+let must_reject what j =
+  match reparse j with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+
+let kmeans_log () = Sch.to_json (fst (record_det ~nthreads:4 ()))
+
+let test_rejects_nonpositive_nthreads () =
+  let j = kmeans_log () in
+  must_reject "nthreads -3" (set_field "nthreads" (Obs.Json.Int (-3)) j);
+  must_reject "nthreads 0" (set_field "nthreads" (Obs.Json.Int 0) j)
+
+let test_rejects_bad_overflow_boundaries () =
+  let j = kmeans_log () in
+  let set_ic ic = set_field "ic" (Obs.Json.Int ic) in
+  must_reject "ic -5" (map_first_overflow_boundary (set_ic (-5)) j);
+  must_reject "ic 0" (map_first_overflow_boundary (set_ic 0) j);
+  (* Give the second overflow boundary of the first overflowing thread
+     the same count as its first. *)
+  let first = ref None and repeated = ref false in
+  let repeat =
+    map_overflow_boundaries
+      (fun e ->
+        match !first with
+        | None ->
+            first := Some (field "tid" e, field "ic" e);
+            e
+        | Some (tid, Some ic) when (not !repeated) && field "tid" e = tid ->
+            repeated := true;
+            set_field "ic" ic e
+        | Some _ -> e)
+      j
+  in
+  check_bool "the log has a thread with two overflow boundaries" true !repeated;
+  must_reject "repeated boundary" repeat
+
+let test_rejects_unspawned_tid () =
+  let j = kmeans_log () in
+  must_reject "tid 42" (map_first_overflow_boundary (set_field "tid" (Obs.Json.Int 42)) j);
+  must_reject "tid -1" (map_first_overflow_boundary (set_field "tid" (Obs.Json.Int (-1))) j);
+  match reparse j with Ok _ -> () | Error e -> Alcotest.failf "the recorded log is rejected: %s" e
+
+(* A thread count the program cannot run with passes validation (only
+   the program knows its limits) and fails the run; the CLI reports it
+   through [guarded] as one line instead of an uncaught exception. *)
+let test_impossible_run_is_an_error () =
+  match reparse (set_field "nthreads" (Obs.Json.Int 100_000) (kmeans_log ())) with
+  | Error e -> Alcotest.failf "rejected before the run: %s" e
+  | Ok log -> (
+      match Rep.guarded (fun () -> Rep.replay log (program_of "kmeans")) with
+      | Ok _ -> Alcotest.fail "kmeans ran with 100000 threads"
+      | Error msg ->
+          let has sub =
+            let n = String.length sub in
+            let rec at i = i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1)) in
+            at 0
+          in
+          check_bool ("names the failed access: " ^ msg) true (has "outside segment"))
+
 (* ------------------------------------------------------------------ *)
 (* Scripted overflow policy                                           *)
 (* ------------------------------------------------------------------ *)
@@ -476,6 +571,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_event_json_roundtrip_through_text;
           Alcotest.test_case "of_json rejects malformed" `Quick test_event_of_json_errors;
           Alcotest.test_case "schedule file round-trip" `Quick test_schedule_file_roundtrip;
+          Alcotest.test_case "rejects nthreads below 1" `Quick test_rejects_nonpositive_nthreads;
+          Alcotest.test_case "rejects bad overflow boundaries" `Quick
+            test_rejects_bad_overflow_boundaries;
+          Alcotest.test_case "rejects unspawned tids" `Quick test_rejects_unspawned_tid;
+          Alcotest.test_case "impossible run is an error" `Quick test_impossible_run_is_an_error;
         ] );
       ( "scripted-policy",
         [

@@ -74,6 +74,51 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The draws must stay bit-identical to the stream the golden witnesses
+   and every simulated figure were computed with. *)
+let test_prng_golden_streams () =
+  let bits = Array.map Int64.bits_of_float in
+  List.iter
+    (fun (g : Prng_golden.stream) ->
+      let name what = Printf.sprintf "seed %d %s" g.Prng_golden.seed what in
+      let draws f =
+        let p = Sim.Prng.create ~seed:g.Prng_golden.seed in
+        Array.init 64 (fun i -> f p i)
+      in
+      Alcotest.(check (array int64))
+        (name "next_int64") g.Prng_golden.int64s
+        (draws (fun p _ -> Sim.Prng.next_int64 p));
+      Alcotest.(check (array int64))
+        (name "float") (bits g.Prng_golden.floats)
+        (bits (draws (fun p _ -> Sim.Prng.float p)));
+      Alcotest.(check (array int))
+        (name "int") g.Prng_golden.ints
+        (draws (fun p i -> Sim.Prng.int p ~bound:(1 + (977 * i))));
+      Alcotest.(check (array int64))
+        (name "jitter") (bits g.Prng_golden.jitters)
+        (bits (draws (fun p _ -> Sim.Prng.jitter p ~amplitude:0.15))))
+    Prng_golden.streams
+
+(* Minor-heap words [f ()] allocates, net of the measurement itself. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+let test_prng_draws_allocate_nothing () =
+  let p = Sim.Prng.create ~seed:1 in
+  let acc = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          acc := !acc + Sim.Prng.int p ~bound:1000
+        done)
+  in
+  check_int "minor words over 10k int draws" 0 words;
+  check_bool "drew something" true (!acc > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -312,7 +357,7 @@ let test_engine_deterministic_interleaving () =
   (* The same program with the same seed produces the same event order. *)
   let run_once () =
     let eng = Sim.Engine.create ~seed:99 () in
-    let trace = Sim.Trace.create () in
+    let trace = Sim.Trace.create ~capture:true () in
     for i = 0 to 3 do
       ignore
         (Sim.Engine.spawn eng (fun () ->
@@ -324,9 +369,9 @@ let test_engine_deterministic_interleaving () =
              done))
     done;
     Sim.Engine.run eng;
-    Sim.Trace.timed_hash trace
+    Sim.Trace.events trace
   in
-  check_string "identical timed traces" (run_once ()) (run_once ())
+  check_bool "identical timed traces" true (run_once () = run_once ())
 
 let test_engine_zero_advance_yields () =
   (* advance 0 must not hang and must let a same-instant event run. *)
@@ -395,11 +440,11 @@ let test_fnv_zero_image () =
     [ (1, 1); (3, 12); (7, 100); (16, 4096) ]
 
 let test_trace_hash_ignores_time () =
-  let t1 = Sim.Trace.create () and t2 = Sim.Trace.create () in
+  let t1 = Sim.Trace.create ~capture:true () and t2 = Sim.Trace.create ~capture:true () in
   Sim.Trace.record t1 ~time:10 ~tid:0 ~label:"x";
   Sim.Trace.record t2 ~time:99 ~tid:0 ~label:"x";
   check_string "untimed hash equal" (Sim.Trace.hash t1) (Sim.Trace.hash t2);
-  check_bool "timed hash differs" false (Sim.Trace.timed_hash t1 = Sim.Trace.timed_hash t2)
+  check_bool "captured times differ" false (Sim.Trace.events t1 = Sim.Trace.events t2)
 
 let test_trace_capture_off () =
   let t = Sim.Trace.create ~capture:false () in
@@ -408,7 +453,7 @@ let test_trace_capture_off () =
   check_bool "not captured" true (Sim.Trace.events t = [])
 
 let test_trace_events_recording_order () =
-  let t = Sim.Trace.create () in
+  let t = Sim.Trace.create ~capture:true () in
   let recorded = [ (5, 2, "c"); (1, 0, "a"); (9, 1, "b") ] in
   List.iter (fun (time, tid, label) -> Sim.Trace.record t ~time ~tid ~label) recorded;
   (* events must preserve recording order, NOT sort by timestamp. *)
@@ -418,6 +463,84 @@ let test_trace_events_recording_order () =
       (Sim.Trace.events t)
   in
   Alcotest.(check (list (triple int int string))) "recording order" recorded got
+
+(* An event is a plain label, or (when the flag is set) a prefix plus an
+   int argument, which [record_int] hashes without building the label. *)
+let trace_event_gen =
+  QCheck.(
+    pair (pair small_nat (int_range 0 40)) (triple bool (string_of_size (Gen.int_range 0 12)) int))
+
+let record_event t ((time, tid), (with_int, str, n)) =
+  if with_int then Sim.Trace.record_int t ~time ~tid ~prefix:str n
+  else Sim.Trace.record t ~time ~tid ~label:str
+
+let label_of (_, (with_int, str, n)) = if with_int then str ^ string_of_int n else str
+
+let prop_trace_capture_is_hash_neutral =
+  QCheck.Test.make ~name:"trace hash and length do not depend on capture" ~count:300
+    (QCheck.small_list trace_event_gen)
+    (fun evs ->
+      let on = Sim.Trace.create ~capture:true () and off = Sim.Trace.create () in
+      List.iter (fun e -> record_event on e; record_event off e) evs;
+      Sim.Trace.hash on = Sim.Trace.hash off
+      && Sim.Trace.length on = Sim.Trace.length off
+      && Sim.Trace.length on = List.length evs
+      && Sim.Trace.events off = [])
+
+let prop_trace_record_int_is_label =
+  QCheck.Test.make ~name:"record_int hashes and captures the built label" ~count:300
+    (QCheck.small_list trace_event_gen)
+    (fun evs ->
+      let streamed = Sim.Trace.create ~capture:true () and built = Sim.Trace.create () in
+      List.iter
+        (fun (((time, tid), _) as e) ->
+          record_event streamed e;
+          Sim.Trace.record built ~time ~tid ~label:(label_of e))
+        evs;
+      Sim.Trace.hash streamed = Sim.Trace.hash built
+      && List.map (fun (e : Sim.Trace.event) -> e.Sim.Trace.label) (Sim.Trace.events streamed)
+         = List.map label_of evs)
+
+let prop_fnv_stream_matches_pure =
+  QCheck.Test.make ~name:"fnv stream folds match the pure ones" ~count:500
+    QCheck.(small_list (triple int (string_of_size (Gen.int_range 0 20)) int))
+    (fun items ->
+      let s = Sim.Fnv.stream () in
+      let pure =
+        List.fold_left
+          (fun h (a, str, n) ->
+            Sim.Fnv.add_int s a;
+            Sim.Fnv.add_string s str;
+            Sim.Fnv.add_decimal s n;
+            Sim.Fnv.string (Sim.Fnv.string (Sim.Fnv.int h a) str) (string_of_int n))
+          Sim.Fnv.init items
+      in
+      Sim.Fnv.value s = pure)
+
+let test_fnv_decimal_extremes () =
+  List.iter
+    (fun n ->
+      let s = Sim.Fnv.stream () in
+      Sim.Fnv.add_decimal s n;
+      check_string (string_of_int n)
+        (Sim.Fnv.to_hex (Sim.Fnv.string Sim.Fnv.init (string_of_int n)))
+        (Sim.Fnv.to_hex (Sim.Fnv.value s)))
+    [ 0; 1; -1; 9; 10; -10; 99; 100; max_int; min_int; min_int + 1 ]
+
+(* A run records every sync op and output line; with capture off that
+   must cost no allocation at all. *)
+let test_trace_record_allocates_nothing () =
+  let t = Sim.Trace.create () in
+  let labels = [| "lock:0"; "unlock:0"; "barrier:3"; "exit" |] in
+  let words =
+    minor_words (fun () ->
+        for i = 0 to 9_999 do
+          Sim.Trace.record t ~time:i ~tid:(i land 7) ~label:(Array.unsafe_get labels (i land 3));
+          Sim.Trace.record_int t ~time:i ~tid:(i land 7) ~prefix:"commit:" i
+        done)
+  in
+  check_int "minor words over 10k records" 0 words;
+  check_int "counted" 20_000 (Sim.Trace.length t)
 
 let test_trace_order_sensitivity () =
   let t1 = Sim.Trace.create () and t2 = Sim.Trace.create () in
@@ -441,6 +564,8 @@ let () =
           Alcotest.test_case "copy preserves state" `Quick test_prng_copy_preserves_state;
           Alcotest.test_case "exponential positive" `Quick test_prng_exponential_positive;
           Alcotest.test_case "shuffle is permutation" `Quick test_prng_shuffle_permutation;
+          Alcotest.test_case "golden streams, seeds 1 and 7" `Quick test_prng_golden_streams;
+          Alcotest.test_case "draws allocate nothing" `Quick test_prng_draws_allocate_nothing;
         ] );
       ( "heap",
         [
@@ -482,5 +607,11 @@ let () =
           Alcotest.test_case "trace events recording order" `Quick
             test_trace_events_recording_order;
           Alcotest.test_case "trace order sensitivity" `Quick test_trace_order_sensitivity;
+          QCheck_alcotest.to_alcotest prop_trace_capture_is_hash_neutral;
+          QCheck_alcotest.to_alcotest prop_trace_record_int_is_label;
+          QCheck_alcotest.to_alcotest prop_fnv_stream_matches_pure;
+          Alcotest.test_case "fnv decimal extremes" `Quick test_fnv_decimal_extremes;
+          Alcotest.test_case "trace record allocates nothing" `Quick
+            test_trace_record_allocates_nothing;
         ] );
     ]

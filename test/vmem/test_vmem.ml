@@ -457,6 +457,27 @@ let test_ws_int64_across_page_boundary () =
   Alcotest.(check int64) "spans boundary" 0x0102030405060708L
     (Vmem.Workspace.read_int64 ws ~addr:5)
 
+(* Once a page is faulted in, an in-page int access is a plain load or
+   store: no boxed int64, no buffer. *)
+let test_ws_int_in_page_allocates_nothing () =
+  let seg = make_segment ~pages:4 ~page_size:64 () in
+  let ws = Vmem.Workspace.create seg ~tid:0 in
+  for pg = 0 to 3 do
+    Vmem.Workspace.write_int ws ~addr:(pg * 64) 0
+  done;
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let addr = 8 * (i land 31) in
+    Vmem.Workspace.write_int ws ~addr i;
+    sum := !sum + Vmem.Workspace.read_int ws ~addr
+  done;
+  let w2 = Gc.minor_words () in
+  check_int "minor words over 10k in-page int accesses" 0
+    (int_of_float (w2 -. w1 -. (w1 -. w0)));
+  check_int "values read back" (9_999 * 10_000 / 2) !sum
+
 let test_ws_out_of_range () =
   let seg = make_segment ~pages:2 ~page_size:8 () in
   let ws = Vmem.Workspace.create seg ~tid:0 in
@@ -1361,6 +1382,8 @@ let () =
           Alcotest.test_case "empty commit noop" `Quick test_ws_empty_commit_noop;
           Alcotest.test_case "int64 roundtrip" `Quick test_ws_int64_roundtrip;
           Alcotest.test_case "int64 across boundary" `Quick test_ws_int64_across_page_boundary;
+          Alcotest.test_case "in-page int access allocates nothing" `Quick
+            test_ws_int_in_page_allocates_nothing;
           Alcotest.test_case "out of range" `Quick test_ws_out_of_range;
           Alcotest.test_case "reads don't fault" `Quick test_ws_read_does_not_fault;
         ] );

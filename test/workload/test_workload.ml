@@ -258,9 +258,25 @@ let prop_synthetic_deterministic =
       in
       w 1 = w 424242)
 
+let test_paper_set () =
+  let paper = Workload.Registry.paper in
+  check_int "19 Fig 10 programs" 19 (List.length paper);
+  check_bool "no KV shapes" true
+    (List.for_all (fun e -> e.Workload.Registry.suite <> Workload.Registry.Service) paper);
+  check_bool "hardest five are paper programs" true
+    (List.for_all
+       (fun n -> List.exists (fun e -> e.Workload.Registry.program.Api.name = n) paper)
+       Workload.Registry.hardest_five)
+
 let test_schedule_exposed () =
   let p = (Workload.Registry.find "kmeans").Workload.Registry.program in
-  let r = Runtime.Run.run Runtime.Run.consequence_ic ~seed:1 ~nthreads:2 p in
+  let bare = Runtime.Run.run Runtime.Run.consequence_ic ~seed:1 ~nthreads:2 p in
+  check_bool "not captured by default" true (bare.Stats.Run_result.schedule = []);
+  let r = Runtime.Run.run Runtime.Run.consequence_ic ~seed:1 ~nthreads:2 ~schedule:true p in
+  check_string "capture is witness-neutral"
+    (Stats.Run_result.deterministic_witness bare)
+    (Stats.Run_result.deterministic_witness r);
+  check_int "capture is wall-neutral" bare.Stats.Run_result.wall_ns r.Stats.Run_result.wall_ns;
   check_int "schedule matches trace count" r.Stats.Run_result.trace_events
     (List.length r.Stats.Run_result.schedule);
   (* Timestamps are nondecreasing. *)
@@ -315,6 +331,7 @@ let () =
           Alcotest.test_case "reproducible scripts" `Quick test_synthetic_same_seed_same_script;
           Alcotest.test_case "lock heavy" `Quick test_synthetic_lock_heavy;
           Alcotest.test_case "schedule exposed" `Quick test_schedule_exposed;
+          Alcotest.test_case "paper set" `Quick test_paper_set;
           QCheck_alcotest.to_alcotest prop_synthetic_deterministic;
         ] );
     ]
