@@ -155,6 +155,31 @@ let micro_tests () =
           Vmem.Workspace.write_int64 ws ~addr:128 42L;
           fun () -> ignore (Vmem.Workspace.read_int64 ws ~addr:128)))
   in
+  (* A kv intent region: 8 pages of 256 bytes, half of them resident in
+     the workspace and half read from the base snapshot.  [read]'s
+     2 KiB result is 257 words, over OCaml's 256-word minor-heap limit,
+     so every call allocates in the major heap; [read_into] fills one
+     buffer kept across calls. *)
+  let region_ws () =
+    let seg = Vmem.Segment.create ~pages:16 ~page_size () in
+    let ws = Vmem.Workspace.create seg ~tid:0 in
+    for p = 0 to 3 do
+      Vmem.Workspace.write_int ws ~addr:(p * page_size) p
+    done;
+    ws
+  in
+  let ws_read_region =
+    Test.make ~name:"workspace: read 2 KiB (8 pages)"
+      (Staged.stage
+         (let ws = region_ws () in
+          fun () -> ignore (Vmem.Workspace.read ws ~addr:0 ~len:(8 * page_size))))
+  in
+  let ws_read_into_region =
+    Test.make ~name:"workspace: read_into 2 KiB (8 pages)"
+      (Staged.stage
+         (let ws = region_ws () and buf = Bytes.create (8 * page_size) in
+          fun () -> Vmem.Workspace.read_into ws ~addr:0 buf))
+  in
   let heap_ops =
     Test.make ~name:"event heap: 256 push + pop"
       (Staged.stage (fun () ->
@@ -210,8 +235,9 @@ let micro_tests () =
             ignore (Runtime.Det_rt.run Runtime.Config.consequence_ic ~seed:1 ~nthreads:4 program)))
   in
   [
-    seg_commit; seg_commit_deep; seg_gc_sweep; ws_cycle; ws_update; ws_read64; page_merge;
-    page_merge_sparse; heap_ops; gmic; fnv; fnv_sparse; end_to_end;
+    seg_commit; seg_commit_deep; seg_gc_sweep; ws_cycle; ws_update; ws_read64; ws_read_region;
+    ws_read_into_region; page_merge; page_merge_sparse; heap_ops; gmic; fnv; fnv_sparse;
+    end_to_end;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -24,6 +24,16 @@ type ops = {
   work : int -> unit;
       (** retire [n] user instructions of pure local computation *)
   read : addr:int -> len:int -> Bytes.t;
+      (** read [len] bytes at [addr] into a fresh buffer *)
+  read_into : addr:int -> Bytes.t -> unit;
+      (** [read_into ~addr buf] fills all of [buf] with the bytes at
+          [addr].  It is charged exactly like
+          [read ~addr ~len:(Bytes.length buf)] on every runtime and
+          returns the same bytes, but allocates nothing: a program that
+          reads the same region every round keeps one buffer and reads
+          into it.  (A buffer of 2 KiB or more is over OCaml's 256-word
+          minor-heap limit, so each [read] of one lands in the major
+          heap.) *)
   write : addr:int -> Bytes.t -> unit;
   read_int : addr:int -> int;
   write_int : addr:int -> int -> unit;

@@ -8,10 +8,11 @@
 
    Counts drive parsing, so stale words from earlier (longer) rounds are
    ignored.  The recorded read versions are the TL2 read-set stamps; the
-   validation fold never needs to re-read them from memory because a
+   arbitration never needs to re-read them from memory because a
    version word can only have been bumped this round by an
    earlier-ordered committed write — which is exactly the write-set
-   marking {!Validate.fold} performs. *)
+   marking {!Validate.arbitrate} performs.  The arbitration walks these
+   words in place; [decode] is the list view tests check it against. *)
 
 type read_entry = { key : int; len : int; ver : int }
 type txn_intent = { seq : int; reads : read_entry list; writes : int list }

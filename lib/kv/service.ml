@@ -13,14 +13,17 @@
      publishes its read/write intents into its own page-aligned intent
      region.
 
-   - Phase B (after the intent barrier): every thread runs the same pure
-     arbitration ({!Validate.fold}) over all published intents in
-     (priority, batch) order — the commit order fixed by the round
-     structure of the deterministic logical clock — then applies its own
-     committed write sets (bumping each key's version word) and charges
-     validate/abort costs through the cost model.  Aborted transactions
-     back off deterministically and retry at the front of the next
-     round's batch.
+   - Phase B (after the intent barrier): every thread reads each peer's
+     intent region into a buffer it keeps for the whole run
+     ([read_into]), then runs the same pure arbitration
+     ({!Validate.arbitrate}) directly on the wire format in (priority,
+     batch) order — the commit order fixed by the round structure of the
+     deterministic logical clock — stopping after its own priority slot,
+     since nothing ordered later can change its verdicts.  It then
+     applies its own committed write sets (bumping each key's version
+     word) and charges validate/abort costs through the cost model.
+     Aborted transactions back off deterministically and retry at the
+     front of the next round's batch.
 
    Because the verdicts are a pure function of the published intents,
    transaction outcomes and abort/retry counts are byte-identical on
@@ -78,6 +81,15 @@ let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
          (Traffic.gen shape ~tid:id ~requests))
   in
   let checksum = ref 0 and commits = ref 0 and aborts = ref 0 and remaining = ref requests in
+  (* Every peer's intent region is read into this worker's own buffer
+     for that peer, kept for the whole run: a region is 2 KiB, over
+     OCaml's 256-word minor-heap limit, so a fresh buffer per read would
+     be allocated directly in the major heap.  The own slot holds the
+     round's encoded intents. *)
+  let regions =
+    Array.init nthreads (fun t -> if t = id then Bytes.empty else Bytes.create Layout.intent_bytes)
+  in
+  let arbiter = Validate.create () in
   let read_val k = ops.A.read_int ~addr:(Layout.value_addr k) in
   let read_ver k = ops.A.read_int ~addr:(Layout.ver_addr k) in
   let all_done () =
@@ -156,21 +168,20 @@ let worker ~shape ~nthreads ~requests ~(record : recorder) id (ops : A.ops) =
           (fun (p, reads, _, _) -> { Intent.seq = p.txn.Txn.seq; reads; writes = p.txn.Txn.writes })
           attempts
       in
-      ops.A.write ~addr:(Layout.intent_addr id) (Intent.encode intents);
+      regions.(id) <- Intent.encode intents;
+      ops.A.write ~addr:(Layout.intent_addr id) regions.(id);
       ops.A.barrier_wait b1;
       (* ---- phase B ---- *)
-      let all_intents =
-        Array.init nthreads (fun t ->
-            if t = id then intents
-            else Intent.decode (ops.A.read ~addr:(Layout.intent_addr t) ~len:Layout.intent_bytes))
-      in
-      let verdicts = Validate.fold ~round ~nthreads all_intents in
+      for t = 0 to nthreads - 1 do
+        if t <> id then ops.A.read_into ~addr:(Layout.intent_addr t) regions.(t)
+      done;
+      let verdicts = Validate.arbitrate arbiter ~round ~nthreads ~self:id regions in
       let retry_rev = ref [] in
       List.iteri
         (fun bi (p, _, wvals, read_sum) ->
           let t = p.txn in
           ops.A.txn_validate ~keys:(Txn.entries t);
-          if verdicts.(id).(bi) then begin
+          if Validate.commits verdicts bi then begin
             List.iter
               (fun (k, v, ver) ->
                 ops.A.write_int ~addr:(Layout.value_addr k) v;

@@ -4,9 +4,11 @@
     batch of requests against the round-start snapshot (buffering update
     writes locally, serving snapshot reads copy-free from version
     histories at a pinned version), publishes its read/write intents,
-    and — after the round barrier — every thread runs the same pure
-    arbitration ({!Validate.fold}) in the commit order fixed by the
-    round structure.  Verdicts are a pure function of published intents,
+    and — after the round barrier — reads every peer's intents into
+    buffers it keeps for the whole run and runs the same pure
+    arbitration ({!Validate.arbitrate}) on the wire format, in the
+    commit order fixed by the round structure, up to its own priority
+    slot.  Verdicts are a pure function of published intents,
     so transaction outcomes and abort/retry counts are byte-identical
     across all runtimes and seeds; snapshot transactions never abort by
     construction. *)

@@ -1449,6 +1449,10 @@ let rec make_ops rt th : Api.ops =
       (fun ~addr ~len ->
         consume rt th (mem_instr rt len);
         unlocked_mem rt th (fun () -> Vmem.Workspace.read th.ws ~addr ~len));
+    read_into =
+      (fun ~addr buf ->
+        consume rt th (mem_instr rt (Bytes.length buf));
+        unlocked_mem rt th (fun () -> Vmem.Workspace.read_into th.ws ~addr buf));
     write =
       (fun ~addr buf ->
         consume rt th (mem_instr rt (Bytes.length buf));
@@ -1487,8 +1491,8 @@ let rec make_ops rt th : Api.ops =
         consume rt th (mem_instr rt len);
         unlocked_mem rt th (fun () -> Vmem.Segment.read_bytes rt.seg ~version ~addr ~len));
     now_ns = (fun () -> e_now rt);
-    metric_incr = (fun key by -> Obs.Metrics.incr (Rt_core.metrics rt.core) ~by key);
-    metric_observe = (fun key v -> Obs.Metrics.observe (Rt_core.metrics rt.core) key v);
+    metric_incr = (fun key by -> Rt_core.metric_incr rt.core key by);
+    metric_observe = (fun key v -> Rt_core.metric_observe rt.core key v);
     txn_validate =
       (fun ~keys ->
         charge rt th St.Txn_validate

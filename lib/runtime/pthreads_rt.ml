@@ -183,10 +183,17 @@ let touch rt ~addr ~len =
     end
   done
 
-let read rt th ~addr ~len =
+let read_into rt th ~addr buf =
+  let len = Bytes.length buf in
   check_range rt ~addr ~len;
   work rt th (mem_instr rt len);
-  Bytes.sub rt.mem addr len
+  Bytes.blit rt.mem addr buf 0 len
+
+let read rt th ~addr ~len =
+  check_range rt ~addr ~len;
+  let buf = Bytes.create len in
+  read_into rt th ~addr buf;
+  buf
 
 let write rt th ~addr buf =
   let len = Bytes.length buf in
@@ -319,6 +326,7 @@ let rec make_ops rt th : Api.ops =
     self_name = th.acct.name;
     work = (fun n -> work rt th n);
     read = (fun ~addr ~len -> read rt th ~addr ~len);
+    read_into = (fun ~addr buf -> read_into rt th ~addr buf);
     write = (fun ~addr buf -> write rt th ~addr buf);
     read_int = (fun ~addr -> read_int rt th ~addr);
     write_int = (fun ~addr v -> write_int rt th ~addr v);
@@ -343,8 +351,8 @@ let rec make_ops rt th : Api.ops =
     base_version = (fun () -> 0);
     snapshot_read = (fun ~version:_ ~addr ~len -> read rt th ~addr ~len);
     now_ns = (fun () -> Sim.Engine.now rt.eng);
-    metric_incr = (fun key by -> Obs.Metrics.incr (Rt_core.metrics rt.core) ~by key);
-    metric_observe = (fun key v -> Obs.Metrics.observe (Rt_core.metrics rt.core) key v);
+    metric_incr = (fun key by -> Rt_core.metric_incr rt.core key by);
+    metric_observe = (fun key v -> Rt_core.metric_observe rt.core key v);
     txn_validate =
       (fun ~keys ->
         charge rt th St.Txn_validate

@@ -69,6 +69,28 @@ let span_cat = function
   | St.Barrier_wait -> Obs.Span.Barrier_wait
   | _ -> Obs.Span.Lock_wait
 
+(* The program's own metric keys ([Api.ops.metric_incr] and
+   [metric_observe]), interned per run.  [keys.(i)] names
+   [handles.(i)]; entries are only ever appended. *)
+type 'h interned = { mutable keys : string array; mutable handles : 'h array }
+
+let interned () = { keys = [||]; handles = [||] }
+
+(* A top-level loop, not a local closure, so a lookup allocates nothing.
+   [String.equal] answers a literal key (one shared string) on the
+   pointer compare; a key built at run time finds the same entry, so it
+   never adds one. *)
+let rec find_key keys key i =
+  if i = Array.length keys then -1 else if String.equal (Array.unsafe_get keys i) key then i
+  else find_key keys key (i + 1)
+
+let find tbl key = find_key tbl.keys key 0
+
+let add tbl key h =
+  tbl.keys <- Array.append tbl.keys [| key |];
+  tbl.handles <- Array.append tbl.handles [| h |];
+  h
+
 (* Interned handles, so the per-operation paths never hash a key. *)
 type t = {
   ex : Sim.Exec.t;
@@ -81,6 +103,8 @@ type t = {
   lock_wait_ns : Obs.Metrics.histogram;
   barrier_wait_ns : Obs.Metrics.histogram;
   op_counters : Obs.Metrics.counter array;  (* by [op_index] *)
+  program_counters : Obs.Metrics.counter interned;
+  program_hists : Obs.Metrics.histogram interned;
   sync_trace : Sim.Trace.t;
   out_trace : Sim.Trace.t;
   mutable sync_ops : int;
@@ -100,6 +124,8 @@ let create ~schedule ~ex ~obs =
     lock_wait_ns = hist "lock_wait_ns";
     barrier_wait_ns = hist "barrier_wait_ns";
     op_counters = Array.map (fun op -> Obs.Metrics.counter metrics ("op:" ^ family op)) ops;
+    program_counters = interned ();
+    program_hists = interned ();
     sync_trace = Sim.Trace.create ~capture:schedule ();
     out_trace = Sim.Trace.create ();
     sync_ops = 0;
@@ -158,6 +184,23 @@ let sync c ~tid op id =
   if on_object op then
     Sim.Trace.record_int c.sync_trace ~time:(now c) ~tid ~prefix:(Array.unsafe_get prefixes i) id
   else Sim.Trace.record c.sync_trace ~time:(now c) ~tid ~label:(family op)
+
+let metric_incr c key by =
+  let i = find c.program_counters key in
+  Obs.Metrics.count
+    (if i >= 0 then c.program_counters.handles.(i)
+     else add c.program_counters key (Obs.Metrics.counter c.metrics key))
+    by
+
+let metric_observe c key v =
+  let i = find c.program_hists key in
+  Obs.Metrics.record
+    (if i >= 0 then c.program_hists.handles.(i)
+     else add c.program_hists key (Obs.Metrics.histogram c.metrics key))
+    v
+
+let interned_metrics c =
+  Array.length c.program_counters.keys + Array.length c.program_hists.keys
 
 let output c ~tid msg = Sim.Trace.record c.out_trace ~time:(now c) ~tid ~label:msg
 

@@ -84,6 +84,22 @@ val label : op -> int -> string
 (** [label Lock 3] is ["lock:3"]; [label Exit _] is ["exit"] and
     [label Forced_commit _] is ["forced-commit"]. *)
 
+val metric_incr : t -> string -> int -> unit
+(** [metric_incr c key by] bumps the program counter [key]
+    ({!Api.ops}[.metric_incr]).  Keys resolve to interned
+    {!Obs.Metrics} handles cached for the run, compared with
+    [String.equal], so a key built at run time reaches the same counter
+    as the literal and never adds a cache entry.  The registry ends up exactly as
+    {!Obs.Metrics.incr} would leave it. *)
+
+val metric_observe : t -> string -> int -> unit
+(** [metric_observe c key v] records [v] in the program histogram [key]
+    ({!Api.ops}[.metric_observe]), resolved like {!metric_incr}. *)
+
+val interned_metrics : t -> int
+(** Cache entries behind {!metric_incr} and {!metric_observe}: one per
+    distinct counter key plus one per distinct histogram key. *)
+
 val output : t -> tid:int -> string -> unit
 (** Record one application output event in the output witness. *)
 

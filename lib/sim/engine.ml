@@ -39,7 +39,7 @@ type t = {
      indexed by id replaces a hashtable on the dispatch hot path.  Slots
      >= next_id hold [dummy_fiber]. *)
   mutable fibers : fiber array;
-  queue : tid Heap.t; (* events due at a future instant *)
+  queue : Heap.t; (* events due at a future instant: fiber ids *)
   (* Ring buffer of events due at the current instant [now].  Entries are
      (fiber id, seq); their key is implicitly [now] — simulated time
      cannot advance while the ring is non-empty, because every heap entry

@@ -1,13 +1,16 @@
-(* Min-heap over (key, seq) pairs stored as parallel arrays: no per-entry
-   record is allocated, so a push/pop cycle is allocation-free once the
-   backing arrays have grown to capacity.  The tree is 4-ary: one level
-   shallower than a binary heap for typical queue sizes, and the four
-   children of a node share two cache lines of the key array. *)
+(* Min-heap over (key, seq) pairs stored as parallel int arrays: no
+   per-entry record is allocated, so a push/pop cycle is allocation-free
+   once the backing arrays have grown to capacity.  Values are ints (the
+   engine stores fiber ids), so every store is a plain word write: no
+   write barrier and no float-array check on the sift paths.  The tree
+   is 4-ary: one level shallower than a binary heap for typical queue
+   sizes, and the four children of a node share two cache lines of the
+   key array. *)
 
-type 'a t = {
+type t = {
   mutable keys : int array;
   mutable seqs : int array;
-  mutable vals : 'a array;
+  mutable vals : int array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -17,21 +20,20 @@ let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 
 let length t = t.size
 let is_empty t = t.size = 0
 
-(* Grow the backing arrays, using [fill] as the dummy for unused value
-   slots.  The first growth jumps straight to 64 slots: repeated
-   doubling from a cold heap re-copies the arrays four times before
-   reaching a typical working size. *)
-let grow t fill =
+(* The first growth jumps straight to 64 slots: repeated doubling from a
+   cold heap re-copies the arrays four times before reaching a typical
+   working size. *)
+let grow t =
   let cap = Array.length t.keys in
   let new_cap = if cap = 0 then 64 else cap * 2 in
-  let keys = Array.make new_cap 0 and seqs = Array.make new_cap 0 in
-  let vals = Array.make new_cap fill in
-  Array.blit t.keys 0 keys 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.vals 0 vals 0 t.size;
-  t.keys <- keys;
-  t.seqs <- seqs;
-  t.vals <- vals
+  let resize a =
+    let b = Array.make new_cap 0 in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.keys <- resize t.keys;
+  t.seqs <- resize t.seqs;
+  t.vals <- resize t.vals
 
 (* Hole-based sifts: the displaced entry is held in registers and written
    exactly once, instead of swapping at every level. *)
@@ -86,7 +88,7 @@ let sift_down t i0 =
   t.vals.(!i) <- v
 
 let push_seq t ~key ~seq value =
-  if t.size = Array.length t.keys then grow t value;
+  if t.size = Array.length t.keys then grow t;
   if seq >= t.next_seq then t.next_seq <- seq + 1;
   let i = t.size in
   t.keys.(i) <- key;

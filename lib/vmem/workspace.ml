@@ -138,10 +138,10 @@ let fault_for_write t i =
     t.stats.write_faults <- t.stats.write_faults + 1
   end
 
-let read t ~addr ~len =
+let read_into t ~addr out =
+  let len = Bytes.length out in
   check_range t ~addr ~len;
   let psize = page_size t in
-  let out = Bytes.create len in
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
@@ -149,7 +149,12 @@ let read t ~addr ~len =
     let n = min (len - !pos) (psize - off) in
     Bytes.blit (view_page t pg) off out !pos n;
     pos := !pos + n
-  done;
+  done
+
+let read t ~addr ~len =
+  check_range t ~addr ~len;
+  let out = Bytes.create len in
+  read_into t ~addr out;
   out
 
 let write t ~addr buf =

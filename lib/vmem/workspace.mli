@@ -86,7 +86,16 @@ val segment : t -> Segment.t
 val base : t -> Segment.version
 
 val read : t -> addr:int -> len:int -> Bytes.t
-(** Read [len] bytes at byte address [addr]; may span pages. *)
+(** Read [len] bytes at byte address [addr] into a fresh buffer; may
+    span pages. *)
+
+val read_into : t -> addr:int -> Bytes.t -> unit
+(** [read_into t ~addr buf] fills all of [buf] with the bytes at [addr],
+    exactly what [read t ~addr ~len:(Bytes.length buf)] would return,
+    without allocating.  A buffer of 2,048 bytes or more spans more than
+    256 words, OCaml's limit for a minor-heap allocation, so {!read}
+    allocates it directly in the major heap; a caller that reads the
+    same region repeatedly should keep one buffer and read into it. *)
 
 val write : t -> addr:int -> Bytes.t -> unit
 (** Write the buffer at byte address [addr]; may span pages.  Faults in

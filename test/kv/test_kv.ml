@@ -1,9 +1,11 @@
 (* Tests for the deterministic transactional KV service (lib/kv):
-   intent codec and arbitration unit tests, the strict-serializability
-   oracle (deterministic sweep + qcheck sampling), the
-   snapshot-reads-never-abort property, cross-runtime byte-identity of
-   outcomes and abort counts, golden witnesses, and the latency
-   accounting. *)
+   intent codec and arbitration unit tests, the wire-format arbitration
+   against the list oracle of validate_oracle.ml, the
+   strict-serializability oracle (deterministic sweep + qcheck
+   sampling), the snapshot-reads-never-abort property, cross-runtime
+   byte-identity of outcomes and abort counts, golden witnesses, the
+   latency accounting, and a guard that a round stays off the major
+   heap. *)
 
 module R = Runtime.Run
 module Res = Stats.Run_result
@@ -87,10 +89,38 @@ let test_priority_rotation_bijective () =
         [ 0; 1; 7; 12 ])
     [ 1; 2; 4; 5 ]
 
+(* Each thread's intents in the wire format, padded to a full region
+   with stale bytes, as a peer's [read_into] sees them. *)
+let regions_of intents =
+  Array.map
+    (fun l ->
+      let buf = Bytes.make Kv.Layout.intent_bytes '\255' in
+      let enc = Kv.Intent.encode l in
+      Bytes.blit enc 0 buf 0 (Bytes.length enc);
+      buf)
+    intents
+
+(* One arbiter for every call in this file, as a worker keeps one for
+   its whole run: a stale mark from an earlier round must never count. *)
+let arbiter = Kv.Validate.create ()
+
+(* The wire-format arbitration run once per thread, each as [self],
+   with the verdict bit sets; [self] decides only its own batch. *)
+let wire_arbitrate ~round ~nthreads intents =
+  let regions = regions_of intents in
+  Array.init nthreads (fun self -> Kv.Validate.arbitrate arbiter ~round ~nthreads ~self regions)
+
+let wire_verdicts ~round ~nthreads intents =
+  Array.map2
+    (fun bits l -> Array.init (List.length l) (Kv.Validate.commits bits))
+    (wire_arbitrate ~round ~nthreads intents)
+    intents
+
 let test_fold_conflict_semantics () =
   (* Two threads, same round.  At round 0 priority order is t0 < t1:
      t1's first txn writes key 5 which t0's committed txn also writes
-     (abort), t1's second reads key 9 written by nobody (commit). *)
+     (abort), t1's second reads key 9 written by nobody (commit).  The
+     wire-format arbitration and the list oracle must both say so. *)
   let r k = { Kv.Intent.key = k; len = 1; ver = 0 } in
   let intents =
     [|
@@ -103,15 +133,84 @@ let test_fold_conflict_semantics () =
       ];
     |]
   in
-  let v0 = Kv.Validate.fold ~round:0 ~nthreads:2 intents in
-  check_bool "t0 commits" true v0.(0).(0);
-  check_bool "t1 w-w conflict aborts" false v0.(1).(0);
-  check_bool "t1 disjoint commits" true v0.(1).(1);
-  check_bool "t1 r-w conflict aborts" false v0.(1).(2);
-  (* Round 1 rotates priority: t1 goes first and wins the w-w race. *)
-  let v1 = Kv.Validate.fold ~round:1 ~nthreads:2 intents in
-  check_bool "rotated: t1 commits" true v1.(1).(0);
-  check_bool "rotated: t0 aborts" false v1.(0).(0)
+  List.iter
+    (fun (name, fold) ->
+      let v0 = fold ~round:0 ~nthreads:2 intents in
+      check_bool (name ^ ": t0 commits") true v0.(0).(0);
+      check_bool (name ^ ": t1 w-w conflict aborts") false v0.(1).(0);
+      check_bool (name ^ ": t1 disjoint commits") true v0.(1).(1);
+      check_bool (name ^ ": t1 r-w conflict aborts") false v0.(1).(2);
+      (* Round 1 rotates priority: t1 goes first and wins the w-w race. *)
+      let v1 = fold ~round:1 ~nthreads:2 intents in
+      check_bool (name ^ ": rotated: t1 commits") true v1.(1).(0);
+      check_bool (name ^ ": rotated: t0 aborts") false v1.(0).(0))
+    [ ("wire", wire_verdicts); ("oracle", Validate_oracle.fold) ]
+
+(* A round's published intents: up to a full batch per thread (empty
+   batches included), transactions drawn at random or at the worst-case
+   footprint ({!Kv.Txn.max_reads} ranges of 8 keys plus
+   {!Kv.Txn.max_writes} writes).  Half the rounds draw keys from the
+   first 24 only, so conflicts and overlapping ranges are common. *)
+let gen_round =
+  let open QCheck.Gen in
+  let txn ~nkeys =
+    let read_entry =
+      int_range 1 8 >>= fun len ->
+      map2 (fun key ver -> { Kv.Intent.key; len; ver }) (int_bound (nkeys - len)) (int_bound 0xFFFF)
+    in
+    let write_key = int_bound (nkeys - 1) in
+    let shaped nr nw =
+      map3
+        (fun seq reads writes -> { Kv.Intent.seq; reads; writes })
+        (int_bound 0xFF) (list_repeat nr read_entry) (list_repeat nw write_key)
+    in
+    frequency
+      [
+        (4, int_bound Kv.Txn.max_reads >>= fun nr -> int_bound Kv.Txn.max_writes >>= shaped nr);
+        (1, shaped Kv.Txn.max_reads Kv.Txn.max_writes);
+      ]
+  in
+  int_bound 63 >>= fun round ->
+  int_range 1 32 >>= fun nthreads ->
+  oneofl [ 24; Kv.Layout.n_keys ] >>= fun nkeys ->
+  map
+    (fun batches -> (round, nthreads, Array.of_list batches))
+    (list_repeat nthreads (list_size (int_bound Kv.Service.batch) (txn ~nkeys)))
+
+let print_round (round, nthreads, intents) =
+  Printf.sprintf "round=%d nthreads=%d batches=[%s]" round nthreads
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun l ->
+               String.concat ","
+                 (List.map
+                    (fun (t : Kv.Intent.txn_intent) ->
+                      Printf.sprintf "#%d r%s w%s" t.Kv.Intent.seq
+                        (String.concat "/"
+                           (List.map
+                              (fun (r : Kv.Intent.read_entry) ->
+                                Printf.sprintf "%d+%d" r.Kv.Intent.key r.Kv.Intent.len)
+                              t.Kv.Intent.reads))
+                        (String.concat "/" (List.map string_of_int t.Kv.Intent.writes)))
+                    l))
+             intents)))
+
+let prop_wire_matches_oracle =
+  (* Every thread takes every priority slot over the rounds, and each
+     one arbitrates as [self]: its verdicts must be the oracle's for its
+     own batch, with no bit set past the batch. *)
+  QCheck.Test.make ~name:"wire arbitration gives every tid the oracle's verdicts" ~count:300
+    (QCheck.make ~print:print_round gen_round)
+    (fun (round, nthreads, intents) ->
+      let oracle = Validate_oracle.fold ~round ~nthreads intents in
+      let bits = wire_arbitrate ~round ~nthreads intents in
+      Array.for_all Fun.id
+        (Array.init nthreads (fun tid ->
+             let n = Array.length oracle.(tid) in
+             bits.(tid) lsr n = 0
+             && Array.for_all Fun.id
+                  (Array.init n (fun bi -> Kv.Validate.commits bits.(tid) bi = oracle.(tid).(bi))))))
 
 (* ------------------------------------------------------------------ *)
 (* Strict serializability (oracle)                                    *)
@@ -321,6 +420,36 @@ let test_latency_histogram_counts_requests () =
             h.Obs.Metrics.count)
     shapes
 
+(* OCaml allocates any block over 256 words (Max_young_wosize) directly
+   in the major heap, and a 2 KiB intent-region buffer is 257 words with
+   its padding.  A round's host path must stay clear of that: words
+   allocated there directly are [major_words - promoted_words].  Before
+   phase B read into worker-owned buffers, one 8-thread kv_scan run
+   allocated about 119k such words under consequence-ic and 124k under
+   pthreads.  The runtime folds a domain's allocation counters into
+   [Gc.quick_stat] at a minor collection, so each reading forces one. *)
+let direct_major_words f =
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  f ();
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  after.Gc.major_words -. after.Gc.promoted_words
+  -. (before.Gc.major_words -. before.Gc.promoted_words)
+
+let test_round_off_major_heap () =
+  let program = (Workload.Registry.find "kv_scan").Workload.Registry.program in
+  List.iter
+    (fun runtime ->
+      let words =
+        direct_major_words (fun () -> ignore (R.run runtime ~seed:1 ~nthreads:8 program))
+      in
+      check_bool
+        (Printf.sprintf "kv_scan/%s: %.0f words direct to the major heap (< 64k)" (R.name runtime)
+           words)
+        true (words < 65536.))
+    [ R.consequence_ic; R.pthreads ]
+
 let test_traffic_generation_deterministic () =
   (* Traffic depends only on (shape, tid): same list on every call, and
      every generated transaction passes the shape-independent checks. *)
@@ -349,6 +478,7 @@ let () =
           Alcotest.test_case "priority rotation bijective" `Quick
             test_priority_rotation_bijective;
           Alcotest.test_case "conflict semantics" `Quick test_fold_conflict_semantics;
+          QCheck_alcotest.to_alcotest prop_wire_matches_oracle;
         ] );
       ( "serializability",
         [
@@ -373,5 +503,6 @@ let () =
             test_latency_histogram_counts_requests;
           Alcotest.test_case "traffic generation deterministic" `Quick
             test_traffic_generation_deterministic;
+          Alcotest.test_case "round stays off the major heap" `Quick test_round_off_major_heap;
         ] );
     ]

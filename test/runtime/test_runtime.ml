@@ -173,6 +173,61 @@ let flag_spin =
       ops.Api.join setter;
       ops.Api.join spinner)
 
+(* Two programs that differ only in how they read: every worker fills
+   its own 8-page region (the shape of a kv intent region), meets the
+   others at a barrier, then reads each region, whole and in spans that
+   start or end mid-page, and folds the bytes into a sum.  [~into:false]
+   reads through [read]; [~into:true] makes the same reads through
+   [read_into], into buffers it keeps for the whole run.  Main reports
+   the sums through [sums] after the join. *)
+let twin_page = 256
+let twin_region = 8 * twin_page
+let twin_spans = [ (0, twin_region); (100, 300); (255, 2); (twin_region - 8, 8); (17, 1) ]
+let twin_byte i j = Char.chr (((i * 31) + (j * 7)) land 255)
+
+let twin_fold sum buf = Bytes.fold_left (fun acc c -> ((acc * 31) + Char.code c) land 0xFFFFFFF) sum buf
+
+let read_twin ~into ~sums =
+  Api.make ~name:"read-twin" ~heap_pages:((8 * 8) + 1) ~page_size:twin_page (fun ~nthreads ops ->
+      let nthreads = min nthreads 8 in
+      let result i = (8 * twin_region) + (8 * i) in
+      ops.Api.barrier_init 0 nthreads;
+      let workers =
+        List.init nthreads (fun i ->
+            ops.Api.spawn (fun w ->
+                w.Api.write ~addr:(i * twin_region) (Bytes.init twin_region (twin_byte i));
+                w.Api.barrier_wait 0;
+                let bufs = List.map (fun (_, len) -> Bytes.create len) twin_spans in
+                let sum = ref 0 in
+                for t = 0 to nthreads - 1 do
+                  List.iter2
+                    (fun (off, len) buf ->
+                      let addr = (t * twin_region) + off in
+                      let b =
+                        if into then begin
+                          w.Api.read_into ~addr buf;
+                          buf
+                        end
+                        else w.Api.read ~addr ~len
+                      in
+                      sum := twin_fold !sum b)
+                    twin_spans bufs
+                done;
+                w.Api.write_int ~addr:(result i) !sum))
+      in
+      List.iter ops.Api.join workers;
+      sums := Array.init nthreads (fun i -> ops.Api.read_int ~addr:(result i));
+      Array.iteri (fun i v -> ops.Api.log_output (Printf.sprintf "sum%d=%d" i v)) !sums)
+
+(* What every worker of [read_twin] must sum at [nthreads]. *)
+let twin_expected nthreads =
+  let sum = ref 0 in
+  for t = 0 to nthreads - 1 do
+    let region = Bytes.init twin_region (twin_byte t) in
+    List.iter (fun (off, len) -> sum := twin_fold !sum (Bytes.sub region off len)) twin_spans
+  done;
+  !sum
+
 let witness rt ?(threads = 4) ?(seed = 1) prog =
   Res.deterministic_witness (R.run rt ~seed ~nthreads:threads prog)
 
@@ -982,6 +1037,79 @@ let test_golden_accounting () =
         (Sim.Fnv.to_hex (Sim.Fnv.string Sim.Fnv.init json)))
     golden_accounting
 
+(* [read_into] is charged exactly like [read] of the same length and
+   returns the same bytes, so the twins' whole results (wall time,
+   breakdowns, histograms, witnesses) are identical, and equal to what
+   the [read] twin gave before [read_into] existed (digests captured
+   then, seed 7, 4 threads).  Domains measure real time, so there the
+   twins must agree on the witness, which is also the DES's. *)
+let read_twin_golden =
+  [
+    (R.pthreads, "ea751dfaef6468c4");
+    (R.dthreads, "d6fdd04c3947e4a1");
+    (R.consequence_ic, "aa0e9f8e82306016");
+    (R.consequence_pipe, "b4e9e33fef236ddb");
+  ]
+
+let test_read_into_matches_read () =
+  let nthreads = 4 in
+  let run runtime ~into =
+    let sums = ref [||] in
+    let r = R.run runtime ~seed:7 ~nthreads (read_twin ~into ~sums) in
+    Array.iteri
+      (fun i v ->
+        check_int
+          (Printf.sprintf "%s into=%b: worker %d sum" (R.name runtime) into i)
+          (twin_expected nthreads) v)
+      !sums;
+    check_int (R.name runtime ^ " workers reported") nthreads (Array.length !sums);
+    r
+  in
+  let digest r = Sim.Fnv.to_hex (Sim.Fnv.string Sim.Fnv.init (Obs.Json.to_string (Res.to_json r))) in
+  List.iter
+    (fun (runtime, golden) ->
+      List.iter
+        (fun into ->
+          check_string
+            (Printf.sprintf "%s into=%b run result digest" (R.name runtime) into)
+            golden
+            (digest (run runtime ~into)))
+        [ false; true ])
+    read_twin_golden;
+  let des = Res.deterministic_witness (run R.consequence_ic ~into:false) in
+  List.iter
+    (fun into ->
+      check_string
+        (Printf.sprintf "domains into=%b witness" into)
+        des
+        (Res.deterministic_witness (run R.domains ~into)))
+    [ false; true ]
+
+(* Program metric keys resolve through a per-run cache of interned
+   handles: a key built at run time must reach the literal key's
+   counter or histogram without adding an entry. *)
+let test_metric_keys_interned () =
+  let core =
+    Runtime.Rt_core.create ~schedule:false
+      ~ex:(Sim.Exec.of_engine (Sim.Engine.create ~seed:1 ()))
+      ~obs:Obs.Sink.null
+  in
+  let built = "kv:" ^ "commits" in
+  check_bool "the built key is a distinct string" false (built == "kv:commits");
+  Runtime.Rt_core.metric_incr core "kv:commits" 1;
+  Runtime.Rt_core.metric_incr core built 2;
+  Runtime.Rt_core.metric_incr core ("kv:" ^ "commits") 4;
+  check_int "one cache entry" 1 (Runtime.Rt_core.interned_metrics core);
+  Runtime.Rt_core.metric_observe core "kv:req_ns" 5;
+  Runtime.Rt_core.metric_observe core ("kv:" ^ "req_ns") 7;
+  check_int "one more for the histogram" 2 (Runtime.Rt_core.interned_metrics core);
+  let m = Obs.Metrics.snapshot (Runtime.Rt_core.metrics core) in
+  check_int "one counter" 7 (Obs.Metrics.counter_value m "kv:commits");
+  check_int "nothing else" 1 (List.length m.Obs.Metrics.counters);
+  match Obs.Metrics.find_hist m "kv:req_ns" with
+  | Some h -> check_int "one histogram" 2 h.Obs.Metrics.count
+  | None -> Alcotest.fail "kv:req_ns missing"
+
 (* --- Real-multicore identity (Domains_rt vs the DES) ------------------ *)
 
 let domains_witness ?(cfg = Runtime.Config.consequence_ic) ~domains ~seed program =
@@ -1240,7 +1368,10 @@ let () =
             test_observer_token_order;
           Alcotest.test_case "commit hash observer-only" `Quick
             test_commit_hash_observer_only;
+          Alcotest.test_case "program metric keys interned" `Quick test_metric_keys_interned;
         ] );
+      ( "read-path",
+        [ Alcotest.test_case "read_into matches read" `Quick test_read_into_matches_read ] );
       ( "golden",
         [
           Alcotest.test_case "witnesses match pre-rewrite baseline" `Slow test_golden_witnesses;

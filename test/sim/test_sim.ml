@@ -124,7 +124,7 @@ let test_prng_draws_allocate_nothing () =
 (* ------------------------------------------------------------------ *)
 
 let test_heap_empty () =
-  let h : int Sim.Heap.t = Sim.Heap.create () in
+  let h = Sim.Heap.create () in
   check_bool "empty" true (Sim.Heap.is_empty h);
   check_int "length" 0 (Sim.Heap.length h);
   check_bool "pop none" true (Sim.Heap.pop h = None);
@@ -136,23 +136,26 @@ let test_heap_orders_by_key () =
   let popped = List.init 5 (fun _ -> match Sim.Heap.pop h with Some (k, _) -> k | None -> -1) in
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] popped
 
+(* Values are fiber ids in the engine; here they are chosen apart from
+   the keys so a test cannot pass by popping keys for values. *)
 let test_heap_fifo_on_ties () =
   let h = Sim.Heap.create () in
-  List.iter (fun v -> Sim.Heap.push h ~key:7 v) [ "a"; "b"; "c"; "d" ];
+  List.iter (fun v -> Sim.Heap.push h ~key:7 v) [ 40; 10; 30; 20 ];
   let popped =
-    List.init 4 (fun _ -> match Sim.Heap.pop h with Some (_, v) -> v | None -> "?")
+    List.init 4 (fun _ -> match Sim.Heap.pop h with Some (_, v) -> v | None -> -1)
   in
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c"; "d" ] popped
+  Alcotest.(check (list int)) "insertion order" [ 40; 10; 30; 20 ] popped
 
 let test_heap_interleaved_ties () =
+  let late_a = 21 and early = 10 and late_b = 22 in
   let h = Sim.Heap.create () in
-  Sim.Heap.push h ~key:2 "late-a";
-  Sim.Heap.push h ~key:1 "early";
-  Sim.Heap.push h ~key:2 "late-b";
+  Sim.Heap.push h ~key:2 late_a;
+  Sim.Heap.push h ~key:1 early;
+  Sim.Heap.push h ~key:2 late_b;
   let popped =
-    List.init 3 (fun _ -> match Sim.Heap.pop h with Some (_, v) -> v | None -> "?")
+    List.init 3 (fun _ -> match Sim.Heap.pop h with Some (_, v) -> v | None -> -1)
   in
-  Alcotest.(check (list string)) "key then seq" [ "early"; "late-a"; "late-b" ] popped
+  Alcotest.(check (list int)) "key then seq" [ early; late_a; late_b ] popped
 
 let test_heap_clear () =
   let h = Sim.Heap.create () in

@@ -1141,6 +1141,7 @@ end
 
 type ws_op =
   | Read of int * int * int  (* workspace, addr, len *)
+  | Read_into of int * int * int  (* workspace, addr, buffer length *)
   | Write of int * int * string
   | Read_int of int * int
   | Write_int of int * int * int
@@ -1148,11 +1149,12 @@ type ws_op =
   | Update_ws of int
   | Collect of int  (* Segment.gc budget at the oldest workspace base *)
 
-(* 6 pages of 16 bytes: spans of up to 24 bytes and 8-byte accesses at
-   any offset straddle page boundaries; a 3-letter alphabet makes
-   overlapping writes, byte conflicts and writes of unchanged bytes
-   common. *)
-let ref_pages = 6
+(* 8 pages of 16 bytes: spans of up to 24 bytes and 8-byte accesses at
+   any offset straddle page boundaries, and a full 8-page region (the
+   shape of a kv intent region) is the whole segment; a 3-letter
+   alphabet makes overlapping writes, byte conflicts and writes of
+   unchanged bytes common. *)
+let ref_pages = 8
 let ref_page_size = 16
 let ref_bytes = ref_pages * ref_page_size
 
@@ -1166,6 +1168,11 @@ let ws_op_gen nws =
     frequency
       [
         (3, map2 (fun k (addr, len) -> Read (k, addr, len)) ws span);
+        ( 1,
+          map2
+            (fun k (addr, len) -> Read_into (k, addr, len))
+            ws
+            (frequency [ (3, span); (1, return (0, ref_bytes)) ]) );
         ( 5,
           map3
             (fun k (addr, len) s -> Write (k, addr, String.sub s 0 len))
@@ -1183,6 +1190,7 @@ let ws_op_gen nws =
 
 let ws_op_print = function
   | Read (k, addr, len) -> Printf.sprintf "Read(%d,%d,%d)" k addr len
+  | Read_into (k, addr, len) -> Printf.sprintf "Read_into(%d,%d,%d)" k addr len
   | Write (k, addr, s) -> Printf.sprintf "Write(%d,%d,%S)" k addr s
   | Read_int (k, addr) -> Printf.sprintf "Read_int(%d,%d)" k addr
   | Write_int (k, addr, v) -> Printf.sprintf "Write_int(%d,%d,%d)" k addr v
@@ -1190,11 +1198,13 @@ let ws_op_print = function
   | Update_ws k -> Printf.sprintf "Update %d" k
   | Collect b -> Printf.sprintf "Collect %d" b
 
+(* Up to 112 operations: with the weights above, a case makes about one
+   write per six segment bytes, so overlapping writes stay common. *)
 let ws_case_gen =
   QCheck.Gen.(
     int_range 2 4 >>= fun nws ->
     map2 (fun track ops -> (track, ops)) (list_repeat nws bool)
-      (list_size (int_range 1 80) (ws_op_gen nws)))
+      (list_size (int_range 1 112) (ws_op_gen nws)))
 
 let ws_case_print (track, ops) =
   Printf.sprintf "track=[%s] ops=[%s]"
@@ -1251,6 +1261,11 @@ let prop_workspace_matches_reference =
                 Bytes.equal
                   (Vmem.Workspace.read wss.(k) ~addr ~len)
                   (Ref_ws.read refs.(k) ~addr ~len)
+            | Read_into (k, addr, len) ->
+                (* Stale bytes in the buffer: every one must be overwritten. *)
+                let buf = Bytes.make len '\255' in
+                Vmem.Workspace.read_into wss.(k) ~addr buf;
+                Bytes.equal buf (Ref_ws.read refs.(k) ~addr ~len)
             | Write (k, addr, s) ->
                 Vmem.Workspace.write wss.(k) ~addr (Bytes.of_string s);
                 Ref_ws.write refs.(k) ~addr (Bytes.of_string s);
