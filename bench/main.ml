@@ -234,10 +234,46 @@ let micro_tests () =
           fun () ->
             ignore (Runtime.Det_rt.run Runtime.Config.consequence_ic ~seed:1 ~nthreads:4 program)))
   in
+  let label_span =
+    Test.make ~name:"label: commit:v<n> span name"
+      (Staged.stage
+         (let v = ref 0 in
+          fun () ->
+            v := (!v + 1) land 0xffff;
+            ignore (Sys.opaque_identity (Obs.Label.int "commit:v" !v))))
+  in
+  let label_interned =
+    Test.make ~name:"label: interned object name"
+      (Staged.stage
+         (let id = ref 0 in
+          fun () ->
+            id := (!id + 1) land 63;
+            ignore (Sys.opaque_identity (Runtime.Rt_event.obj_mutex !id))))
+  in
+  let profile_path =
+    (* One program of the ledger's profile-ic pass: the tracer and the
+       profile collector on the sink, an observer that keeps every event
+       and feeds the profile's spawn edges, then [Profile.finish]. *)
+    Test.make ~name:"profile path: one traced and observed kmeans run (8 threads)"
+      (Staged.stage
+         (let program = (Workload.Registry.find "kmeans").Workload.Registry.program in
+          fun () ->
+            let col = Prof.Profile.create () in
+            let events = ref [] in
+            let r =
+              Runtime.Det_rt.run Runtime.Config.consequence_ic ~seed:1 ~nthreads:8
+                ~obs:(Obs.Sink.tee (Obs.Tracer.sink (Obs.Tracer.create ())) (Prof.Profile.sink col))
+                ~observer:(fun ev ->
+                  events := ev :: !events;
+                  Prof.Profile.observer col ev)
+                program
+            in
+            ignore (Prof.Profile.finish col ~wall_ns:r.Stats.Run_result.wall_ns)))
+  in
   [
     seg_commit; seg_commit_deep; seg_gc_sweep; ws_cycle; ws_update; ws_read64; ws_read_region;
     ws_read_into_region; page_merge; page_merge_sparse; heap_ops; gmic; fnv; fnv_sparse;
-    end_to_end;
+    end_to_end; label_span; label_interned; profile_path;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -23,17 +23,11 @@ let sink c =
   }
 
 (* A spawn emits [Release { obj = "t:<child>" }] from the parent (the
-   exit release is "t:<k>:exit", which the int parse rejects). *)
-let child_of_obj obj =
-  if String.length obj > 2 && obj.[0] = 't' && obj.[1] = ':' then
-    int_of_string_opt (String.sub obj 2 (String.length obj - 2))
-  else None
-
+   exit release is "t:<k>:exit", which [thread_of_obj] rejects). *)
 let observer c : Runtime.Rt_event.observer = function
-  | Runtime.Rt_event.Release { tid; obj } -> (
-      match child_of_obj obj with
-      | Some child -> c.parents_rev <- (child, tid) :: c.parents_rev
-      | None -> ())
+  | Runtime.Rt_event.Release { tid; obj } ->
+      let child = Runtime.Rt_event.thread_of_obj obj in
+      if child >= 0 then c.parents_rev <- (child, tid) :: c.parents_rev
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)

@@ -220,15 +220,9 @@ let fold_threads rt f init =
   done;
   !acc
 
-(* Lock-wait reasons and thread names for small ids are interned: the
-   common case allocates neither the string_of_int nor the
-   concatenation. *)
+(* Lock ids below this keep their post-unlock estimate in
+   [post_ewma_small]. *)
 let n_interned = 64
-let interned_lock = Array.init n_interned (fun i -> Rt_core.label Rt_core.Lock i)
-let interned_tname = Array.init n_interned (fun i -> "t" ^ string_of_int i)
-
-let lock_label mid =
-  if mid >= 0 && mid < n_interned then interned_lock.(mid) else Rt_core.label Rt_core.Lock mid
 
 (* [op] and [id] stand for the witness label ("lock:3" is [Rt_core.Lock]
    on 3), which the core hashes without building the string. *)
@@ -639,7 +633,7 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
     Obs.Metrics.record rt.mh_commit_pages ci.pages_committed;
     if tracing rt then
       span rt ~cat:Obs.Span.Commit
-        ~name:(Printf.sprintf "commit:v%d" ci.version)
+        ~name:(Obs.Label.int "commit:v" ci.version)
         ~tid:th.tid ~t0
         ~args:[ ("pages", ci.pages_committed); ("merged", ci.pages_merged) ]
         ();
@@ -663,7 +657,7 @@ let charge_update rt th (ui : Vmem.Workspace.update_info) =
     charge rt th St.Update ns;
     if tracing rt then
       span rt ~cat:Obs.Span.Update
-        ~name:(Printf.sprintf "update:v%d-v%d" ui.from_version ui.to_version)
+        ~name:(Obs.Label.int2 "update:v" ui.from_version "-v" ui.to_version)
         ~tid:th.tid ~t0
         ~args:[ ("pages", ui.pages_propagated); ("refreshed", ui.pages_refreshed) ]
         ()
@@ -1185,7 +1179,7 @@ and mutex_lock_slow rt th mid =
           Queue.push th.tid m.lock_waitq;
           release_global rt th;
           park rt th ~state:St.Lock_wait
-            ~reason:(lock_label mid)
+            ~reason:(Rt_core.label Rt_core.Lock mid)
             ~ready:(fun () -> th.lock_grant)
     end
   done
@@ -1259,7 +1253,7 @@ let cond_wait rt th cid mid =
   release_global rt th;
   charge rt th St.Runtime rt.costs.Cost_model.token_ns;
   park rt th ~state:St.Lock_wait
-    ~reason:("cond:" ^ string_of_int cid)
+    ~reason:(Rt_core.cond_reason cid)
     ~ready:(fun () -> th.cond_grant);
   if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_cond cid });
   open_chunk rt th;
@@ -1326,7 +1320,7 @@ let barrier_wait rt th bid =
        Obs.Metrics.record rt.mh_commit_pages ci.Vmem.Workspace.pages_committed;
        if tracing rt then
          span rt ~cat:Obs.Span.Commit
-           ~name:(Printf.sprintf "commit-phase1:v%d" ci.Vmem.Workspace.version)
+           ~name:(Obs.Label.int "commit-phase1:v" ci.Vmem.Workspace.version)
            ~tid:th.tid ~t0
            ~args:[ ("pages", ci.Vmem.Workspace.pages_committed) ]
            ();
@@ -1611,9 +1605,7 @@ and spawn_thread rt th ?name body =
   let name =
     match name with
     | Some n -> n
-    | None ->
-        if child_tid < n_interned then interned_tname.(child_tid)
-        else "t" ^ string_of_int child_tid
+    | None -> Rt_core.thread_name child_tid
   in
   (* Thread-pool reuse (section 3.3) versus a full fork that copies every
      populated page-table entry of the Conversion segment. *)
@@ -1642,7 +1634,7 @@ and spawn_thread rt th ?name body =
   record_sync rt th Rt_core.Spawn child_tid;
   if tracing rt then
     span rt ~cat:Obs.Span.Fork
-      ~name:(Printf.sprintf "spawn:%d" child_tid)
+      ~name:(Rt_core.label Rt_core.Spawn child_tid)
       ~tid:th.tid ~t0:fork_t0
       ~args:[ ("child", child_tid) ]
       ();
@@ -1679,7 +1671,7 @@ and join_thread rt th target_tid =
   if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_thread_exit target_tid });
   if tracing rt then
     span rt ~cat:Obs.Span.Join
-      ~name:(Printf.sprintf "join:%d" target_tid)
+      ~name:(Rt_core.label Rt_core.Join target_tid)
       ~tid:th.tid ~t0:join_t0 ();
   leave_coordination rt th
 

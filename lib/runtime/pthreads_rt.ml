@@ -269,7 +269,7 @@ let cond_wait rt th cid mid =
   th.cond_grant <- false;
   Queue.push th.tid c.cond_waitq;
   mutex_unlock rt th mid;
-  block_until rt th ~state:St.Lock_wait ~reason:("cond:" ^ string_of_int cid) (fun () ->
+  block_until rt th ~state:St.Lock_wait ~reason:(Rt_core.cond_reason cid) (fun () ->
       th.cond_grant);
   emit_acquire rt th Rt_event.obj_cond cid;
   mutex_lock rt th mid
@@ -395,7 +395,7 @@ and spawn_thread rt th ?name body =
   charge rt th St.Fork rt.costs.Cost_model.pthread_spawn_ns;
   let child_tid = rt.next_tid in
   rt.next_tid <- child_tid + 1;
-  let tname = match name with Some n -> n | None -> Printf.sprintf "t%d" child_tid in
+  let tname = match name with Some n -> n | None -> Rt_core.thread_name child_tid in
   let child = new_thread_state rt ~tid:child_tid ~tname in
   Hashtbl.replace rt.threads child_tid child;
   emit_release rt th Rt_event.obj_thread child_tid;

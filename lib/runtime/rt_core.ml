@@ -62,7 +62,18 @@ let family = function
   | Forced_commit -> "forced-commit"
 
 let prefixes = Array.map (fun op -> family op ^ ":") ops
-let label op n = if on_object op then family op ^ ":" ^ string_of_int n else family op
+
+(* Labels, wait reasons and thread names are shared for ids 0-63, so a
+   blocking wait, a spawn or a join on a small id allocates no string. *)
+let labels = Array.map (fun p -> Obs.Label.table p "") prefixes
+
+let label op n =
+  if on_object op then Obs.Label.get (Array.unsafe_get labels (op_index op)) n else family op
+
+let cond_reasons = Obs.Label.table "cond:" ""
+let thread_names = Obs.Label.table "t" ""
+let cond_reason cid = Obs.Label.get cond_reasons cid
+let thread_name tid = Obs.Label.get thread_names tid
 
 let span_cat = function
   | St.Token_wait -> Obs.Span.Determ_wait

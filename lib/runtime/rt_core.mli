@@ -82,7 +82,17 @@ val sync : t -> tid:int -> op -> int -> unit
 
 val label : op -> int -> string
 (** [label Lock 3] is ["lock:3"]; [label Exit _] is ["exit"] and
-    [label Forced_commit _] is ["forced-commit"]. *)
+    [label Forced_commit _] is ["forced-commit"].  The runtimes also
+    name lock, barrier and join waits and spawn and join spans with it.
+    For ids 0–63 the label is one shared string, built once per
+    process on first use; any other id gets one exact-size
+    allocation. *)
+
+val cond_reason : int -> string
+(** ["cond:<cid>"], a condition wait's name; shared for ids 0–63. *)
+
+val thread_name : int -> string
+(** ["t<tid>"], a spawned thread's default name; shared for ids 0–63. *)
 
 val metric_incr : t -> string -> int -> unit
 (** [metric_incr c key by] bumps the program counter [key]

@@ -27,23 +27,71 @@ type t =
 
 type observer = t -> unit
 
-let obj_mutex m = Printf.sprintf "m:%d" m
-let obj_cond c = Printf.sprintf "c:%d" c
-let obj_barrier b = Printf.sprintf "b:%d" b
-let obj_thread t = Printf.sprintf "t:%d" t
-let obj_thread_exit t = obj_thread t ^ ":exit"
+(* Object names by family: mutex, cond, barrier, thread, thread exit.
+   Ids 0-63 get one shared name, and so do the [rel:]/[acq:] instant
+   labels of events on those objects. *)
+let families = [| ("m:", ""); ("c:", ""); ("b:", ""); ("t:", ""); ("t:", ":exit") |]
+let objs = Array.map (fun (p, suffix) -> Obs.Label.table p suffix) families
+let obj_mutex m = Obs.Label.get (Array.unsafe_get objs 0) m
+let obj_cond c = Obs.Label.get (Array.unsafe_get objs 1) c
+let obj_barrier b = Obs.Label.get (Array.unsafe_get objs 2) b
+let obj_thread t = Obs.Label.get (Array.unsafe_get objs 3) t
+let obj_thread_exit t = Obs.Label.get (Array.unsafe_get objs 4) t
+
+let rels = Array.map (fun (p, suffix) -> Obs.Label.table ("rel:" ^ p) suffix) families
+let acqs = Array.map (fun (p, suffix) -> Obs.Label.table ("acq:" ^ p) suffix) families
+
+let digit_at s i =
+  if i < String.length s then
+    let d = Char.code (String.unsafe_get s i) - 48 in
+    if d >= 0 && d <= 9 then d else -1
+  else -1
+
+(* [prefix ^ obj], taken from [labels] (by family) when [obj] names an
+   object with an interned id.  Reads the family and at most two
+   digits; the compare with the interned name checks the rest. *)
+let edge_label labels prefix obj =
+  let len = String.length obj in
+  let d0 = digit_at obj 2 and d1 = digit_at obj 3 in
+  let id = if d1 >= 0 then (d0 * 10) + d1 else d0 in
+  let family =
+    if len < 3 || String.unsafe_get obj 1 <> ':' || d0 < 0 || id >= Obs.Label.n_interned then -1
+    else
+      match String.unsafe_get obj 0 with
+      | 'm' -> 0
+      | 'c' -> 1
+      | 'b' -> 2
+      | 't' -> if len > (if d1 >= 0 then 4 else 3) then 4 else 3
+      | _ -> -1
+  in
+  if family >= 0 && String.equal obj (Obs.Label.get (Array.unsafe_get objs family) id) then
+    Obs.Label.get (Array.unsafe_get labels family) id
+  else prefix ^ obj
+
+let rec decimal s i acc =
+  if i = String.length s then acc
+  else
+    let d = digit_at s i in
+    if d < 0 then -1 else decimal s (i + 1) ((acc * 10) + d)
+
+(* At most 18 digits, so [decimal] cannot overflow. *)
+let thread_of_obj obj =
+  let len = String.length obj in
+  if len < 3 || len > 20 || String.unsafe_get obj 0 <> 't' || String.unsafe_get obj 1 <> ':'
+  then -1
+  else decimal obj 2 0
 
 let label = function
-  | Commit { version; _ } -> Printf.sprintf "commit:v%d" version
-  | Release { obj; _ } -> "rel:" ^ obj
-  | Acquire { obj; _ } -> "acq:" ^ obj
+  | Commit { version; _ } -> Obs.Label.int "commit:v" version
+  | Release { obj; _ } -> edge_label rels "rel:" obj
+  | Acquire { obj; _ } -> edge_label acqs "acq:" obj
   | Conflict { page; first_byte; last_byte; _ } ->
-      Printf.sprintf "conflict:p%d+%d..%d" page first_byte last_byte
+      Obs.Label.int3 "conflict:p" page "+" first_byte ".." last_byte
   | Boundary { ic; overflow; _ } ->
-      Printf.sprintf "%s:%d" (if overflow then "overflow" else "chunk-end") ic
-  | Commit_hash { version; _ } -> Printf.sprintf "hash:v%d" version
-  | Txn_abort { seq; retries; _ } -> Printf.sprintf "txn-abort:%d.%d" seq retries
-  | Tune_decision { epoch; ic; _ } -> Printf.sprintf "tune:e%d@%d" epoch ic
+      Obs.Label.int (if overflow then "overflow:" else "chunk-end:") ic
+  | Commit_hash { version; _ } -> Obs.Label.int "hash:v" version
+  | Txn_abort { seq; retries; _ } -> Obs.Label.int2 "txn-abort:" seq "." retries
+  | Tune_decision { epoch; ic; _ } -> Obs.Label.int2 "tune:e" epoch "@" ic
 
 let tid = function
   | Commit { tid; _ }

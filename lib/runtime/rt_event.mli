@@ -89,6 +89,13 @@ type t =
 
 type observer = t -> unit
 
+(** {1 Object names}
+
+    For ids 0–63, each [obj_*] function returns one shared string,
+    built once per process on first use, so naming a small object
+    allocates nothing after that; any other id gets a fresh string
+    with the same text. *)
+
 val obj_mutex : int -> string
 val obj_cond : int -> string
 val obj_barrier : int -> string
@@ -98,9 +105,17 @@ val obj_thread_exit : int -> string
 (** ["t:<k>:exit"]: released by thread [k]'s exit, acquired by its
     joiner. *)
 
+val thread_of_obj : string -> int
+(** [thread_of_obj (obj_thread k)] is [k] for [0 <= k < 10^18] (a
+    spawn edge's child); any other string, an [obj_thread_exit] name
+    included, gives -1.  Allocates nothing. *)
+
 val label : t -> string
 (** Short instant name used for trace spans: ["commit:v12"],
-    ["rel:m:3"], ["acq:b:0"], ["conflict:p4+16..23"]. *)
+    ["rel:m:3"], ["acq:b:0"], ["conflict:p4+16..23"].  Built without
+    [Printf], at its exact size; the [rel:]/[acq:] label of an event on
+    an object with an interned name (ids 0–63) is itself one shared
+    string, so it allocates nothing. *)
 
 val tid : t -> int
 

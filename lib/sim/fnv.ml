@@ -39,7 +39,15 @@ let[@inline] int h n =
   done;
   !acc
 
-let to_hex h = Printf.sprintf "%016Lx" h
+(* [Printf.sprintf "%016Lx" h], most significant nibble first; the
+   only allocation is the 16-byte result. *)
+let to_hex h =
+  let b = Bytes.create 16 in
+  for i = 0 to 15 do
+    let nibble = Int64.to_int (Int64.shift_right_logical h (4 * (15 - i))) land 0xf in
+    Bytes.unsafe_set b i (String.unsafe_get "0123456789abcdef" nibble)
+  done;
+  Bytes.unsafe_to_string b
 
 (* The state lives in an 8-byte buffer: a mutable [int64] field would
    box a fresh value on every update, whereas each fold below reads the

@@ -27,6 +27,8 @@ val int : t -> int -> t
 (** Folds the 8 little-endian bytes of the int. *)
 
 val to_hex : t -> string
+(** The 16 lowercase hex digits of [Printf.sprintf "%016Lx"], built
+    without [Printf]. *)
 
 (** {1 Streaming state}
 

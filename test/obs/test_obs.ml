@@ -442,6 +442,252 @@ let test_run_result_to_json_parses () =
     = Some r.Stats.Run_result.wall_ns);
   check_bool "metrics present" true (Obs.Json.member "metrics" j <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Labels                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Ev = Runtime.Rt_event
+module Core = Runtime.Rt_core
+
+(* Random ints over the whole range, the digit-count edges, and the
+   extremes [string_of_int] handles specially. *)
+let label_int =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      oneof
+        [
+          int;
+          small_signed_int;
+          oneofl [ 0; 9; 10; 99; 100; -1; -9; -10; -100; max_int; min_int; min_int + 1 ];
+        ])
+
+(* Every label shape the runtimes emit, built the new way and through
+   [Printf], on the same three ints. *)
+let label_shapes a b c =
+  let sync op = Core.label op a in
+  let ev e = Ev.label e in
+  [
+    ("commit span", Obs.Label.int "commit:v" a, Printf.sprintf "commit:v%d" a);
+    ("update span", Obs.Label.int2 "update:v" a "-v" b, Printf.sprintf "update:v%d-v%d" a b);
+    ( "commit-phase1 span",
+      Obs.Label.int "commit-phase1:v" a,
+      Printf.sprintf "commit-phase1:v%d" a );
+    ("spawn span", Obs.Label.int "spawn:" a, Printf.sprintf "spawn:%d" a);
+    ("join span", Obs.Label.int "join:" a, Printf.sprintf "join:%d" a);
+    ("commit", ev (Ev.Commit { tid = 0; version = a; pages = [] }), Printf.sprintf "commit:v%d" a);
+    ( "conflict",
+      ev
+        (Ev.Conflict
+           { tid = 0; version = 0; page = a; first_byte = b; last_byte = c; loser_tid = 0;
+             loser_version = 0 }),
+      Printf.sprintf "conflict:p%d+%d..%d" a b c );
+    ( "overflow",
+      ev (Ev.Boundary { tid = 0; ic = a; overflow = true }),
+      Printf.sprintf "overflow:%d" a );
+    ( "chunk-end",
+      ev (Ev.Boundary { tid = 0; ic = a; overflow = false }),
+      Printf.sprintf "chunk-end:%d" a );
+    ("hash", ev (Ev.Commit_hash { tid = 0; version = a; hash = "" }), Printf.sprintf "hash:v%d" a);
+    ( "txn-abort",
+      ev (Ev.Txn_abort { tid = 0; seq = a; retries = b }),
+      Printf.sprintf "txn-abort:%d.%d" a b );
+    ( "tune",
+      ev
+        (Ev.Tune_decision
+           { tid = 0; epoch = a; ic = b; chunk_base = 0; chunk_cap = 0; coarsen = 0;
+             coarsen_floor = 0; coarsen_cap = 0 }),
+      Printf.sprintf "tune:e%d@%d" a b );
+    ("obj_mutex", Ev.obj_mutex a, Printf.sprintf "m:%d" a);
+    ("obj_cond", Ev.obj_cond a, Printf.sprintf "c:%d" a);
+    ("obj_barrier", Ev.obj_barrier a, Printf.sprintf "b:%d" a);
+    ("obj_thread", Ev.obj_thread a, Printf.sprintf "t:%d" a);
+    ("obj_thread_exit", Ev.obj_thread_exit a, Printf.sprintf "t:%d:exit" a);
+    ( "rel",
+      ev (Ev.Release { tid = 0; obj = Ev.obj_barrier a }),
+      Printf.sprintf "rel:b:%d" a );
+    ( "acq",
+      ev (Ev.Acquire { tid = 0; obj = Ev.obj_thread_exit a }),
+      Printf.sprintf "acq:t:%d:exit" a );
+    ("lock", sync Core.Lock, Printf.sprintf "lock:%d" a);
+    ("unlock", sync Core.Unlock, Printf.sprintf "unlock:%d" a);
+    ("commit op", sync Core.Commit, Printf.sprintf "commit:%d" a);
+    ("spawn op", sync Core.Spawn, Printf.sprintf "spawn:%d" a);
+    ("join op", sync Core.Join, Printf.sprintf "join:%d" a);
+    ("cond_wait op", sync Core.Cond_wait, Printf.sprintf "cond_wait:%d" a);
+    ("barrier op", sync Core.Barrier, Printf.sprintf "barrier:%d" a);
+    ("atomic op", sync Core.Atomic, Printf.sprintf "atomic:%d" a);
+    ("signal op", sync Core.Signal, Printf.sprintf "signal:%d" a);
+    ("broadcast op", sync Core.Broadcast, Printf.sprintf "broadcast:%d" a);
+    ("exit op", sync Core.Exit, "exit");
+    ("forced-commit op", sync Core.Forced_commit, "forced-commit");
+    ("cond reason", Core.cond_reason a, Printf.sprintf "cond:%d" a);
+    ("thread name", Core.thread_name a, Printf.sprintf "t%d" a);
+  ]
+
+let prop_labels_match_printf =
+  QCheck.Test.make ~name:"labels equal their Printf construction" ~count:500
+    QCheck.(triple label_int label_int label_int)
+    (fun (a, b, c) ->
+      List.for_all
+        (fun (shape, got, want) ->
+          String.equal got want
+          || QCheck.Test.fail_reportf "%s: got %S, want %S" shape got want)
+        (label_shapes a b c))
+
+(* Ids 0-63 share one string; -1 and 64 get a fresh one with the same
+   text as the plain construction. *)
+let test_interned_names () =
+  let rel_mutex i = Ev.label (Ev.Release { tid = 0; obj = Ev.obj_mutex i }) in
+  let acq_thread i = Ev.label (Ev.Acquire { tid = 0; obj = Ev.obj_thread i }) in
+  let named =
+    [
+      ("m", Ev.obj_mutex, Printf.sprintf "m:%d");
+      ("c", Ev.obj_cond, Printf.sprintf "c:%d");
+      ("b", Ev.obj_barrier, Printf.sprintf "b:%d");
+      ("t", Ev.obj_thread, Printf.sprintf "t:%d");
+      ("t:exit", Ev.obj_thread_exit, Printf.sprintf "t:%d:exit");
+      ("rel", rel_mutex, Printf.sprintf "rel:m:%d");
+      ("acq", acq_thread, Printf.sprintf "acq:t:%d");
+      ("lock label", Core.label Core.Lock, Printf.sprintf "lock:%d");
+      ("barrier label", Core.label Core.Barrier, Printf.sprintf "barrier:%d");
+      ("join label", Core.label Core.Join, Printf.sprintf "join:%d");
+      ("spawn label", Core.label Core.Spawn, Printf.sprintf "spawn:%d");
+      ("cond reason", Core.cond_reason, Printf.sprintf "cond:%d");
+      ("thread name", Core.thread_name, Printf.sprintf "t%d");
+    ]
+  in
+  List.iter
+    (fun (what, f, plain) ->
+      List.iter
+        (fun id ->
+          let name = Printf.sprintf "%s %d" what id in
+          check_string name (plain id) (f id);
+          check_bool (name ^ " shared") (id >= 0 && id < 64) (f id == f id))
+        [ -1; 0; 63; 64 ])
+    named;
+  (* An equal name built elsewhere (a schedule log) finds the shared
+     label too; a near miss does not. *)
+  check_bool "rel of a rebuilt name shared" true
+    (Ev.label (Ev.Release { tid = 0; obj = String.concat "" [ "b:"; "7" ] })
+    == Ev.label (Ev.Release { tid = 0; obj = Ev.obj_barrier 7 }));
+  List.iter
+    (fun obj -> check_string obj ("rel:" ^ obj) (Ev.label (Ev.Release { tid = 0; obj })))
+    [ "m:07"; "m:7x"; "t:7:exi"; "t:7:exitx"; "q:7"; "m:"; "m7"; "" ]
+
+let test_thread_of_obj () =
+  List.iter
+    (fun (obj, want) -> check_int obj want (Ev.thread_of_obj obj))
+    [
+      (Ev.obj_thread 0, 0); (Ev.obj_thread 63, 63); (Ev.obj_thread 64, 64);
+      (Ev.obj_thread 123_456, 123_456); (Ev.obj_thread_exit 3, -1); (Ev.obj_mutex 3, -1);
+      ("t:", -1); ("t:1x", -1); ("t:-1", -1); ("t:999999999999999999", 999_999_999_999_999_999);
+      ("t:9999999999999999999", -1);
+    ]
+
+(* Minor-heap words [f ()] allocates, net of the measurement itself. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  f ();
+  let w2 = Gc.minor_words () in
+  int_of_float (w2 -. w1 -. (w1 -. w0))
+
+(* Heap words of a string, header included. *)
+let string_words s = Obj.size (Obj.repr s) + 1
+
+let test_interned_labels_allocate_nothing () =
+  let evs =
+    Array.init 64 (fun i ->
+        match i mod 4 with
+        | 0 -> Ev.Release { tid = 1; obj = Ev.obj_mutex i }
+        | 1 -> Ev.Acquire { tid = 1; obj = Ev.obj_barrier i }
+        | 2 -> Ev.Release { tid = 1; obj = Ev.obj_thread i }
+        | _ -> Ev.Acquire { tid = 1; obj = Ev.obj_thread_exit i })
+  in
+  let len = ref 0 in
+  let rounds n =
+    for i = 0 to n - 1 do
+      let id = i land 63 in
+      len :=
+        !len
+        + String.length (Ev.obj_mutex id)
+        + String.length (Ev.obj_cond id)
+        + String.length (Ev.obj_barrier id)
+        + String.length (Ev.obj_thread id)
+        + String.length (Ev.obj_thread_exit id)
+        + String.length (Ev.label (Array.unsafe_get evs id))
+        + String.length (Core.label Core.Lock id)
+        + String.length (Core.label Core.Barrier id)
+        + String.length (Core.label Core.Join id)
+        + String.length (Core.label Core.Spawn id)
+        + String.length (Core.cond_reason id)
+        + String.length (Core.thread_name id)
+    done
+  in
+  (* The first use of a small id builds its name once. *)
+  rounds 64;
+  let words = minor_words (fun () -> rounds 10_000) in
+  check_int "minor words over 10k rounds of interned names" 0 words;
+  check_bool "named something" true (!len > 0)
+
+(* A fresh label costs its own string and nothing else. *)
+let test_fresh_labels_allocate_their_string () =
+  let versions = [| 0; 7; 12_345; 999_999_999; max_int; min_int |] in
+  let hashes = [| 0L; -1L; Int64.min_int; 0x123456789abcdefL; 0xcbf29ce484222325L |] in
+  let expect = ref 0 in
+  Array.iter (fun v -> expect := !expect + string_words (Obs.Label.int "commit:v" v)) versions;
+  Array.iter (fun h -> expect := !expect + string_words (Sim.Fnv.to_hex h)) hashes;
+  let expect = 1000 * !expect in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          for i = 0 to Array.length versions - 1 do
+            ignore (Sys.opaque_identity (Obs.Label.int "commit:v" (Array.unsafe_get versions i)))
+          done;
+          for i = 0 to Array.length hashes - 1 do
+            ignore (Sys.opaque_identity (Sim.Fnv.to_hex (Array.unsafe_get hashes i)))
+          done
+        done)
+  in
+  check_int "minor words = the strings' own" expect words
+
+(* ------------------------------------------------------------------ *)
+(* Golden observed output                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* FNV digests of what two traced and observed runs emit (8 threads,
+   seed 1), taken while labels were still built with [Printf]: the
+   Chrome-trace JSON, which holds every span name, instant label and
+   wait reason, and the observer stream's [Rt_event.label] sequence,
+   one label per line.  A byte changed in any label fails here. *)
+let observed_golden =
+  [
+    (Runtime.Run.consequence_ic, "kmeans", "cc52426fbbaacac6", "4bc272c2eaa0515f");
+    (Runtime.Run.pthreads, "water_nsquared", "f88df22f0ac32431", "d380ba6777180afc");
+  ]
+
+let test_observed_output_golden () =
+  List.iter
+    (fun (rt, name, trace_golden, labels_golden) ->
+      let program = (Workload.Registry.find name).Workload.Registry.program in
+      let tracer = Obs.Tracer.create () in
+      let labels = Sim.Fnv.stream () in
+      let observer ev =
+        Sim.Fnv.add_string labels (Runtime.Rt_event.label ev);
+        Sim.Fnv.add_string labels "\n"
+      in
+      ignore
+        (Runtime.Run.run rt ~seed:1 ~nthreads:8 ~obs:(Obs.Tracer.sink tracer) ~observer program);
+      let process_name =
+        Printf.sprintf "%s / %s (8 threads, seed 1)" name (Runtime.Run.name rt)
+      in
+      let json = Obs.Json.to_string (Obs.Chrome_trace.of_tracer ~process_name tracer) in
+      let what = Printf.sprintf "%s %s" (Runtime.Run.name rt) name in
+      check_string (what ^ " trace") trace_golden
+        (Sim.Fnv.to_hex (Sim.Fnv.string Sim.Fnv.init json));
+      check_string (what ^ " labels") labels_golden (Sim.Fnv.to_hex (Sim.Fnv.value labels)))
+    observed_golden
+
 let () =
   Alcotest.run "obs"
     [
@@ -479,10 +725,21 @@ let () =
           Alcotest.test_case "counter events" `Quick test_counter_events;
           Alcotest.test_case "span duration" `Quick test_span_duration;
         ] );
+      ( "labels",
+        [
+          QCheck_alcotest.to_alcotest prop_labels_match_printf;
+          Alcotest.test_case "interned names" `Quick test_interned_names;
+          Alcotest.test_case "thread_of_obj" `Quick test_thread_of_obj;
+          Alcotest.test_case "interned names allocate nothing" `Quick
+            test_interned_labels_allocate_nothing;
+          Alcotest.test_case "fresh labels allocate only themselves" `Quick
+            test_fresh_labels_allocate_their_string;
+        ] );
       ( "chrome-trace",
         [
           Alcotest.test_case "schema (synthetic)" `Quick test_chrome_trace_schema_synthetic;
           Alcotest.test_case "schema (real run)" `Quick test_chrome_trace_schema_real_run;
           Alcotest.test_case "run result json" `Quick test_run_result_to_json_parses;
+          Alcotest.test_case "golden observed output" `Quick test_observed_output_golden;
         ] );
     ]

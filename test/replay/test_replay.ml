@@ -365,6 +365,16 @@ let test_event_of_json_errors () =
        ]);
   check_err Obs.Json.Null
 
+(* FNV digest of one [record] schedule log (dedup under consequence-ic,
+   8 threads, seed 1), taken while object names, labels and commit
+   digests were still built with [Printf].  A byte changed in any of
+   them fails here. *)
+let test_schedule_log_golden () =
+  let log, _ = Sch.record Runtime.Run.consequence_ic ~seed:1 ~nthreads:8 (program_of "dedup") in
+  check_int "events" 1073 (Sch.length log);
+  check_string "log digest" "d3ba2069d9d11a9a"
+    (Sim.Fnv.to_hex (Sim.Fnv.string Sim.Fnv.init (Obs.Json.to_string (Sch.to_json log))))
+
 let test_schedule_file_roundtrip () =
   let log, _ = record_det () in
   let path = Filename.temp_file "consequence" ".schedule.json" in
@@ -571,6 +581,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_event_json_roundtrip_through_text;
           Alcotest.test_case "of_json rejects malformed" `Quick test_event_of_json_errors;
           Alcotest.test_case "schedule file round-trip" `Quick test_schedule_file_roundtrip;
+          Alcotest.test_case "golden schedule log" `Quick test_schedule_log_golden;
           Alcotest.test_case "rejects nthreads below 1" `Quick test_rejects_nonpositive_nthreads;
           Alcotest.test_case "rejects bad overflow boundaries" `Quick
             test_rejects_bad_overflow_boundaries;

@@ -520,6 +520,14 @@ let prop_fnv_stream_matches_pure =
       in
       Sim.Fnv.value s = pure)
 
+let prop_fnv_to_hex_matches_printf =
+  QCheck.Test.make ~name:"fnv to_hex equals %016Lx" ~count:1000
+    QCheck.(
+      make ~print:Int64.to_string
+        Gen.(
+          oneof [ int64; oneofl [ 0L; -1L; 1L; 15L; 16L; Int64.min_int; Int64.max_int ] ]))
+    (fun h -> String.equal (Sim.Fnv.to_hex h) (Printf.sprintf "%016Lx" h))
+
 let test_fnv_decimal_extremes () =
   List.iter
     (fun n ->
@@ -614,6 +622,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_trace_record_int_is_label;
           QCheck_alcotest.to_alcotest prop_fnv_stream_matches_pure;
           Alcotest.test_case "fnv decimal extremes" `Quick test_fnv_decimal_extremes;
+          QCheck_alcotest.to_alcotest prop_fnv_to_hex_matches_printf;
           Alcotest.test_case "trace record allocates nothing" `Quick
             test_trace_record_allocates_nothing;
         ] );
