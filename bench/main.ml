@@ -270,10 +270,43 @@ let micro_tests () =
             in
             ignore (Prof.Profile.finish col ~wall_ns:r.Stats.Run_result.wall_ns)))
   in
+  (* 10k intervals shaped like a runtime's: eight threads in turn, each
+     continuing where its last interval ended, a new chunk every eight
+     of a thread's intervals and a waker on one in five. *)
+  let intervals =
+    Array.init 10_000 (fun i ->
+        let tid = i mod 8 and k = i / 8 in
+        {
+          Obs.Thread_state.stid = tid;
+          state = Obs.Thread_state.of_index (k mod Obs.Thread_state.n);
+          t0 = 1_000 * k;
+          t1 = 1_000 * (k + 1);
+          chunk = k / 8;
+          waker = (if k mod 5 = 0 then (tid + 1) mod 8 else -1);
+        })
+  in
+  let log_push =
+    Test.make ~name:"interval log: push 10k intervals"
+      (Staged.stage (fun () ->
+           let log = Obs.Interval_log.create () in
+           Array.iter (Obs.Interval_log.push log) intervals;
+           ignore (Sys.opaque_identity log)))
+  in
+  let log_decode =
+    Test.make ~name:"interval log: decode 10k intervals"
+      (Staged.stage
+         (let log = Obs.Interval_log.create () in
+          Array.iter (Obs.Interval_log.push log) intervals;
+          let v = Obs.Interval_log.view log in
+          fun () ->
+            let n = ref 0 in
+            Obs.Interval_log.iter (fun iv -> n := !n + iv.Obs.Thread_state.chunk) v;
+            ignore (Sys.opaque_identity !n)))
+  in
   [
     seg_commit; seg_commit_deep; seg_gc_sweep; ws_cycle; ws_update; ws_read64; ws_read_region;
     ws_read_into_region; page_merge; page_merge_sparse; heap_ops; gmic; fnv; fnv_sparse;
-    end_to_end; label_span; label_interned; profile_path;
+    end_to_end; label_span; label_interned; profile_path; log_push; log_decode;
   ]
 
 (* ------------------------------------------------------------------ *)

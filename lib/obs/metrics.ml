@@ -2,15 +2,26 @@
    bucket 0 holds values <= 1, bucket i holds (2^(i-1), 2^i]. *)
 let nbuckets = 63
 
-(* A loop, not a local recursive function: that would allocate a
-   closure over [v] on every observation. *)
+(* The bit length of [v - 1] is the least [i] with [v <= 2^i]; six
+   halving steps find it for any int, and it is at most 62 because
+   [v <= max_int = 2^62 - 1]. *)
 let bucket_of v =
-  let i = ref 0 and bound = ref 1 in
-  while v > !bound && !i < nbuckets - 1 do
-    incr i;
-    bound := !bound * 2
-  done;
-  !i
+  if v <= 1 then 0
+  else begin
+    let x = v - 1 in
+    let n = if x lsr 32 <> 0 then 32 else 0 in
+    let x = x lsr n in
+    let b = if x lsr 16 <> 0 then 16 else 0 in
+    let n = n + b and x = x lsr b in
+    let b = if x lsr 8 <> 0 then 8 else 0 in
+    let n = n + b and x = x lsr b in
+    let b = if x lsr 4 <> 0 then 4 else 0 in
+    let n = n + b and x = x lsr b in
+    let b = if x lsr 2 <> 0 then 2 else 0 in
+    let n = n + b and x = x lsr b in
+    let b = if x lsr 1 <> 0 then 1 else 0 in
+    n + b + (x lsr b)
+  end
 
 let bucket_upper i = if i >= 62 then max_int else 1 lsl i
 

@@ -22,21 +22,7 @@ let all =
 
 let n = List.length all
 
-let index = function
-  | Run -> 0
-  | Token_wait -> 1
-  | Lock_wait -> 2
-  | Barrier_wait -> 3
-  | Commit -> 4
-  | Update -> 5
-  | Fault -> 6
-  | Overflow -> 7
-  | Runtime -> 8
-  | Fork -> 9
-  | Gc -> 10
-  | Commit_pipe -> 11
-  | Txn_validate -> 12
-  | Txn_abort -> 13
+external index : t -> int = "%identity"
 
 let of_index = function
   | 0 -> Run
@@ -83,14 +69,3 @@ type interval = {
 }
 
 let duration iv = iv.t1 - iv.t0
-
-let interval_to_json iv =
-  Json.Obj
-    [
-      ("tid", Json.Int iv.stid);
-      ("state", Json.String (name iv.state));
-      ("t0", Json.Int iv.t0);
-      ("t1", Json.Int iv.t1);
-      ("chunk", Json.Int iv.chunk);
-      ("waker", Json.Int iv.waker);
-    ]

@@ -64,7 +64,10 @@ val all : t list
 val n : int
 (** [List.length all]; the profiler's per-state arrays have this size. *)
 
-val index : t -> int
+external index : t -> int = "%identity"
+(** The constructor's position in [t]'s declaration, which is how
+    OCaml represents it: no branch. *)
+
 val of_index : int -> t
 val name : t -> string
 val is_wait : t -> bool
@@ -85,4 +88,3 @@ type interval = {
 }
 
 val duration : interval -> int
-val interval_to_json : interval -> Json.t

@@ -1,14 +1,13 @@
 type t = {
   mutable spans_rev : Span.t list;
   mutable instants_rev : Span.instant list;
-  mutable states_rev : Thread_state.interval list;
   mutable nspans : int;
   mutable ninstants : int;
-  mutable nstates : int;
+  states : Interval_log.t;
 }
 
 let create () =
-  { spans_rev = []; instants_rev = []; states_rev = []; nspans = 0; ninstants = 0; nstates = 0 }
+  { spans_rev = []; instants_rev = []; nspans = 0; ninstants = 0; states = Interval_log.create () }
 
 let sink t =
   {
@@ -20,26 +19,22 @@ let sink t =
       (fun i ->
         t.instants_rev <- i :: t.instants_rev;
         t.ninstants <- t.ninstants + 1);
-    state =
-      (fun iv ->
-        t.states_rev <- iv :: t.states_rev;
-        t.nstates <- t.nstates + 1);
+    state = Interval_log.push t.states;
   }
 
 let spans t = List.rev t.spans_rev
 let instants t = List.rev t.instants_rev
-let states t = List.rev t.states_rev
+let states t = Interval_log.to_list (Interval_log.view t.states)
 let span_count t = t.nspans
 let instant_count t = t.ninstants
-let state_count t = t.nstates
+let state_count t = Interval_log.length t.states
 
 let clear t =
   t.spans_rev <- [];
   t.instants_rev <- [];
-  t.states_rev <- [];
   t.nspans <- 0;
   t.ninstants <- 0;
-  t.nstates <- 0
+  Interval_log.clear t.states
 
 let tids t =
   let module S = Set.Make (Int) in
@@ -47,11 +42,9 @@ let tids t =
     List.fold_left (fun acc (sp : Span.t) -> S.add sp.Span.tid acc) S.empty t.spans_rev
   in
   let s =
-    List.fold_left (fun acc (i : Span.instant) -> S.add i.Span.itid acc) s t.instants_rev
+    ref (List.fold_left (fun acc (i : Span.instant) -> S.add i.Span.itid acc) s t.instants_rev)
   in
-  let s =
-    List.fold_left
-      (fun acc (iv : Thread_state.interval) -> S.add iv.Thread_state.stid acc)
-      s t.states_rev
-  in
-  S.elements s
+  Interval_log.iter
+    (fun (iv : Thread_state.interval) -> s := S.add iv.Thread_state.stid !s)
+    (Interval_log.view t.states);
+  S.elements !s

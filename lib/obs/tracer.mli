@@ -3,8 +3,10 @@
     Buffers every span, instant and thread-state interval in arrival
     order (which, for the runtimes, is deterministic simulated-event
     order — not sorted by start time, since spans and intervals are
-    emitted when they {e close}).  The buffers feed {!Chrome_trace},
-    the determinism profiler and the tests. *)
+    emitted when they {e close}).  Intervals are kept in an
+    {!Interval_log}, a few bytes each, and decoded when read.  The
+    buffers feed {!Chrome_trace}, the determinism profiler and the
+    tests. *)
 
 type t
 
@@ -21,7 +23,8 @@ val instants : t -> Span.instant list
 (** In arrival order. *)
 
 val states : t -> Thread_state.interval list
-(** In arrival order; per-thread subsequences are in time order. *)
+(** Decoded from the log, in arrival order; per-thread subsequences are
+    in time order. *)
 
 val span_count : t -> int
 val instant_count : t -> int

@@ -24,11 +24,21 @@ let find_before (ivs : St.interval array) t =
   done;
   !lo - 1
 
-let compute (p : Profile.t) =
+(* Each thread's intervals in time order, decoded from the profile's
+   log: arrival order is each thread's time order. *)
+let thread_intervals (p : Profile.t) =
+  let rev : (int, St.interval list) Hashtbl.t = Hashtbl.create 16 in
+  Obs.Interval_log.iter
+    (fun (iv : St.interval) ->
+      let tid = iv.St.stid in
+      Hashtbl.replace rev tid (iv :: Option.value (Hashtbl.find_opt rev tid) ~default:[]))
+    p.Profile.log;
   let tbl : (int, St.interval array) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (tp : Profile.thread_profile) -> Hashtbl.replace tbl tp.Profile.ptid tp.Profile.intervals)
-    p.Profile.threads;
+  Hashtbl.iter (fun tid l -> Hashtbl.replace tbl tid (Array.of_list (List.rev l))) rev;
+  tbl
+
+let compute (p : Profile.t) =
+  let tbl = thread_intervals p in
   let by_state = Array.make St.n 0 in
   let by_thread : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let by_chunk : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
@@ -38,7 +48,7 @@ let compute (p : Profile.t) =
   let start =
     List.fold_left
       (fun acc (tp : Profile.thread_profile) ->
-        if Array.length tp.Profile.intervals = 0 then acc
+        if tp.Profile.intervals = 0 then acc
         else
           match acc with
           | Some (_, t1) when t1 >= tp.Profile.last_ns -> acc

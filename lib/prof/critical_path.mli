@@ -7,7 +7,8 @@
     fence release, or the best-effort token enabler); and a thread's
     first interval depends on its parent's spawn.
 
-    {!compute} walks this DAG backward from the globally latest interval
+    {!compute} decodes each thread's intervals from the profile's
+    interval log, then walks this DAG backward from the globally latest interval
     end.  Waits with a known waker are {e bridged} — the path jumps to
     the waker and the wait contributes nothing; waits without one are
     attributed to the path as wait time (reported separately as

@@ -1,26 +1,189 @@
 module St = Obs.Thread_state
 
 (* ------------------------------------------------------------------ *)
+(* Per-thread accumulators, folded as intervals arrive                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Chunk ordinals count a thread's chunk opens, so they are dense:
+   [window.(k)] holds ordinal [base + k]'s per-state ns, [[||]] for an
+   ordinal no interval carried.  An ordinal that would stretch the
+   window too far (see [extend]) goes to [far] instead, so any sequence
+   of ordinals folds exactly in space linear in the chunks seen.  [slot]
+   caches ordinal [ck]'s array: a chunk's intervals arrive together. *)
+type acc = {
+  tid : int;
+  by_state : int array;
+  mutable n : int;
+  mutable first : int;
+  mutable last : int;
+  mutable gap : int;
+  mutable overlap : int;
+  mutable ck : int;
+  mutable slot : int array;
+  mutable base : int;
+  mutable window : int array array;
+  mutable used : int; (* non-empty window entries *)
+  far : (int, int array) Hashtbl.t;
+}
+
+let new_acc tid =
+  {
+    tid;
+    by_state = Array.make St.n 0;
+    n = 0;
+    first = 0;
+    last = 0;
+    gap = 0;
+    overlap = 0;
+    ck = 0;
+    slot = [||];
+    base = 0;
+    window = [||];
+    used = 0;
+    far = Hashtbl.create 1;
+  }
+
+(* Re-size the window so that it also covers [ck], unless that would
+   make it longer than four times its used entries plus 20.
+   Differences are checked for overflow: ordinals can be any int. *)
+let extend a ck =
+  let len = Array.length a.window in
+  if len = 0 then begin
+    a.base <- ck;
+    a.window <- Array.make 16 [||];
+    true
+  end
+  else begin
+    let limit = (4 * a.used) + 20 in
+    let k = ck - a.base in
+    if ck > a.base then
+      k > 0 && k < limit
+      && begin
+           let w = Array.make (min limit (max (k + 1) (2 * len))) [||] in
+           Array.blit a.window 0 w 0 len;
+           a.window <- w;
+           true
+         end
+    else
+      let d = -k in
+      d > 0 && d < limit - len
+      && begin
+           let w = Array.make (min limit (max (len + d) (2 * len))) [||] in
+           Array.blit a.window 0 w d len;
+           a.window <- w;
+           a.base <- ck;
+           true
+         end
+  end
+
+(* A window entry is created once per ordinal; an ordinal parked in
+   [far] before the window reached it moves in. *)
+let fill a k ck =
+  let s =
+    if Hashtbl.length a.far = 0 then Array.make St.n 0
+    else
+      match Hashtbl.find_opt a.far ck with
+      | Some s ->
+          Hashtbl.remove a.far ck;
+          s
+      | None -> Array.make St.n 0
+  in
+  a.window.(k) <- s;
+  a.used <- a.used + 1;
+  s
+
+let rec find_slot a ck =
+  let k = ck - a.base in
+  if ck >= a.base && k >= 0 && k < Array.length a.window then
+    let s = a.window.(k) in
+    if s != [||] then s else fill a k ck
+  else if extend a ck then find_slot a ck
+  else
+    match Hashtbl.find_opt a.far ck with
+    | Some s -> s
+    | None ->
+        let s = Array.make St.n 0 in
+        Hashtbl.add a.far ck s;
+        s
+
+let fold a (iv : St.interval) si d =
+  a.by_state.(si) <- a.by_state.(si) + d;
+  let slot =
+    if a.slot != [||] && iv.St.chunk = a.ck then a.slot
+    else begin
+      let s = find_slot a iv.St.chunk in
+      a.ck <- iv.St.chunk;
+      a.slot <- s;
+      s
+    end
+  in
+  slot.(si) <- slot.(si) + d;
+  if a.n = 0 then a.first <- iv.St.t0
+  else if iv.St.t0 > a.last then a.gap <- a.gap + (iv.St.t0 - a.last)
+  else if iv.St.t0 < a.last then a.overlap <- a.overlap + (a.last - iv.St.t0);
+  a.last <- iv.St.t1;
+  a.n <- a.n + 1
+
+(* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Tids in [0, dense_tids) index [accs]; any other tid is in [sparse]. *)
+let dense_tids = 4096
+
 type collector = {
-  mutable states_rev : St.interval list;
-  mutable nstates : int;
+  log : Obs.Interval_log.t;
+  mutable accs : acc option array;
+  sparse : (int, acc) Hashtbl.t;
+  metrics : Obs.Metrics.t;
+  hists : Obs.Metrics.histogram array; (* ["state:<name>"], by state index *)
   mutable parents_rev : (int * int) list; (* (child, parent) spawn edges *)
 }
 
-let create () = { states_rev = []; nstates = 0; parents_rev = [] }
-
-let sink c =
+let create () =
+  let metrics = Obs.Metrics.create () in
   {
-    Obs.Sink.span = (fun _ -> ());
-    instant = (fun _ -> ());
-    state =
-      (fun iv ->
-        c.states_rev <- iv :: c.states_rev;
-        c.nstates <- c.nstates + 1);
+    log = Obs.Interval_log.create ();
+    accs = [||];
+    sparse = Hashtbl.create 1;
+    metrics;
+    hists =
+      Array.of_list
+        (List.map (fun st -> Obs.Metrics.histogram metrics ("state:" ^ St.name st)) St.all);
+    parents_rev = [];
   }
+
+let acc_of c tid =
+  if tid >= 0 && tid < dense_tids then begin
+    if tid >= Array.length c.accs then begin
+      let a = Array.make (max 16 (max (tid + 1) (2 * Array.length c.accs))) None in
+      Array.blit c.accs 0 a 0 (Array.length c.accs);
+      c.accs <- a
+    end;
+    match c.accs.(tid) with
+    | Some a -> a
+    | None ->
+        let a = new_acc tid in
+        c.accs.(tid) <- Some a;
+        a
+  end
+  else
+    match Hashtbl.find_opt c.sparse tid with
+    | Some a -> a
+    | None ->
+        let a = new_acc tid in
+        Hashtbl.add c.sparse tid a;
+        a
+
+(* The histogram is recorded first: it rejects a negative duration
+   before anything else has changed. *)
+let add c (iv : St.interval) =
+  let d = St.duration iv and si = St.index iv.St.state in
+  Obs.Metrics.record c.hists.(si) d;
+  fold (acc_of c iv.St.stid) iv si d;
+  Obs.Interval_log.push c.log iv
+
+let sink c = { Obs.Sink.span = (fun _ -> ()); instant = (fun _ -> ()); state = add c }
 
 (* A spawn emits [Release { obj = "t:<child>" }] from the parent (the
    exit release is "t:<k>:exit", which [thread_of_obj] rejects). *)
@@ -37,7 +200,7 @@ let observer c : Runtime.Rt_event.observer = function
 type thread_profile = {
   ptid : int;
   by_state : int array; (* St.n entries, ns *)
-  intervals : St.interval array; (* per-thread time order *)
+  intervals : int; (* how many; the intervals are in [t.log] *)
   first_ns : int;
   last_ns : int;
   gap_ns : int; (* uncovered time strictly inside [first_ns, last_ns] *)
@@ -52,116 +215,63 @@ type t = {
   parents : (int * int) list; (* (child, parent), ascending child *)
   hists : Obs.Metrics.snapshot; (* per-state interval-length histograms *)
   nintervals : int;
+  log : Obs.Interval_log.view;
 }
 
 let lifetime_ns tp = tp.last_ns - tp.first_ns
 let busy_ns tp = Array.fold_left ( + ) 0 tp.by_state
 
-(* One thread's aggregates.  [hists] holds the interned per-state
-   histogram handles, by state index. *)
-let profile_thread hists tid (ivs : St.interval array) =
-  let n = Array.length ivs in
-  let by_state = Array.make St.n 0 in
-  (* Chunk ordinals count a thread's chunk opens, so they index a dense
-     slot array directly; [[||]] marks an ordinal no interval carried. *)
-  let ck_lo = ref max_int and ck_hi = ref min_int in
-  Array.iter
-    (fun (iv : St.interval) ->
-      if iv.St.chunk < !ck_lo then ck_lo := iv.St.chunk;
-      if iv.St.chunk > !ck_hi then ck_hi := iv.St.chunk)
-    ivs;
-  let ck_lo = !ck_lo in
-  let slots = Array.make (if n = 0 then 0 else !ck_hi - ck_lo + 1) [||] in
-  let gap = ref 0 and overlap = ref 0 in
-  for i = 0 to n - 1 do
-    let iv = Array.unsafe_get ivs i in
-    let d = St.duration iv in
-    let si = St.index iv.St.state in
-    by_state.(si) <- by_state.(si) + d;
-    Obs.Metrics.record hists.(si) d;
-    let k = iv.St.chunk - ck_lo in
-    let slot =
-      let a = slots.(k) in
-      if a != [||] then a
-      else begin
-        let a = Array.make St.n 0 in
-        slots.(k) <- a;
-        a
-      end
-    in
-    slot.(si) <- slot.(si) + d;
-    if i > 0 then begin
-      let prev_t1 = ivs.(i - 1).St.t1 in
-      if iv.St.t0 > prev_t1 then gap := !gap + (iv.St.t0 - prev_t1)
-      else if iv.St.t0 < prev_t1 then overlap := !overlap + (prev_t1 - iv.St.t0)
-    end
-  done;
-  let nchunks = Array.fold_left (fun acc a -> if a != [||] then acc + 1 else acc) 0 slots in
-  let chunks = Array.make nchunks (0, [||]) in
+(* Copies every array, so later intervals leave the profile as it is. *)
+let thread_profile a =
+  let chunks = Array.make (a.used + Hashtbl.length a.far) (0, [||]) in
   let j = ref 0 in
-  Array.iteri
-    (fun k a ->
-      if a != [||] then begin
-        chunks.(!j) <- (k + ck_lo, a);
-        incr j
-      end)
-    slots;
+  let put ck s =
+    chunks.(!j) <- (ck, Array.copy s);
+    incr j
+  in
+  Array.iteri (fun k s -> if s != [||] then put (a.base + k) s) a.window;
+  if Hashtbl.length a.far > 0 then begin
+    Hashtbl.iter put a.far;
+    Array.sort (fun (x, _) (y, _) -> compare x y) chunks
+  end;
   {
-    ptid = tid;
-    by_state;
-    intervals = ivs;
-    first_ns = (if n = 0 then 0 else ivs.(0).St.t0);
-    last_ns = (if n = 0 then 0 else ivs.(n - 1).St.t1);
-    gap_ns = !gap;
-    overlap_ns = !overlap;
+    ptid = a.tid;
+    by_state = Array.copy a.by_state;
+    intervals = a.n;
+    first_ns = a.first;
+    last_ns = a.last;
+    gap_ns = a.gap;
+    overlap_ns = a.overlap;
     chunks;
   }
 
+(* O(threads + chunks): the intervals were folded as they arrived. *)
 let finish c ~wall_ns =
-  (* Tids are dense from 0, so they index per-thread arrays directly.  A
-     counting pass sizes each thread's interval array exactly; states_rev
-     is newest-first, so filling each array from its end leaves it in
-     per-thread time order without a sort. *)
-  let lo = ref max_int and hi = ref min_int in
-  List.iter
-    (fun (iv : St.interval) ->
-      if iv.St.stid < !lo then lo := iv.St.stid;
-      if iv.St.stid > !hi then hi := iv.St.stid)
-    c.states_rev;
-  let lo = !lo in
-  let counts = Array.make (if c.nstates = 0 then 0 else !hi - lo + 1) 0 in
-  List.iter
-    (fun (iv : St.interval) ->
-      let k = iv.St.stid - lo in
-      counts.(k) <- counts.(k) + 1)
-    c.states_rev;
-  let by_tid = Array.make (Array.length counts) [||] in
-  List.iter
-    (fun (iv : St.interval) ->
-      let k = iv.St.stid - lo in
-      if by_tid.(k) == [||] then by_tid.(k) <- Array.make counts.(k) iv;
-      let j = counts.(k) - 1 in
-      counts.(k) <- j;
-      by_tid.(k).(j) <- iv)
-    c.states_rev;
-  let metrics = Obs.Metrics.create () in
-  let hists =
-    Array.of_list
-      (List.map (fun st -> Obs.Metrics.histogram metrics ("state:" ^ St.name st)) St.all)
+  let threads =
+    Array.fold_right
+      (fun a acc -> match a with Some a -> thread_profile a :: acc | None -> acc)
+      c.accs []
   in
-  let threads = ref [] in
-  for k = Array.length by_tid - 1 downto 0 do
-    if by_tid.(k) != [||] then threads := profile_thread hists (k + lo) by_tid.(k) :: !threads
-  done;
-  let threads = !threads in
+  let threads =
+    if Hashtbl.length c.sparse = 0 then threads
+    else
+      Hashtbl.fold (fun _ a acc -> thread_profile a :: acc) c.sparse threads
+      |> List.sort (fun x y -> compare x.ptid y.ptid)
+  in
   let totals = Array.make St.n 0 in
   List.iter
     (fun tp -> Array.iteri (fun i v -> totals.(i) <- totals.(i) + v) tp.by_state)
     threads;
-  let parents = List.sort_uniq compare c.parents_rev in
-  { threads; totals; wall_ns; parents; hists = Obs.Metrics.snapshot metrics; nintervals = c.nstates }
+  {
+    threads;
+    totals;
+    wall_ns;
+    parents = List.sort_uniq compare c.parents_rev;
+    hists = Obs.Metrics.snapshot c.metrics;
+    nintervals = Obs.Interval_log.length c.log;
+    log = Obs.Interval_log.view c.log;
+  }
 
-let thread t tid = List.find_opt (fun tp -> tp.ptid = tid) t.threads
 let parent_of t tid = List.assoc_opt tid t.parents
 
 (* Conservation: each thread's intervals tile its lifetime exactly —
@@ -183,10 +293,6 @@ let chunks_consistent tp =
 let share tp st =
   let life = lifetime_ns tp in
   if life = 0 then 0.0 else float_of_int tp.by_state.(St.index st) /. float_of_int life
-
-let total_share t st =
-  let life = List.fold_left (fun acc tp -> acc + lifetime_ns tp) 0 t.threads in
-  if life = 0 then 0.0 else float_of_int t.totals.(St.index st) /. float_of_int life
 
 (* The one shared derivation of "what fraction of the busy time went
    where": every consumer (report tables, what-if baselines, the
@@ -212,7 +318,7 @@ let thread_to_json tp =
       ("lifetime_ns", Obs.Json.Int (lifetime_ns tp));
       ("gap_ns", Obs.Json.Int tp.gap_ns);
       ("overlap_ns", Obs.Json.Int tp.overlap_ns);
-      ("intervals", Obs.Json.Int (Array.length tp.intervals));
+      ("intervals", Obs.Json.Int tp.intervals);
       ("chunks", Obs.Json.Int (Array.length tp.chunks));
       ( "by_state",
         Obs.Json.Obj

@@ -4,8 +4,12 @@
     A {!collector}'s {!sink} subscribes to the runtimes'
     {!Obs.Thread_state} interval stream, and its {!observer} picks the
     spawn edges out of the happens-before stream (for walking from a
-    thread's birth to its parent during critical-path analysis).
-    {!finish} folds the streams into per-thread profiles.
+    thread's birth to its parent during critical-path analysis).  The
+    sink folds each interval into its thread's accumulators as it
+    arrives (per-state and per-chunk ns, gaps, overlaps, the per-state
+    histograms) and appends it to an {!Obs.Interval_log}; it keeps no
+    record per interval.  {!finish} copies the accumulators out, in
+    O(threads + chunks).
 
     The central invariant is {e conservation}: the simulated clock only
     moves while a thread is inside a charged operation or a measured
@@ -20,7 +24,8 @@ val create : unit -> collector
 
 val sink : collector -> Obs.Sink.t
 (** Records state intervals only; spans and instants are dropped (tee
-    with a {!Obs.Tracer} to keep both). *)
+    with a {!Obs.Tracer} to keep both).  An interval with [t1 < t0] is
+    rejected with [Invalid_argument] before it changes anything. *)
 
 val observer : collector -> Runtime.Rt_event.observer
 (** Records spawn edges ([Release] of ["t:<child>"]).  Optional: without
@@ -30,7 +35,7 @@ val observer : collector -> Runtime.Rt_event.observer
 type thread_profile = {
   ptid : int;
   by_state : int array;  (** ns per state, indexed by {!Obs.Thread_state.index} *)
-  intervals : Obs.Thread_state.interval array;  (** in per-thread time order *)
+  intervals : int;  (** how many; the intervals themselves are in [log] *)
   first_ns : int;
   last_ns : int;
   gap_ns : int;  (** uncovered ns strictly inside the lifetime; 0 when conserved *)
@@ -50,11 +55,15 @@ type t = {
       (** one histogram per state (["state:<name>"]) over individual
           interval lengths — the p50/p99/p999 columns of the report *)
   nintervals : int;
+  log : Obs.Interval_log.view;
+      (** every interval, in arrival order (so each thread's in time
+          order); {!Critical_path} decodes it *)
 }
 
 val finish : collector -> wall_ns:int -> t
+(** The profile of every interval so far.  It copies what it reads, so
+    intervals fed to the collector later do not change it. *)
 
-val thread : t -> int -> thread_profile option
 val parent_of : t -> int -> int option
 
 val lifetime_ns : thread_profile -> int
@@ -69,8 +78,6 @@ val chunks_consistent : thread_profile -> bool
 
 val share : thread_profile -> Obs.Thread_state.t -> float
 (** Fraction of the thread's lifetime spent in the state, [0..1]. *)
-
-val total_share : t -> Obs.Thread_state.t -> float
 
 val state_shares : t -> (Obs.Thread_state.t * float) list
 (** Each state's fraction of the {e total busy time} (sum of [totals]),

@@ -255,20 +255,18 @@ let emitting rt = rt.observer <> None || not (Obs.Sink.is_null rt.obs)
    the breakdown category, the state interval and the histogram sample. *)
 let charge rt th st ns = Rt_core.charge rt.core th.acct st ns
 
-let emit rt ev =
+(* [iname] is the instant's label, [Rt_event.label ev], for a caller
+   that has built it already; it is read only when tracing. *)
+let emit_labelled rt ev iname =
   (match rt.observer with Some f -> f ev | None -> ());
   if tracing rt then begin
     let icat =
       match ev with Rt_event.Conflict _ -> Obs.Span.Race | _ -> Obs.Span.Sync
     in
-    rt.obs.Obs.Sink.instant
-      {
-        Obs.Span.iname = Rt_event.label ev;
-        icat;
-        itid = Rt_event.tid ev;
-        itime = e_now rt;
-      }
+    rt.obs.Obs.Sink.instant { Obs.Span.iname; icat; itid = Rt_event.tid ev; itime = e_now rt }
   end
+
+let emit rt ev = emit_labelled rt ev (if tracing rt then Rt_event.label ev else "")
 
 let new_mutex_rec () =
   { holder = -1; lock_waitq = Queue.create (); cs = { ewma = 0.0 }; cs_enter_instr = 0 }
@@ -631,16 +629,18 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
        charge rt th St.Commit (int_of_float (float_of_int ns *. rt.cfg.commit_cost_mult))
      end);
     Obs.Metrics.record rt.mh_commit_pages ci.pages_committed;
+    (* One label names both the span and the [Commit] instant. *)
+    let label = if tracing rt then Obs.Label.int "commit:v" ci.version else "" in
     if tracing rt then
-      span rt ~cat:Obs.Span.Commit
-        ~name:(Obs.Label.int "commit:v" ci.version)
-        ~tid:th.tid ~t0
+      span rt ~cat:Obs.Span.Commit ~name:label ~tid:th.tid ~t0
         ~args:[ ("pages", ci.pages_committed); ("merged", ci.pages_merged) ]
         ();
     record_sync rt th Rt_core.Commit ci.version;
     emit_conflicts rt th ci;
     if emitting rt then begin
-      emit rt (Rt_event.Commit { tid = th.tid; version = ci.version; pages = ci.committed_pages });
+      emit_labelled rt
+        (Rt_event.Commit { tid = th.tid; version = ci.version; pages = ci.committed_pages })
+        label;
       emit_commit_hash rt th ci
     end
   end

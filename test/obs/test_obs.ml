@@ -207,6 +207,48 @@ let prop_metrics_percentile_within_bucket =
           && est <= float_of_int h.Obs.Metrics.max_v +. 0.001)
         [ 0.0; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ])
 
+(* The bucket search before it took a fixed number of steps: double a
+   bound until it reaches [v], at most 62 times. *)
+let reference_bucket v =
+  let i = ref 0 and bound = ref 1 in
+  while v > !bound && !i < 62 do
+    incr i;
+    bound := !bound * 2
+  done;
+  !i
+
+(* Bucket [i]'s reported upper bound, as [Metrics.snapshot] gives it. *)
+let bucket_upper i = if i >= 62 then max_int else 1 lsl i
+
+let bucket_edges =
+  [ 0; 1; 2; 3; max_int; max_int - 1 ]
+  @ List.concat_map (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ]) (List.init 62 Fun.id)
+  |> List.filter (fun v -> v >= 0)
+
+let prop_bucket_matches_loop =
+  QCheck.Test.make ~name:"histogram bucket matches the doubling loop" ~count:1000
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         oneof [ map (fun x -> x land max_int) int; small_nat; oneofl bucket_edges ]))
+    (fun v ->
+      let m = Obs.Metrics.create () in
+      Obs.Metrics.observe m "h" v;
+      match Obs.Metrics.find_hist (Obs.Metrics.snapshot m) "h" with
+      | Some { Obs.Metrics.buckets = [ (upper, 1) ]; _ } -> upper = bucket_upper (reference_bucket v)
+      | _ -> false)
+
+let test_bucket_edges () =
+  List.iter
+    (fun v ->
+      let m = Obs.Metrics.create () in
+      Obs.Metrics.observe m "h" v;
+      let h = Option.get (Obs.Metrics.find_hist (Obs.Metrics.snapshot m) "h") in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "bucket of %d" v)
+        [ (bucket_upper (reference_bucket v), 1) ]
+        h.Obs.Metrics.buckets)
+    bucket_edges
+
 (* ------------------------------------------------------------------ *)
 (* Tracer / sink                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -280,6 +322,16 @@ let test_tracer_state_channel () =
   Obs.Tracer.clear tr;
   check_int "cleared" 0 (Obs.Tracer.state_count tr)
 
+(* [index] is the constructor's position: it must agree with [all]
+   and [of_index]. *)
+let test_state_index () =
+  check_int "n" 14 Obs.Thread_state.n;
+  List.iteri
+    (fun i st ->
+      check_int (Obs.Thread_state.name st) i (Obs.Thread_state.index st);
+      check_bool "of_index" true (Obs.Thread_state.of_index i = st))
+    Obs.Thread_state.all
+
 let test_counter_events () =
   (* Two states on one thread over [0,100): the counter track must
      bucket the occupancy and conserve total ns across buckets. *)
@@ -322,6 +374,91 @@ let test_span_duration () =
    ph / pid; "X" events have numeric ts/dur >= 0 and a tid; "i" events
    have thread scope; every tid referenced by an event has a thread_name
    metadata record. *)
+(* ------------------------------------------------------------------ *)
+(* Interval log                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Log = Obs.Interval_log
+
+(* Any int, the extremes, and the small values a runtime emits. *)
+let any_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, small_signed_int);
+        (2, int);
+        (1, oneofl [ 0; -1; 1; min_int; max_int; min_int + 1; max_int - 1 ]);
+      ])
+
+(* Streams that continue a thread's time and chunk (the deltas are
+   then 0) as often as they jump anywhere. *)
+let interval_stream =
+  let open QCheck.Gen in
+  let step =
+    pair
+      (pair (frequency [ (4, int_bound 8); (1, int_bound 300); (1, any_int) ]) (int_bound 13))
+      (pair (pair any_int (pair bool bool)) (pair any_int (pair any_int any_int)))
+  in
+  map
+    (fun steps ->
+      let last = Hashtbl.create 8 in
+      List.map
+        (fun ((tid, si), ((dur, (keep_t0, keep_chunk)), (t0, (chunk, waker)))) ->
+          let pt1, pck = Option.value (Hashtbl.find_opt last tid) ~default:(0, 0) in
+          let t0 = if keep_t0 then pt1 else t0 in
+          let chunk = if keep_chunk then pck else chunk in
+          let iv =
+            mk_state ~stid:tid ~state:(Obs.Thread_state.of_index si) ~chunk ~waker ~t0
+              ~t1:(t0 + dur) ()
+          in
+          Hashtbl.replace last tid (iv.Obs.Thread_state.t1, chunk);
+          iv)
+        steps)
+    (list_size (int_bound 2000) step)
+
+let print_interval (iv : Obs.Thread_state.interval) =
+  Printf.sprintf "{t%d %s [%d,%d) ck=%d w=%d}" iv.Obs.Thread_state.stid
+    (Obs.Thread_state.name iv.Obs.Thread_state.state)
+    iv.Obs.Thread_state.t0 iv.Obs.Thread_state.t1 iv.Obs.Thread_state.chunk
+    iv.Obs.Thread_state.waker
+
+let prop_log_roundtrip =
+  QCheck.Test.make ~name:"interval log round-trips any stream" ~count:300 ~long_factor:20
+    (QCheck.make ~print:QCheck.Print.(list print_interval) ~shrink:QCheck.Shrink.list
+       interval_stream)
+    (fun ivs ->
+      let log = Log.create () in
+      List.iter (Log.push log) ivs;
+      let v = Log.view log in
+      Log.length log = List.length ivs && Log.count v = List.length ivs && Log.to_list v = ivs)
+
+(* A view keeps what the log held when it was taken, through later
+   pushes, a clear, and pushes after the clear. *)
+let test_log_views_frozen () =
+  let log = Log.create () in
+  let ivs n base =
+    List.init n (fun i ->
+        mk_state ~stid:(i mod 5) ~chunk:(i / 7) ~t0:(base + (10 * i)) ~t1:(base + (10 * i) + 10) ())
+  in
+  let first = ivs 1500 0 in
+  List.iter (Log.push log) first;
+  let v1 = Log.view log in
+  let twin = Log.create () in
+  List.iter (Log.push twin) first;
+  check_bool "views of equal streams are equal" true (Log.view twin = v1);
+  List.iter (Log.push log) (ivs 700 100_000);
+  check_bool "spans chunks" true (Log.byte_size log > 2 * Log.chunk_bytes);
+  check_bool "view unchanged by pushes" true (Log.to_list v1 = first);
+  check_bool "still equal to its twin" true (Log.view twin = v1);
+  Log.clear log;
+  check_int "cleared" 0 (Log.length log);
+  check_int "cleared bytes" 0 (Log.byte_size log);
+  let after = ivs 40 7 in
+  List.iter (Log.push log) after;
+  check_bool "view unchanged by clear" true (Log.to_list v1 = first);
+  check_bool "log after clear" true (Log.to_list (Log.view log) = after);
+  check_bool "empty view" true (Log.to_list Log.empty = [])
+
 let check_chrome_schema json =
   let get name j = Obs.Json.member name j in
   let events =
@@ -688,6 +825,61 @@ let test_observed_output_golden () =
       check_string (what ^ " labels") labels_golden (Sim.Fnv.to_hex (Sim.Fnv.value labels)))
     observed_golden
 
+(* The traced kmeans run above, as the runtime emitted its state
+   intervals: one line of all six fields per interval, in arrival
+   order, digested.  Taken while the tracer kept a list of records. *)
+let test_states_golden () =
+  let program = (Workload.Registry.find "kmeans").Workload.Registry.program in
+  let tracer = Obs.Tracer.create () in
+  ignore
+    (Runtime.Run.run Runtime.Run.consequence_ic ~seed:1 ~nthreads:8
+       ~obs:(Obs.Tracer.sink tracer) ~observer:ignore program);
+  let h = Sim.Fnv.stream () in
+  let states = Obs.Tracer.states tracer in
+  List.iter
+    (fun (iv : Obs.Thread_state.interval) ->
+      List.iter
+        (fun v ->
+          Sim.Fnv.add_decimal h v;
+          Sim.Fnv.add_string h " ")
+        [
+          iv.Obs.Thread_state.stid;
+          Obs.Thread_state.index iv.Obs.Thread_state.state;
+          iv.Obs.Thread_state.t0;
+          iv.Obs.Thread_state.t1;
+          iv.Obs.Thread_state.chunk;
+          iv.Obs.Thread_state.waker;
+        ];
+      Sim.Fnv.add_string h "\n")
+    states;
+  check_int "intervals" 3444 (List.length states);
+  check_int "state_count" 3444 (Obs.Tracer.state_count tracer);
+  check_string "decoded stream" "1866a6d33096c552" (Sim.Fnv.to_hex (Sim.Fnv.value h))
+
+(* A traced commit builds its label once: the [Commit] instant carries
+   the very string that names its span. *)
+let test_commit_label_shared () =
+  let program = (Workload.Registry.find "kmeans").Workload.Registry.program in
+  let tracer = Obs.Tracer.create () in
+  ignore
+    (Runtime.Run.run Runtime.Run.consequence_ic ~seed:1 ~nthreads:8
+       ~obs:(Obs.Tracer.sink tracer) program);
+  let spans =
+    List.filter (fun (s : Obs.Span.t) -> s.Obs.Span.cat = Obs.Span.Commit) (Obs.Tracer.spans tracer)
+  in
+  let instants =
+    List.filter
+      (fun (i : Obs.Span.instant) -> String.starts_with ~prefix:"commit:v" i.Obs.Span.iname)
+      (Obs.Tracer.instants tracer)
+  in
+  check_bool "commits traced" true (spans <> []);
+  check_int "one instant per commit span" (List.length spans) (List.length instants);
+  List.iter2
+    (fun (s : Obs.Span.t) (i : Obs.Span.instant) ->
+      if not (i.Obs.Span.iname == s.Obs.Span.name) then
+        Alcotest.failf "instant %S is a copy of its span's label" i.Obs.Span.iname)
+    spans instants
+
 let () =
   Alcotest.run "obs"
     [
@@ -714,6 +906,8 @@ let () =
           Alcotest.test_case "zero values" `Quick test_metrics_zero_values;
           Alcotest.test_case "to_json shape" `Quick test_metrics_to_json_shape;
           QCheck_alcotest.to_alcotest prop_metrics_percentile_within_bucket;
+          QCheck_alcotest.to_alcotest prop_bucket_matches_loop;
+          Alcotest.test_case "bucket edges" `Quick test_bucket_edges;
         ] );
       ( "tracer",
         [
@@ -722,8 +916,14 @@ let () =
           Alcotest.test_case "clear" `Quick test_tracer_clear;
           Alcotest.test_case "null and tee" `Quick test_sink_null_and_tee;
           Alcotest.test_case "state channel" `Quick test_tracer_state_channel;
+          Alcotest.test_case "state index" `Quick test_state_index;
           Alcotest.test_case "counter events" `Quick test_counter_events;
           Alcotest.test_case "span duration" `Quick test_span_duration;
+        ] );
+      ( "interval-log",
+        [
+          QCheck_alcotest.to_alcotest prop_log_roundtrip;
+          Alcotest.test_case "views stay frozen" `Quick test_log_views_frozen;
         ] );
       ( "labels",
         [
@@ -741,5 +941,7 @@ let () =
           Alcotest.test_case "schema (real run)" `Quick test_chrome_trace_schema_real_run;
           Alcotest.test_case "run result json" `Quick test_run_result_to_json_parses;
           Alcotest.test_case "golden observed output" `Quick test_observed_output_golden;
+          Alcotest.test_case "golden state stream" `Quick test_states_golden;
+          Alcotest.test_case "commit label built once" `Quick test_commit_label_shared;
         ] );
     ]

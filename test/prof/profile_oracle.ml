@@ -1,9 +1,10 @@
-(* The previous [Prof.Profile.finish], kept verbatim as the oracle for
-   the counting-pass rewrite: per-tid lists grouped through a
-   hashtable, a hashtable of chunk slots per thread, and one
-   string-keyed histogram observation per interval.  It reads the
-   collector's contents as plain arguments, since the collector is
-   abstract. *)
+(* An earlier [Prof.Profile.finish], kept as the oracle for the fold
+   on arrival: per-tid lists grouped through a hashtable, a hashtable
+   of chunk slots per thread, and one string-keyed histogram
+   observation per interval.  It reads the intervals as a plain
+   argument, and besides the profile (whose [log] it leaves empty)
+   returns each thread's intervals, in time order, for comparison
+   with the decoded log. *)
 
 module St = Obs.Thread_state
 open Prof.Profile
@@ -17,9 +18,12 @@ let finish ~states_rev ~nstates ~parents_rev ~wall_ns =
       | None -> Hashtbl.add by_tid iv.St.stid (ref [ iv ]))
     states_rev;
   let metrics = Obs.Metrics.create () in
-  let threads =
+  let per_thread =
     Hashtbl.fold (fun tid r acc -> (tid, Array.of_list !r) :: acc) by_tid []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let threads =
+    per_thread
     |> List.map (fun (tid, ivs) ->
            let n = Array.length ivs in
            let by_state = Array.make St.n 0 in
@@ -54,7 +58,7 @@ let finish ~states_rev ~nstates ~parents_rev ~wall_ns =
            {
              ptid = tid;
              by_state;
-             intervals = ivs;
+             intervals = n;
              first_ns = (if n = 0 then 0 else ivs.(0).St.t0);
              last_ns = (if n = 0 then 0 else ivs.(n - 1).St.t1);
              gap_ns = !gap;
@@ -67,4 +71,13 @@ let finish ~states_rev ~nstates ~parents_rev ~wall_ns =
     (fun tp -> Array.iteri (fun i v -> totals.(i) <- totals.(i) + v) tp.by_state)
     threads;
   let parents = List.sort_uniq compare parents_rev in
-  { threads; totals; wall_ns; parents; hists = Obs.Metrics.snapshot metrics; nintervals = nstates }
+  ( {
+      threads;
+      totals;
+      wall_ns;
+      parents;
+      hists = Obs.Metrics.snapshot metrics;
+      nintervals = nstates;
+      log = Obs.Interval_log.empty;
+    },
+    per_thread )

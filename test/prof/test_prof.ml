@@ -240,50 +240,179 @@ let test_profile_hists_have_states () =
 (* ------------------------------------------------------------------ *)
 
 (* A random interleaving of per-thread interval streams: each step picks
-   a thread (tids are sparse, so the dense tid index has holes), a
-   state, a duration, an offset from the thread's last t1 (usually 0;
-   sometimes a gap or an overlap) and a chunk step that may go back. *)
-let stream_gen =
-  QCheck.(
-    small_list
-      (pair
-         (pair (oneofl [ 0; 1; 2; 5; 9 ]) (int_bound (St.n - 1)))
-         (triple (int_bound 50)
-            (oneofl [ 0; 0; 0; 0; 3; -2 ])
-            (oneofl [ 0; 0; 1; 1; 2; -1; -3 ]))))
+   a thread (tids are sparse, up to 200, so the dense tid index has
+   holes), a state, a duration, an offset from the thread's last t1
+   (usually 0; sometimes a gap or an overlap) and a chunk step that may
+   go back.  One step in eight draws its duration, offset or chunk step
+   from the whole int range, so times and ordinals wrap. *)
+let step_gen =
+  QCheck.Gen.(
+    let wide small = frequency [ (7, small); (1, oneof [ int; oneofl [ min_int; max_int ] ]) ] in
+    pair
+      (pair (frequency [ (4, oneofl [ 0; 1; 2; 5; 9 ]); (1, int_bound 200) ]) (int_bound (St.n - 1)))
+      (triple
+         (frequency [ (7, int_bound 50); (1, map (fun x -> x land max_int) int) ])
+         (wide (oneofl [ 0; 0; 0; 0; 3; -1; -2 ]))
+         (wide (oneofl [ 0; 0; 1; 1; 2; -1; -3 ]))))
+
+let print_step ((tid, si), (dur, offset, step)) =
+  Printf.sprintf "t%d %s dur=%d off=%d step=%d" tid (St.name (St.of_index si)) dur offset step
+
+let stream_arb =
+  QCheck.make
+    ~print:QCheck.Print.(list print_step)
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_bound 60) step_gen)
+
+(* Intervals as a runtime would emit them for [steps], continuing each
+   thread from [clock]/[chunk]; differences wrap. *)
+let intervals_of ~clock ~chunk steps =
+  List.map
+    (fun ((tid, si), (dur, offset, step)) ->
+      let t0 = Option.value (Hashtbl.find_opt clock tid) ~default:0 + offset in
+      let ck = Option.value (Hashtbl.find_opt chunk tid) ~default:0 + step in
+      let iv =
+        { St.stid = tid; state = St.of_index si; t0; t1 = t0 + dur; chunk = ck; waker = -1 }
+      in
+      Hashtbl.replace clock tid iv.St.t1;
+      Hashtbl.replace chunk tid ck;
+      iv)
+    steps
+
+(* [p] equals the oracle's profile of [fed], and its log decodes to the
+   oracle's per-thread intervals. *)
+let matches_oracle p ~fed ~spawns ~wall_ns =
+  let expect, per_thread =
+    Profile_oracle.finish ~states_rev:(List.rev fed) ~nstates:(List.length fed)
+      ~parents_rev:(List.rev spawns) ~wall_ns
+  in
+  let decoded = Hashtbl.create 16 in
+  Obs.Interval_log.iter
+    (fun (iv : St.interval) ->
+      Hashtbl.replace decoded iv.St.stid
+        (iv :: Option.value (Hashtbl.find_opt decoded iv.St.stid) ~default:[]))
+    p.Prof.Profile.log;
+  { p with Prof.Profile.log = Obs.Interval_log.empty } = expect
+  && List.for_all
+       (fun (tid, ivs) -> List.rev (Hashtbl.find decoded tid) = Array.to_list ivs)
+       per_thread
+  && Hashtbl.length decoded = List.length per_thread
 
 let prop_finish_matches_oracle =
-  QCheck.Test.make ~name:"finish equals the previous implementation" ~count:500
-    QCheck.(pair stream_gen (small_list (pair (int_bound 9) (int_bound 9))))
-    (fun (steps, spawns) ->
+  QCheck.Test.make ~name:"finish equals the previous implementation" ~count:500 ~long_factor:50
+    QCheck.(
+      triple stream_arb stream_arb (small_list (pair (int_bound 200) (int_bound 200))))
+    (fun (steps, more, spawns) ->
       let c = Prof.Profile.create () in
       let sink = Prof.Profile.sink c in
       let clock = Hashtbl.create 8 and chunk = Hashtbl.create 8 in
-      let fed =
-        List.map
-          (fun ((tid, si), (dur, offset, step)) ->
-            let last = Option.value (Hashtbl.find_opt clock tid) ~default:0 in
-            let ck = Option.value (Hashtbl.find_opt chunk tid) ~default:0 + step in
-            let t0 = max 0 (last + offset) in
-            let iv =
-              { St.stid = tid; state = St.of_index si; t0; t1 = t0 + dur; chunk = ck; waker = -1 }
-            in
-            Hashtbl.replace clock tid iv.St.t1;
-            Hashtbl.replace chunk tid ck;
-            sink.Obs.Sink.state iv;
-            iv)
-          steps
-      in
+      let fed = intervals_of ~clock ~chunk steps in
+      List.iter sink.Obs.Sink.state fed;
       List.iter
         (fun (child, parent) ->
           Prof.Profile.observer c
             (Runtime.Rt_event.Release { tid = parent; obj = "t:" ^ string_of_int child }))
         spawns;
       let wall_ns = List.fold_left (fun m (iv : St.interval) -> max m iv.St.t1) 0 fed in
-      Prof.Profile.finish c ~wall_ns
-      = Profile_oracle.finish ~states_rev:(List.rev fed) ~nstates:(List.length fed)
-          ~parents_rev:(List.rev spawns)
-          ~wall_ns)
+      let first = Prof.Profile.finish c ~wall_ns in
+      (* A second finish after more intervals; the first must not move. *)
+      let fed_more = intervals_of ~clock ~chunk more in
+      List.iter sink.Obs.Sink.state fed_more;
+      let second = Prof.Profile.finish c ~wall_ns in
+      matches_oracle first ~fed ~spawns ~wall_ns
+      && matches_oracle second ~fed:(fed @ fed_more) ~spawns ~wall_ns)
+
+(* A chunk ordinal too far from the dense ones is kept aside; once the
+   dense range has grown to reach it, its next interval must add to the
+   same chunk, not start a second one. *)
+let test_far_chunk_rejoins () =
+  let steps =
+    List.map (fun step -> ((3, 0), (10, 0, step))) ([ 0; 100; -99 ] @ List.init 99 (fun _ -> 1))
+  in
+  let c = Prof.Profile.create () in
+  let fed = intervals_of ~clock:(Hashtbl.create 1) ~chunk:(Hashtbl.create 1) steps in
+  List.iter (Prof.Profile.sink c).Obs.Sink.state fed;
+  let p = Prof.Profile.finish c ~wall_ns:0 in
+  check_int "one entry per ordinal" 101
+    (Array.length (List.hd p.Prof.Profile.threads).Prof.Profile.chunks);
+  check_bool "equals the oracle" true (matches_oracle p ~fed ~spawns:[] ~wall_ns:0)
+
+(* The histogram rejects a negative duration before the fold or the log
+   sees the interval, so the collector is left as it was. *)
+let test_negative_interval_rejected () =
+  let c = Prof.Profile.create () in
+  let sink = Prof.Profile.sink c in
+  let good = { St.stid = 1; state = St.Run; t0 = 0; t1 = 10; chunk = 0; waker = -1 } in
+  sink.Obs.Sink.state good;
+  let before = Prof.Profile.finish c ~wall_ns:10 in
+  (match sink.Obs.Sink.state { good with St.t0 = 10; t1 = 5; chunk = 1 } with
+  | () -> Alcotest.fail "a negative duration was accepted"
+  | exception Invalid_argument _ -> ());
+  check_bool "collector unchanged" true (Prof.Profile.finish c ~wall_ns:10 = before)
+
+(* ------------------------------------------------------------------ *)
+(* Golden reports and the sinks' allocation                           *)
+(* ------------------------------------------------------------------ *)
+
+(* FNV digests of [Report.to_json] (profile and critical path) for two
+   runs at 8 threads, seed 1, taken while the profile kept every
+   interval as a record and regrouped them in [finish]. *)
+let report_golden =
+  [
+    (Runtime.Run.consequence_ic, "kmeans", "4c9918c5151e0ff1");
+    (Runtime.Run.pthreads, "water_nsquared", "0312e7b50a016973");
+  ]
+
+let test_report_golden () =
+  List.iter
+    (fun (rt, name, golden) ->
+      let r = Prof.Report.run ~runtime:rt ~seed:1 ~nthreads:8 (program_of name) in
+      let json = Obs.Json.to_string (Prof.Report.to_json r) in
+      check_string
+        (Printf.sprintf "%s %s report" (Runtime.Run.name rt) name)
+        golden
+        (Sim.Fnv.to_hex (Sim.Fnv.string Sim.Fnv.init json)))
+    report_golden
+
+(* Words [f ()] allocates, on the minor heap and directly on the major
+   heap; the minor collections fold the domain's counters in. *)
+let allocated_words f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  f ();
+  int_of_float (words () -. w0)
+
+(* A runtime-like stream: eight threads in turn, each interval starting
+   where its thread's last one ended, a new chunk every eight of a
+   thread's intervals, and a waker on one interval in five. *)
+let runtime_like ~from n =
+  Array.init n (fun j ->
+      let i = from + j in
+      let tid = i mod 8 and k = i / 8 in
+      {
+        St.stid = tid;
+        state = St.of_index (k mod St.n);
+        t0 = 100 * k;
+        t1 = 100 * (k + 1);
+        chunk = k / 8;
+        waker = (if k mod 5 = 0 then (tid + 1) mod 8 else -1);
+      })
+
+let test_sinks_allocation () =
+  let c = Prof.Profile.create () in
+  let sink = Obs.Sink.tee (Obs.Tracer.sink (Obs.Tracer.create ())) (Prof.Profile.sink c) in
+  let n = 10_000 in
+  Array.iter sink.Obs.Sink.state (runtime_like ~from:0 2_000);
+  let ivs = runtime_like ~from:2_000 n in
+  let words = allocated_words (fun () -> Array.iter sink.Obs.Sink.state ivs) in
+  if words >= 6 * n then
+    Alcotest.failf "%d words for %d intervals: two list cells an interval would cost %d" words n
+      (6 * n);
+  check_int "all folded" (2_000 + n) (Prof.Profile.finish c ~wall_ns:0).Prof.Profile.nintervals
 
 (* ------------------------------------------------------------------ *)
 
@@ -321,7 +450,17 @@ let () =
           Alcotest.test_case "cheaper costs never slower" `Quick
             test_whatif_cheaper_never_much_slower;
         ] );
-      ("finish", [ QCheck_alcotest.to_alcotest prop_finish_matches_oracle ]);
+      ( "finish",
+        [
+          QCheck_alcotest.to_alcotest prop_finish_matches_oracle;
+          Alcotest.test_case "far chunk ordinal rejoins" `Quick test_far_chunk_rejoins;
+          Alcotest.test_case "negative interval rejected" `Quick test_negative_interval_rejected;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "report digests" `Quick test_report_golden;
+          Alcotest.test_case "sinks allocate less than list cells" `Quick test_sinks_allocation;
+        ] );
       ( "quantiles",
         [
           Alcotest.test_case "p999 ordering and JSON export" `Quick test_p999;
