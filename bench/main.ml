@@ -320,7 +320,7 @@ let sched_tests () =
   let token_cycle =
     (* The no-contention fast path a thread takes at every sync op when
        nobody else wants the token: waitq insert/remove, the O(1)
-       eligibility read, published_of, poke. *)
+       eligibility read, poke. *)
     Test.make ~name:"token: uncontended acquire + release cycle"
       (Staged.stage
          (let eng = Sim.Engine.create ~seed:1 () in

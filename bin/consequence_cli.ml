@@ -213,7 +213,7 @@ let profile_cmd =
         let program = (Workload.Registry.find name).Workload.Registry.program in
         let r = Prof.Report.run ~runtime ~seed ~nthreads:threads program in
         let p = r.Prof.Report.profile in
-        (* Shares come from the shared accessor; see Prof.Profile.state_shares. *)
+        (* Shares come from the shared accessor; see Prof.Profile.state_share. *)
         let pct st = 100.0 *. Prof.Profile.state_share p st in
         let ok = Prof.Report.conservation_ok r in
         if not ok then incr bad;

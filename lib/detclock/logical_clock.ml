@@ -188,11 +188,6 @@ let gmic_tid t = if t.active.size = 0 then -1 else t.active.heap.(0).tid
 
 let is_gmic t ~tid = t.active.size > 0 && t.active.heap.(0).tid = tid
 
-let published_of t ~tid =
-  match Hashtbl.find_opt t.clocks tid with
-  | Some c when not c.finished -> Some c.published
-  | Some _ | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Token-waiter index                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -75,10 +75,6 @@ val gmic_tid : t -> int
 val is_gmic : t -> tid:int -> bool
 (** True iff [tid] is live, non-departed, and equal to {!gmic}.  O(1). *)
 
-val published_of : t -> tid:int -> int option
-(** Published count of a live thread by tid; [None] if unregistered or
-    finished.  O(1) (no list build, unlike {!counts}). *)
-
 val set_waiting : t -> tid:int -> bool -> unit
 (** Mark/unmark [tid] as waiting for the global token.  Maintains the
     waiter index behind {!next_waiting_gap}; called by [Token.wait].

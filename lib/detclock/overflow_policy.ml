@@ -32,8 +32,6 @@ let create kind =
   | Adaptive _ | Fixed _ -> ());
   { kind; interval; scheduled = 0; cursor = 0 }
 
-let kind t = t.kind
-
 let begin_chunk t =
   match t.kind with
   | Adaptive { base; cap } -> t.interval <- min base cap

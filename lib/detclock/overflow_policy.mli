@@ -46,7 +46,6 @@ val default_cap : int
     keeping interrupt overhead negligible for compute-dominated chunks. *)
 
 val create : kind -> t
-val kind : t -> kind
 
 val begin_chunk : t -> unit
 (** Reset per-chunk state (rule 1). *)

@@ -9,11 +9,11 @@
 
 let ratio num den = if den <= 0 then 1.0 else float_of_int num /. float_of_int den
 
-let run ?(benchmarks = Workload.Registry.names) ?(threads = 8) ?(seed = 1) ?(quick = true) () =
+let run ?(threads = 8) ?(seed = 1) () =
   let results =
     Sim.Par.map_list
-      (fun name -> Tune.Search.search ~nthreads:threads ~seed ~quick ~check:true name)
-      benchmarks
+      (fun name -> Tune.Search.search ~nthreads:threads ~seed ~quick:true ~check:true name)
+      Workload.Registry.names
   in
   let table =
     Stats.Table.create
@@ -94,10 +94,9 @@ let run ?(benchmarks = Workload.Registry.names) ?(threads = 8) ?(seed = 1) ?(qui
            re-checks each Tune_decision against the pure (params, epoch) prediction"
           (if all_stable && all_replay_ok then "PASS" else "FAIL");
         Printf.sprintf
-          "%d simulated evaluations total (%s search); controller decisions are pure \
+          "%d simulated evaluations total (quick search); controller decisions are pure \
            functions of (params, epoch), so all five runtimes make identical choices — \
            mem/output hashes agree everywhere, full witnesses within {ic, pipe, domains}"
-          total_evals
-          (if quick then "quick" else "full");
+          total_evals;
       ];
   }

@@ -6,13 +6,7 @@
     the default on at least half the workloads; winners seed-stable and
     replay-checked) as PASS/FAIL notes. *)
 
-val run :
-  ?benchmarks:string list ->
-  ?threads:int ->
-  ?seed:int ->
-  ?quick:bool ->
-  unit ->
-  Fig_output.t
-(** Defaults: the full registry, 8 threads, seed 1, [quick] search
-    (shortened hill-climb, no random restarts or exploration floor —
-    bench-harness friendly; pass [~quick:false] for the full search). *)
+val run : ?threads:int -> ?seed:int -> unit -> Fig_output.t
+(** The full registry; defaults 8 threads, seed 1.  Runs the quick
+    search (shortened hill-climb, no random restarts or exploration
+    floor — bench-harness friendly). *)

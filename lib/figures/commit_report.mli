@@ -9,6 +9,4 @@
     pipelined runs must produce byte-identical witnesses — the
     optimization relocates cost, never data). *)
 
-val threads_sweep : int list
-
 val run : ?threads:int list -> ?seed:int -> unit -> Fig_output.t

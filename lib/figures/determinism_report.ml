@@ -44,8 +44,8 @@ let measure ?(threads = 4) ?(seeds = [ 1; 2; 42 ]) () =
       { benchmark = program.Api.name; stable; pthreads_variants })
     Workload.Registry.all
 
-let run ?threads ?seeds () =
-  let rows = measure ?threads ?seeds () in
+let run ?threads () =
+  let rows = measure ?threads () in
   let rt_names = List.map Runtime.Run.name det_runtimes in
   let table =
     Stats.Table.create ~columns:(("benchmark" :: rt_names) @ [ "pthreads-variants" ])

@@ -11,4 +11,4 @@ type row = {
 }
 
 val measure : ?threads:int -> ?seeds:int list -> unit -> row list
-val run : ?threads:int -> ?seeds:int list -> unit -> Fig_output.t
+val run : ?threads:int -> unit -> Fig_output.t

@@ -12,14 +12,4 @@
       wall-clock nanoseconds the domains backend measured for the same
       states. *)
 
-type row = {
-  bench : string;
-  des : Stats.Run_result.t;
-  doms : (int * Stats.Run_result.t) list;
-  witness_ok : bool;
-}
-
-val domain_counts : int list
-val bench_names : string list
-val measure : ?threads:int -> ?seed:int -> unit -> row list
 val run : ?threads:int -> ?seed:int -> unit -> Fig_output.t

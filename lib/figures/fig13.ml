@@ -3,6 +3,7 @@ type row = {
   speedups : (string * float) list;
 }
 
+(* Display name and the config transformer that disables it. *)
 let optimizations =
   [
     ("coarsening", Runtime.Config.without_coarsening);

@@ -12,8 +12,5 @@ type row = {
   speedups : (string * float) list;  (** optimization name, speedup *)
 }
 
-val optimizations : (string * (Runtime.Config.t -> Runtime.Config.t)) list
-(** Display name and the config transformer that disables it. *)
-
 val measure : ?threads:int -> ?seed:int -> unit -> row list
 val run : ?threads:int -> ?seed:int -> unit -> Fig_output.t

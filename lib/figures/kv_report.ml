@@ -1,18 +1,19 @@
 (* Transactional KV service report: throughput and request-latency SLO
    quantiles for the six server-shaped traffic mixes.
 
-   Each shape runs once per seed on the chosen runtime; the table
+   Each shape runs once per seed under consequence-ic; the table
    reports completed requests (commits + snapshot reads), abort counts,
    throughput against the modelled clock, and the p50/p99/p999 of the
    kv:req_ns request-latency histogram (submission to completion,
    retries included — so the tail quantiles surface the abort/retry
    convoys that hot-key contention produces).
 
-   The notes carry the determinism claims: for a deterministic runtime
-   the witness and the abort counts must be byte-identical across
-   seeds — latencies move with the seed, outcomes never do. *)
+   The notes carry the determinism claims: the witness and the abort
+   counts must be byte-identical across seeds — latencies move with the
+   seed, outcomes never do. *)
 
-let default_seeds = [ 1; 7 ]
+let runtime = Runtime.Run.consequence_ic
+let seeds = [ 1; 7 ]
 
 type sample = {
   s_shape : string;
@@ -28,8 +29,7 @@ type sample = {
   s_witness : string;
 }
 
-let measure ?(runtime = Runtime.Run.consequence_ic) ?(threads = 4) ?(seeds = default_seeds) ()
-    =
+let measure ?(threads = 4) () =
   let shapes = Workload.Registry.kv_set in
   let jobs = List.concat_map (fun sh -> List.map (fun seed -> (sh, seed)) seeds) shapes in
   Sim.Par.map_list
@@ -63,9 +63,8 @@ let throughput s =
   if s.s_wall <= 0 then 0.0
   else float_of_int s.s_completed /. float_of_int s.s_wall *. 1e9
 
-let run ?runtime ?threads ?seeds () =
-  let runtime = Option.value runtime ~default:Runtime.Run.consequence_ic in
-  let samples = measure ~runtime ?threads ?seeds () in
+let run ?threads () =
+  let samples = measure ?threads () in
   let table =
     Stats.Table.create
       ~columns:
@@ -122,13 +121,10 @@ let run ?runtime ?threads ?seeds () =
     notes =
       [
         Printf.sprintf "runtime %s: %d shapes x %d seeds" (Runtime.Run.name runtime)
-          (List.length shapes)
-          (List.length (Option.value seeds ~default:default_seeds));
-        (if Runtime.Run.deterministic runtime then
-           if all_stable then
-             "witnesses and abort counts byte-identical across seeds for every shape"
-           else "WITNESS OR ABORT-COUNT DIVERGENCE across seeds"
-         else "pthreads baseline: latency quantiles only, witnesses not comparable");
+          (List.length shapes) (List.length seeds);
+        (if all_stable then
+           "witnesses and abort counts byte-identical across seeds for every shape"
+         else "WITNESS OR ABORT-COUNT DIVERGENCE across seeds");
         Printf.sprintf "hot-key p999/p50 latency ratio %.1fx (abort/retry convoys stretch the tail)"
           hot_tail;
       ];

@@ -6,17 +6,16 @@ let pct num den = if den <= 0 then 0.0 else 100.0 *. float_of_int num /. float_o
 let headline_states =
   [ St.Run; St.Token_wait; St.Lock_wait; St.Barrier_wait; St.Commit; St.Fault ]
 
-let default_whatif_benchmarks = [ "ferret"; "kmeans" ]
+let whatif_benchmarks = [ "ferret"; "kmeans" ]
 
-let run ?(benchmarks = Workload.Registry.names) ?(whatif_benchmarks = default_whatif_benchmarks)
-    ?(threads = 8) ?(seed = 1) () =
+let run ?(threads = 8) ?(seed = 1) () =
   let reports =
     List.map
       (fun name ->
         let program = (Workload.Registry.find name).Workload.Registry.program in
         let whatif = List.mem name whatif_benchmarks in
         (name, Prof.Report.run ~seed ~nthreads:threads ~whatif program))
-      benchmarks
+      Workload.Registry.names
   in
   (* Table 1: per-benchmark thread-state shares (percent of total
      thread-time) plus the conservation verdict. *)

@@ -1,15 +1,9 @@
 (** The determinism-profiler bench section ([BENCH_profile.json]).
 
-    Profiles every registry workload (or a chosen subset) under
-    consequence-ic: per-benchmark thread-state shares with the
-    conservation verdict, critical-path composition per state, and — for
-    a small subset, since each costs a record plus one replay per
-    scenario — the measured what-if speedups. *)
+    Profiles every registry workload under consequence-ic:
+    per-benchmark thread-state shares with the conservation verdict,
+    critical-path composition per state, and — for ferret and kmeans
+    only, since each costs a record plus one replay per scenario — the
+    measured what-if speedups. *)
 
-val run :
-  ?benchmarks:string list ->
-  ?whatif_benchmarks:string list ->
-  ?threads:int ->
-  ?seed:int ->
-  unit ->
-  Fig_output.t
+val run : ?threads:int -> ?seed:int -> unit -> Fig_output.t

@@ -1,17 +1,19 @@
 type row = {
   benchmark : string;
-  conflicts : int;
+  conflicts : int;  (** conflict runs under [audited_runtime], first seed *)
   racy : int;
   sync_ordered : int;
   racy_bytes : int;
-  report_stable : bool;
-  pthreads_variants : int;
+  report_stable : bool;  (** report byte-identical across the seed sweep *)
+  pthreads_variants : int;  (** distinct pthreads (conflicts, racy) pairs *)
   pthreads_racy_max : int;
 }
 
 let audited_runtime = Runtime.Run.consequence_ic
 
-let measure ?(threads = 4) ?(seeds = [ 1; 2; 42 ]) () =
+let seeds = [ 1; 2; 42 ]
+
+let measure ?(threads = 4) () =
   (* One job per (benchmark, runtime); each job audits its own seed
      sweep.  The deterministic column's reports must be byte-identical
      across the sweep; pthreads is free to wander. *)
@@ -51,8 +53,8 @@ let measure ?(threads = 4) ?(seeds = [ 1; 2; 42 ]) () =
       })
     Workload.Registry.all
 
-let run ?threads ?seeds () =
-  let rows = measure ?threads ?seeds () in
+let run ?threads () =
+  let rows = measure ?threads () in
   let table =
     Stats.Table.create
       ~columns:

@@ -5,20 +5,6 @@
     pthreads yields seed-dependent conflict counts on the racy
     programs. *)
 
-type row = {
-  benchmark : string;
-  conflicts : int;  (** conflict runs under {!audited_runtime}, first seed *)
-  racy : int;
-  sync_ordered : int;
-  racy_bytes : int;
-  report_stable : bool;  (** report byte-identical across the seed sweep *)
-  pthreads_variants : int;  (** distinct pthreads (conflicts, racy) pairs *)
-  pthreads_racy_max : int;
-}
-
-val audited_runtime : Runtime.Run.runtime
-(** The deterministic runtime the headline audit runs under
-    (consequence-IC). *)
-
-val measure : ?threads:int -> ?seeds:int list -> unit -> row list
-val run : ?threads:int -> ?seeds:int list -> unit -> Fig_output.t
+val run : ?threads:int -> unit -> Fig_output.t
+(** Audits every registry workload under consequence-ic and pthreads at
+    seeds 1, 2 and 42 (default 4 threads). *)

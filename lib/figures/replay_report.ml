@@ -38,9 +38,9 @@ let measure_one ~threads ~seed rt name =
     ok = Replay.Replayer.ok outcome;
   }
 
-let default_benchmarks = Workload.Registry.hardest_five
+let benchmarks = Workload.Registry.hardest_five
 
-let run ?(benchmarks = default_benchmarks) ?(threads = 8) ?(seed = 1) () =
+let run ?(threads = 8) ?(seed = 1) () =
   let rows =
     List.map (measure_one ~threads ~seed Runtime.Run.consequence_ic) benchmarks
     @ [ measure_one ~threads ~seed Runtime.Run.pthreads (List.hd benchmarks) ]

@@ -1,7 +1,7 @@
 (** The record/replay bench section ([BENCH_replay.json]).
 
-    For each audited benchmark: schedule-log size (events and serialized
-    bytes), record overhead (host CPU time of a recording run vs an
+    For each of {!Workload.Registry.hardest_five}: schedule-log size
+    (events and serialized bytes), record overhead (host CPU time of a recording run vs an
     untracked one, plus the simulated-time delta, which must be exactly
     zero — recording is observer-only), and replay throughput (events
     checked per host second, with the replay required to reproduce the
@@ -9,5 +9,4 @@
     interleaving pinning; an explorer line summarizes a small
     boundary-perturbation neighborhood. *)
 
-val run :
-  ?benchmarks:string list -> ?threads:int -> ?seed:int -> unit -> Fig_output.t
+val run : ?threads:int -> ?seed:int -> unit -> Fig_output.t

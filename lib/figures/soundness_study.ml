@@ -40,8 +40,8 @@ let measure ?(programs = 12) ?(threads = 6) () =
       { ppm; programs; divergent = !divergent })
     noise_levels
 
-let run ?programs ?threads () =
-  let rows = measure ?programs ?threads () in
+let run ?threads () =
+  let rows = measure ?threads () in
   let table =
     Stats.Table.create ~columns:[ "counter-noise (ppm)"; "programs"; "divergent witnesses" ]
   in

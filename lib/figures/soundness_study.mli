@@ -14,6 +14,5 @@ type row = {
   divergent : int;  (** programs whose witnesses differed across runs *)
 }
 
-val noise_levels : int list
 val measure : ?programs:int -> ?threads:int -> unit -> row list
-val run : ?programs:int -> ?threads:int -> unit -> Fig_output.t
+val run : ?threads:int -> unit -> Fig_output.t

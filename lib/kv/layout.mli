@@ -18,7 +18,6 @@ val ver_addr : int -> int
 (** Byte address of key [k]'s version word (bumped once per committed
     write; the read-set version of the ordered-TL2 validation). *)
 
-val data_pages : int
 val max_threads : int
 
 val remaining_addr : int -> int
@@ -34,7 +33,6 @@ val intent_addr : int -> int
 (** Start of thread [tid]'s page-aligned intent region. *)
 
 val intent_bytes : int
-val intent_pages : int
 val heap_pages : int
 (** Total heap size: data + status + [max_threads] intent regions. *)
 

@@ -43,7 +43,6 @@ type outcome = {
   oc_records : record_ list;  (** every completed request, all threads *)
 }
 
-val checksum_mask : int
 val mix : int -> int -> int -> int
 (** [mix chk v seq] — the completion-checksum step, shared with the
     oracle. *)

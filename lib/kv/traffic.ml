@@ -26,8 +26,6 @@ let description = function
   | Write_heavy -> "85% multi-key updates"
   | Scan -> "range scans interleaved with scan+update transactions"
 
-let of_name n = List.find_opt (fun s -> name s = n) all
-
 (* Traffic streams are a function of (shape, thread) only — NOT of the
    runtime seed — so the transaction mix, and therefore the witness, is
    identical across runtimes and seeds.  The seed may legitimately move

@@ -13,7 +13,6 @@ val name : shape -> string
     ["kv_read"], ["kv_write"], ["kv_scan"]. *)
 
 val description : shape -> string
-val of_name : string -> shape option
 
 val gen : shape -> tid:int -> requests:int -> Txn.t list
 (** The per-thread request stream, [seq] numbered 0..requests-1. *)

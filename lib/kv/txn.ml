@@ -32,9 +32,3 @@ let check t =
    execution would not produce) changes bytes downstream — exactly what
    the serializability oracle checks. *)
 let new_value ~old ~read_sum ~seq ~nth = old + read_sum + (seq * 31) + nth
-
-let pp ppf t =
-  Format.fprintf ppf "@[txn#%d %s r[%s] w[%s]@]" t.seq
-    (match t.kind with Update -> "upd" | Snapshot -> "snap")
-    (String.concat ";" (List.map (fun (k, l) -> Printf.sprintf "%d+%d" k l) t.reads))
-    (String.concat ";" (List.map string_of_int t.writes))

@@ -31,5 +31,3 @@ val check : t -> unit
 val new_value : old:int -> read_sum:int -> seq:int -> nth:int -> int
 (** Committed value of the [nth] write key of transaction [seq] given
     the pre-state [old] and the sum over the read set. *)
-
-val pp : Format.formatter -> t -> unit

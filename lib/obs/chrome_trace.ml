@@ -104,8 +104,7 @@ let counter_events ?(buckets = 240) states =
           keys
       end
 
-let of_events ?(process_name = "consequence") ?(states = []) ?(counter_buckets = 240) ~spans
-    ~instants () =
+let of_events ?(process_name = "consequence") ?(states = []) ~spans ~instants () =
   let module S = Set.Make (Int) in
   let tids =
     let s = List.fold_left (fun acc (sp : Span.t) -> S.add sp.Span.tid acc) S.empty spans in
@@ -117,7 +116,7 @@ let of_events ?(process_name = "consequence") ?(states = []) ?(counter_buckets =
     in
     S.elements s
   in
-  let counters = counter_events ~buckets:counter_buckets states in
+  let counters = counter_events states in
   let meta =
     metadata_event ~name:"process_name" ~tid:None ~value:process_name
     :: List.map
@@ -144,9 +143,9 @@ let of_events ?(process_name = "consequence") ?(states = []) ?(counter_buckets =
           ] );
     ]
 
-let of_tracer ?process_name ?counter_buckets tr =
-  of_events ?process_name ?counter_buckets ~states:(Tracer.states tr)
+let of_tracer ?process_name tr =
+  of_events ?process_name ~states:(Tracer.states tr)
     ~spans:(Tracer.spans tr) ~instants:(Tracer.instants tr) ()
 
-let write_file ?process_name ?counter_buckets path tr =
-  Json.to_file path (of_tracer ?process_name ?counter_buckets tr)
+let write_file ?process_name path tr =
+  Json.to_file path (of_tracer ?process_name tr)

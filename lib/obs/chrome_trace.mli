@@ -20,7 +20,6 @@ val counter_events : ?buckets:int -> Thread_state.interval list -> Json.t list
 val of_events :
   ?process_name:string ->
   ?states:Thread_state.interval list ->
-  ?counter_buckets:int ->
   spans:Span.t list ->
   instants:Span.instant list ->
   unit ->
@@ -30,6 +29,6 @@ val of_events :
     one naming each thread track.  [states] (default []) adds the
     thread-state counter tracks. *)
 
-val of_tracer : ?process_name:string -> ?counter_buckets:int -> Tracer.t -> Json.t
+val of_tracer : ?process_name:string -> Tracer.t -> Json.t
 
-val write_file : ?process_name:string -> ?counter_buckets:int -> string -> Tracer.t -> unit
+val write_file : ?process_name:string -> string -> Tracer.t -> unit

@@ -65,7 +65,7 @@ type t = {
   mutable pos : int; (* next free byte of [cur] *)
   mutable closed : int; (* bytes written to chunks before [cur] *)
   mutable count : int;
-  mutable prev : prev;
+  prev : prev;
 }
 
 (* [pos = chunk_bytes] makes the first push open a chunk. *)
@@ -79,15 +79,6 @@ let create () =
     count = 0;
     prev = new_prev ();
   }
-
-let clear t =
-  t.chunks <- [||];
-  t.nchunks <- 0;
-  t.cur <- Bytes.empty;
-  t.pos <- chunk_bytes;
-  t.closed <- 0;
-  t.count <- 0;
-  t.prev <- new_prev ()
 
 let length t = t.count
 let byte_size t = if t.nchunks = 0 then 0 else t.closed + t.pos

@@ -34,14 +34,10 @@ val push : t -> Thread_state.interval -> unit
     first time it sees a tid. *)
 
 val length : t -> int
-(** Intervals pushed since {!create} or the last {!clear}. *)
+(** Intervals pushed since {!create}. *)
 
 val byte_size : t -> int
 (** Bytes written, sentinels included. *)
-
-val clear : t -> unit
-(** Empty the log.  Views taken before stay valid: the log starts new
-    chunks instead of reusing its old ones. *)
 
 val chunk_bytes : int
 (** Data bytes per chunk: 2,040, so that a chunk is a 256-word block,
@@ -51,7 +47,7 @@ val chunk_bytes : int
 
 type view
 (** The intervals a log held when the view was taken: an immutable
-    value, which later pushes and {!clear}s on the log do not change.
+    value, which later pushes on the log do not change.
     Views of equal streams are equal under [=]. *)
 
 val view : t -> view

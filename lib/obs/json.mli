@@ -19,8 +19,6 @@ val to_string : t -> string
 (** Compact (single-line) rendering.  Strings are escaped per RFC 8259;
     non-finite floats render as [null] (JSON has no representation). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_file : string -> t -> unit
 (** Write [to_string] plus a trailing newline. *)
 

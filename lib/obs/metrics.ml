@@ -135,8 +135,6 @@ let snapshot (t : t) =
   in
   { counters; hists }
 
-let empty = { counters = []; hists = [] }
-
 let percentile h q =
   if h.count = 0 then Float.nan
   else begin

@@ -63,7 +63,6 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val empty : snapshot
 
 val percentile : hist -> float -> float
 (** [percentile h 0.99] estimates the q-quantile, [0 <= q <= 1].

@@ -29,13 +29,6 @@ let span_count t = t.nspans
 let instant_count t = t.ninstants
 let state_count t = Interval_log.length t.states
 
-let clear t =
-  t.spans_rev <- [];
-  t.instants_rev <- [];
-  t.nspans <- 0;
-  t.ninstants <- 0;
-  Interval_log.clear t.states
-
 let tids t =
   let module S = Set.Make (Int) in
   let s =

@@ -13,8 +13,8 @@ type t
 val create : unit -> t
 
 val sink : t -> Sink.t
-(** The recording sink.  One tracer can back several runs; call
-    {!clear} in between if separation is wanted. *)
+(** The recording sink.  One tracer can back several runs; their
+    events accumulate in arrival order. *)
 
 val spans : t -> Span.t list
 (** In arrival order. *)
@@ -29,7 +29,6 @@ val states : t -> Thread_state.interval list
 val span_count : t -> int
 val instant_count : t -> int
 val state_count : t -> int
-val clear : t -> unit
 
 val tids : t -> int list
 (** Distinct thread ids seen, ascending — the tracks of the trace. *)

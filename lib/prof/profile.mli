@@ -76,19 +76,13 @@ val conservation_ok : t -> bool
 val chunks_consistent : thread_profile -> bool
 (** Per-chunk per-state sums re-partition [by_state] exactly. *)
 
-val share : thread_profile -> Obs.Thread_state.t -> float
-(** Fraction of the thread's lifetime spent in the state, [0..1]. *)
-
-val state_shares : t -> (Obs.Thread_state.t * float) list
-(** Each state's fraction of the {e total busy time} (sum of [totals]),
-    in {!Obs.Thread_state.all} order; fractions sum to 1 (or all-zero on
-    an empty profile).  The single shared derivation behind the report's
+val state_share : t -> Obs.Thread_state.t -> float
+(** The state's fraction of the {e total busy time} (sum of [totals]),
+    [0..1]; all states' shares sum to 1 (or all-zero on an empty
+    profile).  The single shared derivation behind the report's
     percentage columns and the self-tuning controller's
     profile-to-params mapping — consumers must not re-derive shares from
     raw totals. *)
-
-val state_share : t -> Obs.Thread_state.t -> float
-(** [List.assoc st (state_shares t)] with a 0 default. *)
 
 val to_json : t -> Obs.Json.t
 val pp : Format.formatter -> t -> unit

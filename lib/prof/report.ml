@@ -9,7 +9,7 @@ type t = {
 }
 
 let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Runtime.Cost_model.default)
-    ?(seed = 1) ?nthreads ?(whatif = false) ?measure_pipelined ?(obs = Obs.Sink.null) program
+    ?(seed = 1) ?nthreads ?(whatif = false) ?(obs = Obs.Sink.null) program
     =
   let c = Profile.create () in
   let sink = Profile.sink c in
@@ -22,7 +22,7 @@ let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Runtime.Cost_model.def
   let cpath = Critical_path.compute profile in
   let whatif =
     if whatif then
-      Some (Whatif.run ~runtime ~costs ~seed ?nthreads ?measure_pipelined program)
+      Some (Whatif.run ~runtime ~costs ~seed ?nthreads program)
     else None
   in
   { runtime_name = Runtime.Run.name runtime; result; profile; cpath; whatif }

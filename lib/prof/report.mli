@@ -19,15 +19,13 @@ val run :
   ?seed:int ->
   ?nthreads:int ->
   ?whatif:bool ->
-  ?measure_pipelined:bool ->
   ?obs:Obs.Sink.t ->
   Api.t ->
   t
 (** Profile one run (default [consequence_ic], seed 1).  [whatif]
     additionally records and replays the schedule under the
-    {!Whatif.scenarios} (a second run plus one replay per scenario);
-    [measure_pipelined] is forwarded to {!Whatif.run} and gates the
-    extra measured run under the pipelined sharded-commit config.
+    {!Whatif.scenarios} (a second run plus one replay per scenario,
+    and a measured run under the pipelined sharded-commit config).
     [obs] is teed with the profiler's own sink, so a {!Obs.Tracer} can
     capture the same run for Perfetto export without perturbing it. *)
 

@@ -81,7 +81,7 @@ let scenarios : (string * string * (Cm.t -> Cm.t)) list =
   ]
 
 let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Cm.default) ?(seed = 1) ?nthreads
-    ?(measure_pipelined = true) program =
+    program =
   let sched, base = Replay.Schedule.record runtime ~costs ~seed ?nthreads program in
   let base_wall = base.Stats.Run_result.wall_ns in
   let rows =
@@ -106,11 +106,9 @@ let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Cm.default) ?(seed = 1
      headroom does the parallel commit actually capture, and how much is
      still on the table" — the gap that seal costs, merge work and the
      drained install necessarily keep.  It re-executes the whole
-     workload once more, so [?measure_pipelined:false] lets callers who
-     only want the replay projections skip it. *)
+     workload once more. *)
   let pipelined =
     match runtime with
-    | _ when not measure_pipelined -> None
     | Runtime.Run.Det cfg when not cfg.Runtime.Config.pipelined_commit ->
         let pcfg =
           Runtime.Config.with_commit_shards (Runtime.Config.with_pipelined_commit cfg) 8

@@ -62,14 +62,12 @@ val run :
   ?costs:Runtime.Cost_model.t ->
   ?seed:int ->
   ?nthreads:int ->
-  ?measure_pipelined:bool ->
   Api.t ->
   t
 (** Record one run (default [consequence_ic], seed 1) and replay every
-    scenario against it.  [measure_pipelined] (default [true]) also
-    re-runs the workload under the pipelined sharded-commit config to
-    populate [pipelined] — a full second execution; pass [false] to
-    skip it when only the replay projections are wanted. *)
+    scenario against it.  It also re-runs the workload under the
+    pipelined sharded-commit config to populate [pipelined] — a full
+    second execution. *)
 
 val to_json : t -> Obs.Json.t
 val pp : Format.formatter -> t -> unit

@@ -29,15 +29,9 @@ type t = {
   mutable n_sync : int;
   mutable bytes_all : int;
   mutable bytes_racy : int;
-  reg : Obs.Metrics.t;
-  m_racy : Obs.Metrics.counter;
-  m_sync : Obs.Metrics.counter;
-  m_events : Obs.Metrics.counter;
-  m_bytes : Obs.Metrics.histogram;
 }
 
 let create ?(mode = Epoch) () =
-  let reg = Obs.Metrics.create () in
   {
     dmode = mode;
     thread_vc = Hashtbl.create 16;
@@ -51,14 +45,7 @@ let create ?(mode = Epoch) () =
     n_sync = 0;
     bytes_all = 0;
     bytes_racy = 0;
-    reg;
-    m_racy = Obs.Metrics.counter reg "race:racy";
-    m_sync = Obs.Metrics.counter reg "race:sync_ordered";
-    m_events = Obs.Metrics.counter reg "race:events";
-    m_bytes = Obs.Metrics.histogram reg "race:conflict_bytes";
   }
-
-let mode t = t.dmode
 
 (* A thread's clock starts with its own component at 1: its first
    Release publishes epoch 1 before bumping to 2, matching the
@@ -82,7 +69,6 @@ let observer t ev =
       ()
   | Ev.Release _ | Ev.Acquire _ | Ev.Commit _ | Ev.Conflict _ -> (
   t.n_events <- t.n_events + 1;
-  Obs.Metrics.count t.m_events 1;
   match ev with
   | Ev.Boundary _ | Ev.Commit_hash _ | Ev.Txn_abort _ | Ev.Tune_decision _ -> ()
   | Ev.Release { tid; obj } ->
@@ -123,17 +109,14 @@ let observer t ev =
       in
       let nbytes = last_byte - first_byte + 1 in
       t.bytes_all <- t.bytes_all + nbytes;
-      Obs.Metrics.record t.m_bytes nbytes;
       let verdict =
         if ordered then begin
           t.n_sync <- t.n_sync + 1;
-          Obs.Metrics.count t.m_sync 1;
           Sync_ordered
         end
         else begin
           t.n_racy <- t.n_racy + 1;
           t.bytes_racy <- t.bytes_racy + nbytes;
-          Obs.Metrics.count t.m_racy 1;
           Racy
         end
       in
@@ -148,4 +131,3 @@ let racy t = t.n_racy
 let sync_ordered t = t.n_sync
 let conflict_bytes t = t.bytes_all
 let racy_bytes t = t.bytes_racy
-let metrics t = Obs.Metrics.snapshot t.reg

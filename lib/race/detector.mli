@@ -51,8 +51,6 @@ type t
 val create : ?mode:mode -> unit -> t
 (** Fresh detector; [mode] defaults to [Epoch]. *)
 
-val mode : t -> mode
-
 val observer : t -> Runtime.Rt_event.t -> unit
 (** Feed one event.  Pass this as the [?observer] of {!Runtime.Run.run}. *)
 
@@ -70,7 +68,3 @@ val conflict_bytes : t -> int
 (** Total bytes across all conflict runs. *)
 
 val racy_bytes : t -> int
-
-val metrics : t -> Obs.Metrics.snapshot
-(** Detector-owned registry: [race:racy] / [race:sync_ordered] /
-    [race:events] counters and a [race:conflict_bytes] histogram. *)

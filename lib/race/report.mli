@@ -25,12 +25,9 @@ type t = {
           structured in {!to_json} via {!Runtime.Rt_event.to_json} *)
 }
 
-val max_samples : int
-
 val of_detector : workload:string -> runtime:string -> nthreads:int -> Detector.t -> t
 
 val to_json : t -> Obs.Json.t
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-(** [pp] rendered to a string — the unit of the byte-identical
+(** The human-readable report — the unit of the byte-identical
     determinism guarantee. *)

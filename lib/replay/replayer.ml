@@ -16,6 +16,10 @@ type outcome = {
   hash_match : bool;
 }
 
+(* The runtime a log replays under: the preset named by its metadata,
+   scripted with the log's boundaries for deterministic presets.  Raises
+   [Invalid_argument] if the name matches no preset (e.g. a log recorded
+   under an ablation config). *)
 let runtime_of (log : Schedule.t) =
   let name = log.Schedule.meta.Schedule.runtime in
   match Runtime.Run.of_name name with
@@ -49,7 +53,7 @@ let divergence_at ck ~index ~expected ~actual =
     chunk_index = Schedule.chunk_of ck.log ~index ~tid;
     expected;
     actual;
-    context = Schedule.context ck.log ~index ();
+    context = Schedule.context ck.log ~index;
   }
 
 let observe ck ev =

@@ -45,12 +45,6 @@ type outcome = {
   hash_match : bool;  (** final witnesses equal the recorded ones *)
 }
 
-val runtime_of : Schedule.t -> Runtime.Run.runtime
-(** The runtime a log replays under: the preset named by its metadata,
-    scripted with the log's boundaries for deterministic presets.
-    Raises [Invalid_argument] if the name matches no preset (e.g. a log
-    recorded under an ablation config). *)
-
 val replay :
   ?costs:Runtime.Cost_model.t ->
   ?runtime:Runtime.Run.runtime ->
@@ -73,5 +67,4 @@ val guarded : (unit -> 'a) -> ('a, string) result
     [Invalid_argument], a deadlock or an exhausted event budget becomes
     the message.  The CLI's [replay] and [explore] run through it. *)
 
-val pp_divergence : Format.formatter -> divergence -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -62,9 +62,9 @@ let chunk_of t ~index ~tid =
   done;
   !count
 
-let context t ~index ?(radius = 3) () =
+let context t ~index =
   let n = Array.length t.events in
-  let lo = max 0 (index - radius) and hi = min (n - 1) (index + radius) in
+  let lo = max 0 (index - 3) and hi = min (n - 1) (index + 3) in
   let acc = ref [] in
   for i = hi downto lo do
     acc := (i, t.events.(i)) :: !acc

@@ -49,9 +49,6 @@ val record :
     determinism-neutrality property the test suite asserts). *)
 
 val length : t -> int
-val witness : t -> string
-(** [mem:<h>|sync:<h>|out:<h>], same shape as
-    {!Stats.Run_result.deterministic_witness}. *)
 
 val boundaries : t -> int array array
 (** Per-thread ascending retired-instruction counts of the {e overflow}
@@ -68,9 +65,9 @@ val chunk_of : t -> index:int -> tid:int -> int
     the number of chunk-end boundaries [tid] recorded strictly before
     [index].  Used to localize divergences. *)
 
-val context : t -> index:int -> ?radius:int -> unit -> (int * Runtime.Rt_event.t) list
-(** The recorded events within [radius] (default 3) positions of
-    [index], with their stream positions. *)
+val context : t -> index:int -> (int * Runtime.Rt_event.t) list
+(** The recorded events within 3 positions of [index], with their stream
+    positions. *)
 
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result

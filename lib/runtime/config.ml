@@ -134,16 +134,4 @@ let with_adaptive_tuning ?(params = Tune_ctl.default) t =
   Tune_ctl.validate params;
   { t with name = t.name ^ "-tuned"; tune = Some params }
 
-let without_adaptive_tuning t =
-  match t.tune with
-  | None -> t
-  | Some _ ->
-      let name =
-        let suffix = "-tuned" in
-        let nl = String.length t.name and sl = String.length suffix in
-        if nl >= sl && String.sub t.name (nl - sl) sl = suffix then String.sub t.name 0 (nl - sl)
-        else t.name
-      in
-      { t with name; tune = None }
-
 let tuned t = match t.tune with Some _ -> true | None -> false

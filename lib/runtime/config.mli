@@ -149,7 +149,4 @@ val with_adaptive_tuning : ?params:Tune_ctl.params -> t -> t
     state is the hand-tuned static configuration.
     @raise Invalid_argument on malformed params. *)
 
-val without_adaptive_tuning : t -> t
-(** Turn the controller back off (strips a trailing ["-tuned"]). *)
-
 val tuned : t -> bool

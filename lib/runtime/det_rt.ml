@@ -108,7 +108,6 @@ type cond_rec = { cond_waitq : int Queue.t }
 type barrier_rec = {
   mutable parties : int;
   mutable arrived_tids : int list;
-  mutable generation : int;
 }
 
 type t = {
@@ -226,15 +225,7 @@ let n_interned = 64
 
 (* [op] and [id] stand for the witness label ("lock:3" is [Rt_core.Lock]
    on 3), which the core hashes without building the string. *)
-(* CONSEQ_DEBUG_SYNC=1 prints every sync record with its clock state —
-   diff two backends' streams to localize a cross-backend divergence. *)
-let debug_sync = Sys.getenv_opt "CONSEQ_DEBUG_SYNC" <> None
-
-let record_sync rt th op id =
-  if debug_sync then
-    Printf.eprintf "SYNC t%d %s pub=%d ic=%d\n%!" th.tid (Rt_core.label op id)
-      (Lc.published th.clock) th.instr_retired;
-  Rt_core.sync rt.core ~tid:th.tid op id
+let record_sync rt th op id = Rt_core.sync rt.core ~tid:th.tid op id
 
 (* Observability helpers.  These read the simulated clock but never
    advance it, block, or touch algorithm state: instrumented and bare
@@ -300,7 +291,7 @@ let barrier_of rt id =
   match Hashtbl.find_opt rt.barriers id with
   | Some b -> b
   | None ->
-      let b = { parties = 0; arrived_tids = []; generation = 0 } in
+      let b = { parties = 0; arrived_tids = [] } in
       Hashtbl.replace rt.barriers id b;
       b
 
@@ -480,12 +471,6 @@ let tune_apply rt th =
 (* Commit / update with cost charging                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Charge a commit: the install cost is paid while holding the global
-   (Fig 9 places the commit inside the token hold).  Deferring it past
-   the release was tried and rejected: eligibility for the token during
-   the deferred window is a real-time race, which breaks determinism.
-   The parallel-barrier commit (section 4.2) is the one sanctioned
-   exception — see [barrier_wait]. *)
 (* A Release bumps the thread's own clock component; a release that
    precedes the current chunk's first write (workspace still clean) also
    moves the chunk start past itself, since it cannot order writes that
@@ -500,6 +485,9 @@ let emit_release rt th obj id =
     th.race_epoch <- th.race_epoch + 1;
     if not (Vmem.Workspace.is_dirty th.ws) then th.chunk_epoch <- th.race_epoch
   end
+
+let emit_acquire rt th obj id =
+  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = obj id })
 
 (* Conflicts precede their Commit in the stream so a consumer sees the
    merge resolution before the version becomes the newest committed
@@ -595,6 +583,41 @@ let shard_footprint rt (ci : Vmem.Workspace.commit_info) =
     !max_pages
   end
 
+(* What a commit publishes once its cost is charged from [t0]: the
+   [commit_pages] sample, the Commit span, the witness entry, the
+   conflicts, and the [Commit] instant with its [Commit_hash].  The
+   parallel barrier's [phase1] names its span [commit-phase1:v<n>] and
+   gives it only the page count. *)
+let publish_commit rt th (ci : Vmem.Workspace.commit_info) ~t0 ~phase1 =
+  Obs.Metrics.record rt.mh_commit_pages ci.pages_committed;
+  (* One label names the [Commit] instant and, outside phase 1, the span. *)
+  let label = if tracing rt then Obs.Label.int "commit:v" ci.version else "" in
+  if tracing rt then
+    if phase1 then
+      span rt ~cat:Obs.Span.Commit
+        ~name:(Obs.Label.int "commit-phase1:v" ci.version)
+        ~tid:th.tid ~t0
+        ~args:[ ("pages", ci.pages_committed) ]
+        ()
+    else
+      span rt ~cat:Obs.Span.Commit ~name:label ~tid:th.tid ~t0
+        ~args:[ ("pages", ci.pages_committed); ("merged", ci.pages_merged) ]
+        ();
+  record_sync rt th Rt_core.Commit ci.version;
+  emit_conflicts rt th ci;
+  if emitting rt then begin
+    emit_labelled rt
+      (Rt_event.Commit { tid = th.tid; version = ci.version; pages = ci.committed_pages })
+      label;
+    emit_commit_hash rt th ci
+  end
+
+(* Charge a commit: the install cost is paid while holding the global
+   (Fig 9 places the commit inside the token hold).  Deferring it past
+   the release was tried and rejected: eligibility for the token during
+   the deferred window is a real-time race, which breaks determinism.
+   The parallel-barrier commit (section 4.2) is the one sanctioned
+   exception — see [barrier_wait]. *)
 let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
   if ci.pages_committed > 0 then begin
     let t0 = e_now rt in
@@ -628,21 +651,7 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
        in
        charge rt th St.Commit (int_of_float (float_of_int ns *. rt.cfg.commit_cost_mult))
      end);
-    Obs.Metrics.record rt.mh_commit_pages ci.pages_committed;
-    (* One label names both the span and the [Commit] instant. *)
-    let label = if tracing rt then Obs.Label.int "commit:v" ci.version else "" in
-    if tracing rt then
-      span rt ~cat:Obs.Span.Commit ~name:label ~tid:th.tid ~t0
-        ~args:[ ("pages", ci.pages_committed); ("merged", ci.pages_merged) ]
-        ();
-    record_sync rt th Rt_core.Commit ci.version;
-    emit_conflicts rt th ci;
-    if emitting rt then begin
-      emit_labelled rt
-        (Rt_event.Commit { tid = th.tid; version = ci.version; pages = ci.committed_pages })
-        label;
-      emit_commit_hash rt th ci
-    end
+    publish_commit rt th ci ~t0 ~phase1:false
   end
 
 let charge_update rt th (ui : Vmem.Workspace.update_info) =
@@ -738,8 +747,7 @@ let fence_wait rt th =
     while rt.fence_generation = gen do
       e_block rt ~reason:"fence"
     done
-  end;
-  ignore th
+  end
 
 let serial_wait rt th =
   let at_head () = match rt.serial_queue with head :: _ -> head = th.tid | [] -> false in
@@ -1126,7 +1134,7 @@ let rec mutex_lock rt th mid =
       measure_cs_enter th m;
       th.coarsen_ops <- th.coarsen_ops + 1;
       record_sync rt th Rt_core.Lock mid;
-      if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
+      emit_acquire rt th Rt_event.obj_mutex mid;
       counter_read rt th
     end
     else
@@ -1146,7 +1154,7 @@ and mutex_lock_slow rt th mid =
       m.holder <- th.tid;
       commit_and_update rt th;
       record_sync rt th Rt_core.Lock mid;
-      if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_mutex mid });
+      emit_acquire rt th Rt_event.obj_mutex mid;
       measure_cs_enter th m;
       acquired := true;
       (* Coarsen across the critical section if its estimated length fits
@@ -1255,7 +1263,7 @@ let cond_wait rt th cid mid =
   park rt th ~state:St.Lock_wait
     ~reason:(Rt_core.cond_reason cid)
     ~ready:(fun () -> th.cond_grant);
-  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_cond cid });
+  emit_acquire rt th Rt_event.obj_cond cid;
   open_chunk rt th;
   (* Re-acquire the mutex, competing deterministically with other lockers. *)
   mutex_lock rt th mid
@@ -1291,11 +1299,10 @@ and cond_signal_slow rt th cid ~broadcast =
   emit_release rt th Rt_event.obj_cond cid;
   leave_coordination rt th
 
-let barrier_init rt th bid parties =
+let barrier_init rt bid parties =
   if parties <= 0 then invalid_arg "barrier_init: parties must be > 0";
   let b = barrier_of rt bid in
-  b.parties <- parties;
-  ignore th
+  b.parties <- parties
 
 (* Deterministic barrier with Conversion's two-phase parallel commit
    (section 4.2). *)
@@ -1317,25 +1324,7 @@ let barrier_wait rt th bid =
        charge rt th St.Commit
          (c.Cost_model.commit_base_ns
          + (ci.Vmem.Workspace.pages_committed * c.Cost_model.barrier_phase1_page_ns));
-       Obs.Metrics.record rt.mh_commit_pages ci.Vmem.Workspace.pages_committed;
-       if tracing rt then
-         span rt ~cat:Obs.Span.Commit
-           ~name:(Obs.Label.int "commit-phase1:v" ci.Vmem.Workspace.version)
-           ~tid:th.tid ~t0
-           ~args:[ ("pages", ci.Vmem.Workspace.pages_committed) ]
-           ();
-       record_sync rt th Rt_core.Commit ci.Vmem.Workspace.version;
-       emit_conflicts rt th ci;
-       if emitting rt then begin
-         emit rt
-           (Rt_event.Commit
-              {
-                tid = th.tid;
-                version = ci.Vmem.Workspace.version;
-                pages = ci.Vmem.Workspace.committed_pages;
-              });
-         emit_commit_hash rt th ci
-       end
+       publish_commit rt th ci ~t0 ~phase1:true
      end;
      phase2_pages :=
        (ci.Vmem.Workspace.pages_committed * c.Cost_model.page_commit_ns)
@@ -1375,7 +1364,6 @@ let barrier_wait rt th bid =
   if last then begin
     let others = List.filter (fun tid -> tid <> th.tid) b.arrived_tids in
     b.arrived_tids <- [];
-    b.generation <- b.generation + 1;
     List.iter
       (fun tid ->
         let w = thread rt tid in
@@ -1390,7 +1378,7 @@ let barrier_wait rt th bid =
     park rt th ~state:St.Barrier_wait
       ~reason:(Rt_core.label Rt_core.Barrier bid)
       ~ready:(fun () -> th.barrier_grant);
-  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_barrier bid });
+  emit_acquire rt th Rt_event.obj_barrier bid;
   (* Everyone updates to the latest version after the internal barrier;
      these updates run concurrently. *)
   let ui = ws_update rt th in
@@ -1470,7 +1458,7 @@ let rec make_ops rt th : Api.ops =
     cond_wait = (fun c m -> cond_wait rt th c m);
     cond_signal = (fun c -> cond_signal rt th c ~broadcast:false);
     cond_broadcast = (fun c -> cond_signal rt th c ~broadcast:true);
-    barrier_init = (fun b parties -> barrier_init rt th b parties);
+    barrier_init = (fun b parties -> barrier_init rt b parties);
     barrier_wait = (fun b -> barrier_wait rt th b);
     spawn = (fun ?name body -> spawn_thread rt th ?name body);
     join = (fun t -> join_thread rt th t);
@@ -1624,7 +1612,7 @@ and spawn_thread rt th ?name body =
   let fiber_id =
     rt.ex.Sim.Exec.spawn ~name (fun () ->
         (* A recycled thread must refresh its view of memory. *)
-        if emitting rt then emit rt (Rt_event.Acquire { tid = child_tid; obj = Rt_event.obj_thread child_tid });
+        emit_acquire rt child Rt_event.obj_thread child_tid;
         let ui = ws_update rt child in
         charge_update rt child ui;
         body (make_ops rt child);
@@ -1668,7 +1656,7 @@ and join_thread rt th target_tid =
   enter_coordination rt th;
   commit_and_update rt th;
   record_sync rt th Rt_core.Join target_tid;
-  if emitting rt then emit rt (Rt_event.Acquire { tid = th.tid; obj = Rt_event.obj_thread_exit target_tid });
+  emit_acquire rt th Rt_event.obj_thread_exit target_tid;
   if tracing rt then
     span rt ~cat:Obs.Span.Join
       ~name:(Rt_core.label Rt_core.Join target_tid)

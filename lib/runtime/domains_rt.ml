@@ -22,8 +22,6 @@
    wait, token hold) measures real ns because the waits are real.  Real work is measured separately into the wall:*
    calibration counters (see Det_rt's wall accumulators). *)
 
-let name = "domains"
-
 let available_cores () = Domain.recommended_domain_count ()
 
 (* Calibrated busy work standing in for one user instruction.  Kept

@@ -14,8 +14,6 @@
     so [peak_mem_pages] is not comparable; and [metrics] gains wall:*
     calibration counters. *)
 
-val name : string
-
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()] — what speedup is physically
     attainable on this machine. *)

@@ -6,9 +6,6 @@ type tid = int
 exception Deadlock of string
 exception Stuck of string
 
-(* Raised inside a fiber to unwind it; caught by the fiber wrapper. *)
-exception Fiber_exit
-
 type _ Effect.t += Advance : int -> unit Effect.t
 type _ Effect.t += Block : string -> unit Effect.t
 
@@ -163,9 +160,7 @@ let run_fiber t fiber body =
         end
         else fiber.state <- Blocked (k, !block_reason))
   in
-  match_with
-    (fun () -> (try body () with Fiber_exit -> ()))
-    ()
+  match_with body ()
     {
       retc = (fun () -> fiber.state <- Finished);
       exnc =
@@ -211,8 +206,6 @@ let blocked_reason t id =
   | Blocked (_, reason) -> Some reason
   | Ready | Running | Finished -> None
 
-let is_finished t id = (fiber_of t id).state = Finished
-
 let self t =
   if t.current < 0 then invalid_arg "Engine.self: no fiber is running";
   t.current
@@ -245,8 +238,6 @@ let advance t ns =
 let block t ~reason =
   ignore t;
   perform (Block reason)
-
-let exit_fiber _t = raise Fiber_exit
 
 let stuck_fibers t =
   let acc = ref [] in

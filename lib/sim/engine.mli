@@ -87,8 +87,3 @@ val wakeup : t -> tid -> unit
 
 val blocked_reason : t -> tid -> string option
 (** [Some reason] if the fiber is currently blocked, [None] otherwise. *)
-
-val is_finished : t -> tid -> bool
-
-val exit_fiber : t -> 'a
-(** Terminate the calling fiber immediately. *)

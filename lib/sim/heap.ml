@@ -129,14 +129,3 @@ let pop t =
   end
 
 let peek_key t = if t.size = 0 then None else Some t.keys.(0)
-
-let clear t =
-  t.size <- 0;
-  t.next_seq <- 0
-
-let to_list t =
-  let entries = Array.init t.size (fun i -> (t.keys.(i), t.seqs.(i), t.vals.(i))) in
-  Array.sort
-    (fun (k1, s1, _) (k2, s2, _) -> if k1 <> k2 then compare k1 k2 else compare s1 s2)
-    entries;
-  Array.to_list (Array.map (fun (k, _, v) -> (k, v)) entries)

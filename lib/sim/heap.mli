@@ -48,10 +48,3 @@ val top_seq_exn : t -> int
 
 val peek_key : t -> int option
 (** Key of the minimum entry without removing it. *)
-
-val clear : t -> unit
-(** Empty the heap; its capacity is retained. *)
-
-val to_list : t -> (int * int) list
-(** Snapshot of current contents in pop order; O(n log n), for tests and
-    debugging only (the heap is unchanged). *)

@@ -22,14 +22,11 @@ val jobs : unit -> int
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [-j 0] resolves to. *)
 
-val map_array : ('a -> 'b) -> 'a array -> 'b array
-(** [map_array f arr] is [Array.map f arr], computed by up to
-    [jobs ()] domains pulling indices from a shared counter.  Results
-    are placed at their input index.  If any [f] raises, one of the
-    raised exceptions is re-raised after all domains are joined. *)
-
 val map_list : ('a -> 'b) -> 'a list -> 'b list
-(** List version of {!map_array}; preserves order. *)
+(** [map_list f l] is [List.map f l], computed by up to [jobs ()]
+    domains pulling indices from a shared counter; preserves order.  If
+    any [f] raises, one of the raised exceptions is re-raised after all
+    domains are joined. *)
 
 val concat_map : ('a -> 'b list) -> 'a list -> 'b list
 (** [concat_map f l] is [List.concat_map f l] with the per-element

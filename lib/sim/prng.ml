@@ -11,7 +11,6 @@ let of_state state =
   t
 
 let create ~seed = of_state (Int64.of_int seed)
-let copy = Bytes.copy
 
 (* SplitMix64 output function (Steele, Lea, Flood 2014). *)
 let[@inline] mix z =
@@ -43,18 +42,3 @@ let[@inline] jitter t ~amplitude =
   1.0 -. amplitude +. (2.0 *. amplitude *. float t)
 
 let bool t = Int64.logand (next t) 1L = 1L
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let exponential t ~mean =
-  assert (mean > 0.0);
-  let u = float t in
-  (* Guard against log 0. *)
-  let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u

@@ -13,9 +13,6 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     uncorrelated with the remainder of [t]'s stream. *)
@@ -35,10 +32,3 @@ val jitter : t -> amplitude:float -> float
     [\[0, 1)]. *)
 
 val bool : t -> bool
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle driven by [t]. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed sample with the given mean; used for modelled
-    arrival processes.  [mean] must be > 0. *)

@@ -90,8 +90,6 @@ let create ?(workers = 1) () =
     started = false;
   }
 
-let workers t = t.nworkers
-
 let my_worker t =
   let suid, w = Domain.DLS.get worker_key in
   if suid = t.uid then w else -1

@@ -15,8 +15,6 @@ type t
 val create : ?workers:int -> unit -> t
 (** [workers] defaults to 1 (clamped to at least 1). *)
 
-val workers : t -> int
-
 val spawn : t -> name:string -> (unit -> unit) -> int
 (** Register a green thread (ids sequential from 0) and make it
     runnable.  Call before {!run} or from a green body (GRL held). *)

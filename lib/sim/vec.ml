@@ -2,7 +2,6 @@ type 'a t = { mutable data : 'a array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 let length t = t.size
-let is_empty t = t.size = 0
 
 let push t x =
   if t.size = Array.length t.data then begin
@@ -22,31 +21,3 @@ let get t i =
   check t i;
   t.data.(i)
 
-let set t i x =
-  check t i;
-  t.data.(i) <- x
-
-let last t = if t.size = 0 then None else Some t.data.(t.size - 1)
-
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f t.data.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.size - 1 do
-    f i t.data.(i)
-  done
-
-let fold_left f acc t =
-  let acc = ref acc in
-  for i = 0 to t.size - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
-
-let to_list t = List.init t.size (fun i -> t.data.(i))
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0

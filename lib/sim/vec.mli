@@ -1,22 +1,13 @@
 (** Growable array (OCaml 5.1 has no [Dynarray] yet).
 
-    Only the operations the simulator needs: append, random access,
-    iteration, truncation from the front is not supported (version logs are
-    append-only; reclamation marks entries rather than removing them). *)
+    Only the operations the simulator needs: append and random access.
+    Version logs are append-only; reclamation marks entries rather than
+    removing them. *)
 
 type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
 (** Raises [Invalid_argument] if out of bounds. *)
-
-val set : 'a t -> int -> 'a -> unit
-val last : 'a t -> 'a option
-val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val to_list : 'a t -> 'a list
-val clear : 'a t -> unit

@@ -18,7 +18,11 @@ let var_addr test v =
   in
   64 + (64 * index 0 vs)
 
-let to_program ?(paddings = []) ?(sync_start = true) (test : Litmus.t) =
+(* Compile a litmus test to an [Api] program.  The returned thunk reads
+   the final register values; call it after the run completes.
+   [paddings] prepends [Delay] instructions per thread.  The threads
+   rendezvous at a barrier first so their bodies genuinely overlap. *)
+let to_program ?(paddings = []) (test : Litmus.t) =
   let results : (Litmus.reg * int) list ref = ref [] in
   let nthreads = List.length test.Litmus.threads in
   let program =
@@ -27,7 +31,7 @@ let to_program ?(paddings = []) ?(sync_start = true) (test : Litmus.t) =
       ~heap_pages:64 ~page_size:64 ~default_threads:nthreads
       (fun ~nthreads:_ ops ->
         results := [];
-        if sync_start then ops.Api.barrier_init 0 nthreads;
+        ops.Api.barrier_init 0 nthreads;
         let run_thread body (w : Api.ops) =
           List.iter
             (fun instr ->
@@ -52,7 +56,7 @@ let to_program ?(paddings = []) ?(sync_start = true) (test : Litmus.t) =
               ops.Api.spawn
                 ~name:(Printf.sprintf "litmus-t%d" i)
                 (fun w ->
-                  if sync_start then w.Api.barrier_wait 0;
+                  w.Api.barrier_wait 0;
                   if padding > 0 then w.Api.work padding;
                   run_thread body w))
             test.Litmus.threads
@@ -61,8 +65,8 @@ let to_program ?(paddings = []) ?(sync_start = true) (test : Litmus.t) =
   in
   (program, fun () -> List.sort compare !results)
 
-let observe rt ?paddings ?sync_start ?(seed = 1) test =
-  let program, read_outcome = to_program ?paddings ?sync_start test in
+let observe rt ?paddings ?(seed = 1) test =
+  let program, read_outcome = to_program ?paddings test in
   ignore (Runtime.Run.run rt ~seed program);
   read_outcome ()
 

@@ -23,18 +23,9 @@ type verdict = {
   beyond_sc : bool;  (** some observed outcome is TSO-only (store buffering seen) *)
 }
 
-val to_program :
-  ?paddings:int list -> ?sync_start:bool -> Litmus.t -> Api.t * (unit -> Model.outcome)
-(** Compile a litmus test to an [Api] program.  The returned thunk reads
-    the final register values; call it after the run completes.
-    [paddings] prepends [Delay] instructions per thread; [sync_start]
-    (default true) rendezvous the threads at a barrier first so their
-    bodies genuinely overlap. *)
-
 val observe :
   Runtime.Run.runtime ->
   ?paddings:int list ->
-  ?sync_start:bool ->
   ?seed:int ->
   Litmus.t ->
   Model.outcome

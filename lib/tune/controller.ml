@@ -3,6 +3,8 @@ module St = Obs.Thread_state
 
 type applied = { epoch : int; ic : int; decision : Ctl.decision }
 
+(* The full decision schedule, epochs [0 .. final_epoch], with exact
+   milestone instruction counts. *)
 let predicted (p : Ctl.params) =
   List.init
     (Ctl.final_epoch p + 1)
@@ -48,7 +50,7 @@ let matches_prediction (p : Ctl.params) events =
 (* ------------------------------------------------------------------ *)
 
 (* Map a profiler state-share summary to controller targets.  Reads the
-   one shared accessor (Prof.Profile.state_shares) so the numbers cannot
+   one shared accessor (Prof.Profile.state_share) so the numbers cannot
    drift from the report's.  The heuristics mirror the paper's cost
    trade-offs:
    - heavy token waiting => waiters are starved for clock publications:

@@ -21,10 +21,6 @@ type applied = {
   decision : Runtime.Tune_ctl.decision;
 }
 
-val predicted : Runtime.Tune_ctl.params -> applied list
-(** The full decision schedule, epochs [0 .. final_epoch], with exact
-    milestone instruction counts. *)
-
 val of_events : Runtime.Rt_event.t list -> (int * applied list) list
 (** Per-thread decision streams extracted from a recorded event stream,
     ascending tid, each in emission order. *)

@@ -25,8 +25,6 @@ val apply : t -> Runtime.Config.t -> Runtime.Config.t
 val filename : t -> string
 (** Conventional basename: [<workload>.tune.json]. *)
 
-val to_json : t -> Obs.Json.t
-val of_json : Obs.Json.t -> (t, string) result
 val save : t -> string -> unit
 val load : string -> (t, string) result
 val pp : Format.formatter -> t -> unit

@@ -112,11 +112,10 @@ let random_params prng =
   Ctl.validate p;
   p
 
-let search ?(cfg = Cfg.consequence_ic) ?costs ?(nthreads = 8) ?(seed = 1) ?(quick = false)
-    ?(check = true) name =
+let search ?costs ?(nthreads = 8) ?(seed = 1) ?(quick = false) ?(check = true) name =
   let entry = Workload.Registry.find name in
   let program = entry.Workload.Registry.program in
-  let base = Cfg.without_adaptive_tuning cfg in
+  let base = Cfg.consequence_ic in
   let evaluations = ref 0 in
   let memo : (Ctl.params, int) Hashtbl.t = Hashtbl.create 64 in
   let wall_of cfg' =

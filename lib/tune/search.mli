@@ -53,7 +53,6 @@ val hand_grid : (string * Runtime.Tune_ctl.params) list
     untuned configuration bit-for-bit. *)
 
 val search :
-  ?cfg:Runtime.Config.t ->
   ?costs:Runtime.Cost_model.t ->
   ?nthreads:int ->
   ?seed:int ->
@@ -61,9 +60,9 @@ val search :
   ?check:bool ->
   string ->
   t
-(** [search name] tunes registry workload [name] against [cfg] (default
-    {!Runtime.Config.consequence_ic}; a ["-tuned"] config is stripped
-    first), [nthreads] (default 8), [seed] (default 1).  [quick]
+(** [search name] tunes registry workload [name] against
+    {!Runtime.Config.consequence_ic}, [nthreads] (default 8), [seed]
+    (default 1).  [quick]
     (default false) shortens the hill-climb, drops the random restarts
     and skips the exploration floor — the CI smoke setting.  [check]
     (default true) controls the winner cross-checks.

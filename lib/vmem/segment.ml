@@ -197,7 +197,6 @@ let create ?(name = "segment") ~pages ~page_size () =
     gc_shard = 0;
   }
 
-let name t = t.name
 let page_count t = t.npages
 let page_size t = t.page_size
 let current_version t = Sim.Vec.length t.versions

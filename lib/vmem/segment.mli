@@ -20,7 +20,6 @@ type version = int
 (** Dense version numbers: 0 is initial, commits create 1, 2, ... *)
 
 val create : ?name:string -> pages:int -> page_size:int -> unit -> t
-val name : t -> string
 val page_count : t -> int
 val page_size : t -> int
 

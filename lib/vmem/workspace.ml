@@ -90,7 +90,6 @@ let create seg ~tid =
   }
 
 let tid t = t.tid
-let segment t = t.seg
 let base t = t.base
 let stats t = t.stats
 let is_dirty t = t.ndirty > 0

@@ -82,7 +82,6 @@ type stats = {
 
 val create : Segment.t -> tid:int -> t
 val tid : t -> int
-val segment : t -> Segment.t
 val base : t -> Segment.version
 
 val read : t -> addr:int -> len:int -> Bytes.t

@@ -7,7 +7,7 @@ let account_addr i = 8 * i
 let initial_balance = 1_000
 let rounds = 25
 
-let make ?(style = Racy) ?(scale = 1.0) () =
+let make style =
   Api.make
     ~name:("bank-" ^ style_name style)
     ~description:"money transfers: unsynchronized / atomic / mutex-serialized RMW"
@@ -17,7 +17,6 @@ let make ?(style = Racy) ?(scale = 1.0) () =
         ops.Api.write_int ~addr:(account_addr i) initial_balance
       done;
       ops.Api.barrier_init 0 nthreads;
-      let rounds = Wl_util.scaled scale rounds in
       let workers =
         List.init nthreads (fun i ->
             ops.Api.spawn (fun w ->
@@ -49,6 +48,6 @@ let make ?(style = Racy) ?(scale = 1.0) () =
       done;
       ops.Api.log_output (Printf.sprintf "total=%d" !total))
 
-let racy = make ~style:Racy ()
-let atomic = make ~style:Atomic ()
-let locked = make ~style:Locked ()
+let racy = make Racy
+let atomic = make Atomic
+let locked = make Locked

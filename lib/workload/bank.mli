@@ -1,22 +1,14 @@
 (** The bank-transfer model in three synchronization styles — the race
     detector's calibration workload.
 
-    [Racy] does unsynchronized read-modify-write transfers (the classic
+    {!racy} does unsynchronized read-modify-write transfers (the classic
     lost-update bug of paper sections 1-2): its conflicts must be
-    reported as racy.  [Atomic] routes the RMW through
-    [atomic_fetch_add] (the section 2.7 fix) and [Locked] serializes
+    reported as racy.  {!atomic} routes the RMW through
+    [atomic_fetch_add] (the section 2.7 fix) and {!locked} serializes
     transfers under one mutex: both must audit clean. *)
 
-type style = Racy | Atomic | Locked
-
-val style_name : style -> string
-
 val accounts : int
-val account_addr : int -> int
 val initial_balance : int
-val rounds : int
-
-val make : ?style:style -> ?scale:float -> unit -> Api.t
 
 val racy : Api.t
 val atomic : Api.t

@@ -28,5 +28,3 @@ let make ?(scale = 1.0) () =
           done);
       let sum = Wl_util.checksum ops ~addr:cells_base ~words:cell_words in
       ops.Api.log_output (Printf.sprintf "barnes=%d" sum))
-
-let default = make ()

@@ -4,4 +4,3 @@
     time step, with barriers between phases. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

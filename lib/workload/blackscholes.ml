@@ -14,5 +14,3 @@ let make ?(scale = 1.0) () =
           w.Api.write_int ~addr:(8 * i) (i * 7));
       let sum = Wl_util.checksum ops ~addr:0 ~words:nthreads in
       ops.Api.log_output (Printf.sprintf "bscholes=%d" sum))
-
-let default = make ()

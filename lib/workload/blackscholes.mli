@@ -2,4 +2,3 @@
     iteration block; near-zero sharing. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

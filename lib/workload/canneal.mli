@@ -9,4 +9,3 @@
     byte slots, so results remain well-defined. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

@@ -14,8 +14,9 @@ let stride = 256
 let default_pages = 4096
 let page_size = 256
 
-let make ?(scale = 1.0) () =
-  let rounds = Wl_util.scaled scale 8 in
+let rounds = 8
+
+let make () =
   Api.make ~name:"commit-heavy"
     ~description:"disjoint strided writes, shard-spanning commits (parallel-commit stressor)"
     ~heap_pages:default_pages ~page_size

@@ -11,5 +11,5 @@
     Not part of {!Registry.all}: it is a measurement instrument for the
     commit bench and CI smoke, not a paper benchmark. *)
 
-val make : ?scale:float -> unit -> Api.t
-(** [scale] multiplies the per-worker round count (default 8 rounds). *)
+val make : unit -> Api.t
+(** Each worker runs 8 rounds. *)

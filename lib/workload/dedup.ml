@@ -72,5 +72,3 @@ let make ?(scale = 1.0) () =
       List.iter ops.Api.join compressors;
       let sum = Wl_util.checksum ops ~addr:results_base ~words:96 in
       ops.Api.log_output (Printf.sprintf "dedup=%d" sum))
-
-let default = make ()

@@ -7,4 +7,3 @@
     section 5, Fig 10 discussion). *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

@@ -86,5 +86,3 @@ let make ?(scale = 1.0) () =
       List.iter ops.Api.join ranks;
       let sum = Wl_util.checksum ops ~addr:results_base ~words:result_slots in
       ops.Api.log_output (Printf.sprintf "ferret=%d" sum))
-
-let default = make ()

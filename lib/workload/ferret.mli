@@ -10,7 +10,6 @@
     ferret is the paper's flagship for both (Fig 13, Fig 14). *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t
 
 val stage1_name : string
 (** Thread name of the first pipeline stage ("ferret_1" in Fig 15). *)

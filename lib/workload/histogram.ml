@@ -22,5 +22,3 @@ let make ?(scale = 1.0) () =
           w.Api.unlock 0);
       let sum = Wl_util.checksum ops ~addr:shared_bins ~words:bins in
       ops.Api.log_output (Printf.sprintf "histogram=%d" sum))
-
-let default = make ()

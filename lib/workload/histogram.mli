@@ -6,4 +6,3 @@
     within noise of pthreads (Fig 10's left cluster). *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

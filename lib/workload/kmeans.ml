@@ -26,5 +26,3 @@ let make ?(scale = 1.0) () =
           done);
       let sum = Wl_util.checksum ops ~addr:centroids ~words:ncent in
       ops.Api.log_output (Printf.sprintf "kmeans=%d" sum))
-
-let default = make ()

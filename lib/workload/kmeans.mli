@@ -6,4 +6,3 @@
     Fig 11 scalability-problem benchmarks for DThreads/DWC. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

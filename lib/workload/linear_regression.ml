@@ -14,5 +14,3 @@ let make ?(scale = 1.0) () =
           Wl_util.locked_add w ~lock:0 ~addr:results (i + 1));
       ops.Api.log_output
         (Printf.sprintf "lreg=%d" (ops.Api.read_int ~addr:results)))
-
-let default = make ()

@@ -6,4 +6,3 @@
     outperform Consequence here in the paper (Fig 10). *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

@@ -3,4 +3,3 @@
     on thread-private pages so commits are conflict-free. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

@@ -6,4 +6,3 @@
     cannot help much. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

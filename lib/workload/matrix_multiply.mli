@@ -4,4 +4,3 @@
     pure embarrassingly-parallel case. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

@@ -26,5 +26,3 @@ let make ?(scale = 1.0) () =
           w.Api.write_int ~addr:(8 * i) (i * phases));
       let sum = Wl_util.checksum ops ~addr:0 ~words:nthreads in
       ops.Api.log_output (Printf.sprintf "ocean_cp=%d" sum))
-
-let default = make ()

@@ -5,4 +5,3 @@
     parallel-barrier beneficiary in Fig 13. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

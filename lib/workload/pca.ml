@@ -25,5 +25,3 @@ let make ?(scale = 1.0) () =
           w.Api.barrier_wait 0);
       let sum = Wl_util.checksum ops ~addr:cov_base ~words:cov_words in
       ops.Api.log_output (Printf.sprintf "pca=%d" sum))
-
-let default = make ()

@@ -5,4 +5,3 @@
     paper DThreads/DWC slightly outperform Consequence here. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

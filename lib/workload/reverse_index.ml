@@ -21,5 +21,3 @@ let make ?(scale = 1.0) () =
           done);
       let sum = Wl_util.checksum ops ~addr:index_base ~words:index_words in
       ops.Api.log_output (Printf.sprintf "rindex=%d" sum))
-
-let default = make ()

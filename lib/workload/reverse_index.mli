@@ -6,4 +6,3 @@
     coordination phase. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

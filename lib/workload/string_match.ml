@@ -9,5 +9,3 @@ let make ?(scale = 1.0) () =
           w.Api.write_int ~addr:(8 * i) (i + 3));
       let sum = Wl_util.checksum ops ~addr:0 ~words:nthreads in
       ops.Api.log_output (Printf.sprintf "smatch=%d" sum))
-
-let default = make ()

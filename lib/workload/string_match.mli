@@ -3,4 +3,3 @@
     the "embarrassingly parallel" control. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

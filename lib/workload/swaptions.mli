@@ -2,4 +2,3 @@
     embarrassingly parallel. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

@@ -48,7 +48,9 @@ let make ~seed ?(rounds = 12) () =
       let sum = Wl_util.checksum ops ~addr:8 ~words:3 in
       ops.Api.log_output (Printf.sprintf "synthetic=%d" sum))
 
-let make_lock_heavy ~seed ?(rounds = 40) ?(locks = 8) () =
+let locks = 8
+
+let make_lock_heavy ~seed ?(rounds = 40) () =
   Api.make
     ~name:(Printf.sprintf "synthetic-locks-%d" seed)
     ~description:"seeded dense short critical sections (coarsening-sensitive)" ~heap_pages:32

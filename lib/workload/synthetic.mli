@@ -15,7 +15,9 @@ val make : seed:int -> ?rounds:int -> unit -> Api.t
     / shared write / barrier) and then pad barrier arrivals so every
     worker passes the barrier the same number of times. *)
 
-val make_lock_heavy : seed:int -> ?rounds:int -> ?locks:int -> unit -> Api.t
+val make_lock_heavy : seed:int -> ?rounds:int -> unit -> Api.t
+(** Workers take [rounds] (default 40) random critical sections each, over
+    8 locks. *)
 
 val op_mix : seed:int -> rounds:int -> (int * int * int * int)
 (** For tests: how many (work, locked, write, barrier) ops one worker's

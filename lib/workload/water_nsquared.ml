@@ -26,5 +26,3 @@ let make ?(scale = 1.0) () =
           done);
       let sum = Wl_util.checksum ops ~addr:mol_base ~words:mol_words in
       ops.Api.log_output (Printf.sprintf "water_ns=%d" sum))
-
-let default = make ()

@@ -7,4 +7,3 @@
     else's high-rate lock traffic. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

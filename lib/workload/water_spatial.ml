@@ -25,5 +25,3 @@ let make ?(scale = 1.0) () =
           done);
       let sum = Wl_util.checksum ops ~addr:boundary_base ~words:boundary_words in
       ops.Api.log_output (Printf.sprintf "water_sp=%d" sum))
-
-let default = make ()

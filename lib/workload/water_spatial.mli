@@ -4,4 +4,3 @@
     compute. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

@@ -18,11 +18,6 @@ let chunked_work (ops : Api.ops) ~total ~chunk =
 let fill_region (ops : Api.ops) ~addr ~bytes ~tag =
   if bytes > 0 then ops.Api.write ~addr (Bytes.make bytes (Char.chr (tag land 0xff)))
 
-let touch_slots (ops : Api.ops) ~base ~slot_bytes ~slots ~tag =
-  List.iter
-    (fun slot -> fill_region ops ~addr:(base + (slot * slot_bytes)) ~bytes:slot_bytes ~tag)
-    slots
-
 let locked_add (ops : Api.ops) ~lock ~addr delta =
   ops.Api.lock lock;
   let v = ops.Api.read_int ~addr in

@@ -22,10 +22,6 @@ val chunked_work : Api.ops -> total:int -> chunk:int -> unit
 val fill_region : Api.ops -> addr:int -> bytes:int -> tag:int -> unit
 (** Write a recognizable pattern over [bytes] bytes at [addr]. *)
 
-val touch_slots : Api.ops -> base:int -> slot_bytes:int -> slots:int list -> tag:int -> unit
-(** Write [slot_bytes]-byte slots at [base + slot*slot_bytes] for each
-    listed slot index. *)
-
 val locked_add : Api.ops -> lock:Api.mutex -> addr:int -> int -> unit
 (** Lock-protected fetch-and-add on an 8-byte cell. *)
 

@@ -24,5 +24,3 @@ let make ?(scale = 1.0) () =
           done);
       let sum = Wl_util.checksum ops ~addr:table_base ~words:table_words in
       ops.Api.log_output (Printf.sprintf "wcount=%d" sum))
-
-let default = make ()

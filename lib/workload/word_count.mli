@@ -2,4 +2,3 @@
     per-thread counts into the shared table. *)
 
 val make : ?scale:float -> unit -> Api.t
-val default : Api.t

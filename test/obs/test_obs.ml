@@ -283,13 +283,6 @@ let test_tracer_tids_sorted_distinct () =
   sink.Obs.Sink.instant (mk_instant ~itid:7 ~itime:0 ());
   Alcotest.(check (list int)) "tids" [ 0; 1; 3; 7 ] (Obs.Tracer.tids tr)
 
-let test_tracer_clear () =
-  let tr = Obs.Tracer.create () in
-  (Obs.Tracer.sink tr).Obs.Sink.span (mk_span ~t0:0 ~t1:1 ());
-  Obs.Tracer.clear tr;
-  check_int "cleared" 0 (Obs.Tracer.span_count tr);
-  check_bool "no spans" true (Obs.Tracer.spans tr = [])
-
 let test_sink_null_and_tee () =
   check_bool "null is null" true (Obs.Sink.is_null Obs.Sink.null);
   let a = Obs.Tracer.create () and b = Obs.Tracer.create () in
@@ -318,9 +311,7 @@ let test_tracer_state_channel () =
   | [ s1; s2 ] ->
       check_int "arrival order first" 3 s1.Obs.Thread_state.stid;
       check_int "arrival order second" 1 s2.Obs.Thread_state.stid
-  | l -> Alcotest.failf "expected 2 states, got %d" (List.length l));
-  Obs.Tracer.clear tr;
-  check_int "cleared" 0 (Obs.Tracer.state_count tr)
+  | l -> Alcotest.failf "expected 2 states, got %d" (List.length l))
 
 (* [index] is the constructor's position: it must agree with [all]
    and [of_index]. *)
@@ -433,7 +424,7 @@ let prop_log_roundtrip =
       Log.length log = List.length ivs && Log.count v = List.length ivs && Log.to_list v = ivs)
 
 (* A view keeps what the log held when it was taken, through later
-   pushes, a clear, and pushes after the clear. *)
+   pushes. *)
 let test_log_views_frozen () =
   let log = Log.create () in
   let ivs n base =
@@ -450,13 +441,6 @@ let test_log_views_frozen () =
   check_bool "spans chunks" true (Log.byte_size log > 2 * Log.chunk_bytes);
   check_bool "view unchanged by pushes" true (Log.to_list v1 = first);
   check_bool "still equal to its twin" true (Log.view twin = v1);
-  Log.clear log;
-  check_int "cleared" 0 (Log.length log);
-  check_int "cleared bytes" 0 (Log.byte_size log);
-  let after = ivs 40 7 in
-  List.iter (Log.push log) after;
-  check_bool "view unchanged by clear" true (Log.to_list v1 = first);
-  check_bool "log after clear" true (Log.to_list (Log.view log) = after);
   check_bool "empty view" true (Log.to_list Log.empty = [])
 
 let check_chrome_schema json =
@@ -913,7 +897,6 @@ let () =
         [
           Alcotest.test_case "arrival order" `Quick test_tracer_arrival_order;
           Alcotest.test_case "tids sorted distinct" `Quick test_tracer_tids_sorted_distinct;
-          Alcotest.test_case "clear" `Quick test_tracer_clear;
           Alcotest.test_case "null and tee" `Quick test_sink_null_and_tee;
           Alcotest.test_case "state channel" `Quick test_tracer_state_channel;
           Alcotest.test_case "state index" `Quick test_state_index;

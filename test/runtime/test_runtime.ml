@@ -913,128 +913,95 @@ let test_golden_witnesses () =
     golden_witnesses
 
 (* FNV digests of the full [Run_result.to_json] (wall time, per-thread
-   breakdowns, the metrics snapshot with every histogram and counter)
-   at seed 7, 8 threads, captured before the runtimes' charge / wait /
-   sync-op / result bookkeeping moved into [Rt_core].  The witness
-   goldens above pin only what happened; these pin how every
-   nanosecond of it was accounted. *)
+   breakdowns, the metrics snapshot with every histogram and counter) of
+   every registry workload under each of the six runtimes, at seeds 1
+   and 7, 8 threads: the 300-run matrix.  The witness goldens above pin
+   only what happened; these pin how every nanosecond of it was
+   accounted.  The seed-7 digests of the pthreads/dthreads/dwc/rr/ic/pipe
+   rows of ferret, canneal, kv_zipf and histogram, and of the ic, pipe
+   and dthreads rows of the rest, date from before the charge / wait /
+   sync-op / result bookkeeping moved into [Rt_core]; a change that moves
+   one says why in CHANGES.md. *)
+let golden_runtimes =
+  [
+    ("pthreads", R.pthreads);
+    ("dthreads", R.dthreads);
+    ("dwc", R.dwc);
+    ("rr", R.consequence_rr);
+    ("ic", R.consequence_ic);
+    ("pipe", R.consequence_pipe);
+  ]
+
+(* (workload, seed, digests in [golden_runtimes] order) *)
 let golden_accounting =
   [
-    ("ferret", "pthreads", "3aeb74e1287b2736");
-    ("ferret", "dthreads", "9fa38a6c1c6cedd3");
-    ("ferret", "dwc", "6a161ebdd6826d01");
-    ("ferret", "rr", "6e42c07134a04999");
-    ("ferret", "ic", "249cc5927acb4587");
-    ("ferret", "pipe", "9df96c7d6d4747b4");
-    ("canneal", "pthreads", "179e40de1af7d01a");
-    ("canneal", "dthreads", "3c6dc599c89157ca");
-    ("canneal", "dwc", "0cb5fed1bef8088a");
-    ("canneal", "rr", "ef5a5e131af98abc");
-    ("canneal", "ic", "c60fe0d51e404ff0");
-    ("canneal", "pipe", "576516ed70a59432");
-    ("kv_zipf", "pthreads", "229aabf80dda1414");
-    ("kv_zipf", "dthreads", "d840dc4ee20660f3");
-    ("kv_zipf", "dwc", "3476c596739ca645");
-    ("kv_zipf", "rr", "a966437c8c9dc1eb");
-    ("kv_zipf", "ic", "37b67b6f0dc4f8f1");
-    ("kv_zipf", "pipe", "d399585e17c55fc3");
-    ("histogram", "pthreads", "e0753b0ebf7247d2");
-    ("histogram", "dthreads", "042a2e693c16ddee");
-    ("histogram", "dwc", "a38c07acba6493ed");
-    ("histogram", "rr", "044082dff833a795");
-    ("histogram", "ic", "6d5155dc97908dda");
-    ("histogram", "pipe", "000b1ffb0763d011");
-    (* The rest of the registry under the three runtimes whose segment
-       GC differs: ic's budgeted sweep, pipe's incremental steps and
-       dthreads' unbudgeted sweep at every commit point.  Captured before
-       the sweeps visited only multi-version pages and before the
-       zero-word FNV fold; [peak_mem_pages] reads [live_snapshots] and
-       [mem_hash] is [Segment.hash], so both changes are pinned here. *)
-    ("kmeans", "ic", "8d7542cd8e373aa2");
-    ("kmeans", "pipe", "78c9f47fed3616a5");
-    ("kmeans", "dthreads", "17172f61e75867ff");
-    ("linear_regression", "ic", "b76dee7ff282b678");
-    ("linear_regression", "pipe", "ab24488d0ceb0fe9");
-    ("linear_regression", "dthreads", "fd403f3208fa753c");
-    ("matrix_multiply", "ic", "8cd7360c8c893026");
-    ("matrix_multiply", "pipe", "5e9c6df6bdcf34ee");
-    ("matrix_multiply", "dthreads", "be80e6aa02d83e67");
-    ("pca", "ic", "809a240f1ed1b852");
-    ("pca", "pipe", "975b12c710f4aa60");
-    ("pca", "dthreads", "91899290ed1f8d42");
-    ("reverse_index", "ic", "3938c24eb6f7f671");
-    ("reverse_index", "pipe", "b1ec8f0e827fbfe4");
-    ("reverse_index", "dthreads", "74659ee137735e47");
-    ("string_match", "ic", "7cd58a9b918c9e65");
-    ("string_match", "pipe", "e0dbc61bb056cb27");
-    ("string_match", "dthreads", "4d3ab0534e02cfc4");
-    ("word_count", "ic", "787b2b8923b4c227");
-    ("word_count", "pipe", "54bd26afa6e05dfe");
-    ("word_count", "dthreads", "56ee72b6d0f2702f");
-    ("blackscholes", "ic", "7fdd633a6feb59c4");
-    ("blackscholes", "pipe", "925fdd1779838433");
-    ("blackscholes", "dthreads", "a4b02eb408c6d09a");
-    ("dedup", "ic", "cd2922509a1da3a8");
-    ("dedup", "pipe", "c9b1f51faae70db7");
-    ("dedup", "dthreads", "4e0249492be32f31");
-    ("swaptions", "ic", "79a7714cd0383c7e");
-    ("swaptions", "pipe", "93a944f6370da020");
-    ("swaptions", "dthreads", "5826267fb7fa3f02");
-    ("barnes", "ic", "786fddf1968f0ba9");
-    ("barnes", "pipe", "f5764d5b6031478d");
-    ("barnes", "dthreads", "928980ff8965d77f");
-    ("lu_cb", "ic", "f71e5fae2e622bbb");
-    ("lu_cb", "pipe", "4d0d3b6368590fe1");
-    ("lu_cb", "dthreads", "fb1ed04e5388ff1e");
-    ("lu_ncb", "ic", "c9b8b316b8515750");
-    ("lu_ncb", "pipe", "338c0df766a9ce19");
-    ("lu_ncb", "dthreads", "96ce0e1bd985e1d3");
-    ("ocean_cp", "ic", "8f1f3f9ff642e030");
-    ("ocean_cp", "pipe", "a579f360ed469dde");
-    ("ocean_cp", "dthreads", "0921ead45a924090");
-    ("water_nsquared", "ic", "0ab8760a9528f515");
-    ("water_nsquared", "pipe", "f31ebb4772213ba0");
-    ("water_nsquared", "dthreads", "4e571b9f6a8e9ff8");
-    ("water_spatial", "ic", "e27bc0b83ac342da");
-    ("water_spatial", "pipe", "4cd9e7fecf54eca9");
-    ("water_spatial", "dthreads", "acf12c564c6e1a93");
-    ("kv_uniform", "ic", "70c56f3b838e1588");
-    ("kv_uniform", "pipe", "894aa99e408b9c4e");
-    ("kv_uniform", "dthreads", "1ba30f49efe569a8");
-    ("kv_hot", "ic", "4e06914f9a11ffad");
-    ("kv_hot", "pipe", "87b9792528ffc745");
-    ("kv_hot", "dthreads", "dae9f22eab7c7551");
-    ("kv_read", "ic", "131f7c87d667d0c3");
-    ("kv_read", "pipe", "2b8c1da4062459dc");
-    ("kv_read", "dthreads", "f6e84c2bd1f9c0b5");
-    ("kv_write", "ic", "5d99e438c9f0df76");
-    ("kv_write", "pipe", "57b16e0f3c974434");
-    ("kv_write", "dthreads", "c94eb07269626c4f");
-    ("kv_scan", "ic", "c124c848eaec8942");
-    ("kv_scan", "pipe", "dc837b0bb9cb2b1d");
-    ("kv_scan", "dthreads", "e2ab37b48939fe2f");
+    ("histogram", 1, [ "fef9f37388ab8ecb"; "3117cd0a6c5cbcac"; "645a3edbb6d9387f"; "5c75dda07c303415"; "f567c72665d5f327"; "f4b4164dbf797650" ]);
+    ("histogram", 7, [ "e0753b0ebf7247d2"; "042a2e693c16ddee"; "a38c07acba6493ed"; "044082dff833a795"; "6d5155dc97908dda"; "000b1ffb0763d011" ]);
+    ("kmeans", 1, [ "d77694fed3e3ecc3"; "8e7a367ee622649b"; "9301afbb09e7bde2"; "12fe0a5b7cae0bc5"; "270421225c27ffdb"; "49af5c72ab9b5b02" ]);
+    ("kmeans", 7, [ "dc4ea015f4b148eb"; "17172f61e75867ff"; "7d7a6aa60fd9a1ae"; "8346e365b7e18dbc"; "8d7542cd8e373aa2"; "78c9f47fed3616a5" ]);
+    ("linear_regression", 1, [ "71f30d4a4955d698"; "545491213175cf8d"; "ba103af50623ec45"; "fab4eb7945c42b9c"; "422cb58323a9ce4c"; "df2f907dd3a18450" ]);
+    ("linear_regression", 7, [ "32bac82d8e4d978f"; "fd403f3208fa753c"; "0d586c219e5c6d9d"; "d1f40c250be3be13"; "b76dee7ff282b678"; "ab24488d0ceb0fe9" ]);
+    ("matrix_multiply", 1, [ "d75f24b6d606bddd"; "4b5a9f7635dafdd9"; "6f91a1566ca60607"; "5f622a2ca9001f5f"; "00b232366404b875"; "1339f6773524dbb4" ]);
+    ("matrix_multiply", 7, [ "f16450573b40dc87"; "be80e6aa02d83e67"; "21cb554aeee1c3b2"; "1be079b96d3c6bab"; "8cd7360c8c893026"; "5e9c6df6bdcf34ee" ]);
+    ("pca", 1, [ "7910430337f7451e"; "46dc571939a19330"; "1de3cbf00ded1054"; "b0efb409bf4775b1"; "639dc74acbad7651"; "51f6a44f49a95114" ]);
+    ("pca", 7, [ "6ca7a592aff7e6e9"; "91899290ed1f8d42"; "defd8dbd9ccd8d9b"; "8f84b4671c5c9e5f"; "809a240f1ed1b852"; "975b12c710f4aa60" ]);
+    ("reverse_index", 1, [ "51e189c50658221a"; "054f220d9a1f0ede"; "5497a7847d8f6d3e"; "dbf403d220932d5d"; "6a3fe1981fa7d6ba"; "a48567358d05aef5" ]);
+    ("reverse_index", 7, [ "7d38307c5a8baf3b"; "74659ee137735e47"; "fa3af5e9361c3952"; "3b5cfcdfb4a71052"; "3938c24eb6f7f671"; "b1ec8f0e827fbfe4" ]);
+    ("string_match", 1, [ "2d71ed012f522bc4"; "8d8579a254416f2e"; "b86e0304a3f24e25"; "d48d62bad581e9f2"; "845e84106edfc919"; "3e7f4a9f03ce55a6" ]);
+    ("string_match", 7, [ "80b381bb52c60a43"; "4d3ab0534e02cfc4"; "2cd9c569ed0099a5"; "b5be008df14e9c12"; "7cd58a9b918c9e65"; "e0dbc61bb056cb27" ]);
+    ("word_count", 1, [ "ea6d0bc17444ac51"; "6dec8bbbb3dd3aa6"; "b3448f6e25f7e9fe"; "24833e3e57bd057c"; "f5df905dd60d331b"; "87a15d5a37a0925b" ]);
+    ("word_count", 7, [ "b4d3a6c8bfef7dd3"; "56ee72b6d0f2702f"; "c29b79f683cde7a9"; "dadff471d685e4ef"; "787b2b8923b4c227"; "54bd26afa6e05dfe" ]);
+    ("blackscholes", 1, [ "fe273edeea2c5b06"; "386e3700e4d4665e"; "d69d96e6833ee46b"; "3f703fe03f1b0b0b"; "22fc4399264587df"; "51166147373bdfce" ]);
+    ("blackscholes", 7, [ "0fc4ac31a3917e12"; "a4b02eb408c6d09a"; "cb7ee7b3dd85901f"; "9333d78c64453bbc"; "7fdd633a6feb59c4"; "925fdd1779838433" ]);
+    ("canneal", 1, [ "b04b60d4edcbe916"; "6272675c5f008b37"; "a0f71c8b4c9212b8"; "2789a80cf4192ac3"; "b5761cf507394eb7"; "4d656e2be54bdd7b" ]);
+    ("canneal", 7, [ "179e40de1af7d01a"; "3c6dc599c89157ca"; "0cb5fed1bef8088a"; "ef5a5e131af98abc"; "c60fe0d51e404ff0"; "576516ed70a59432" ]);
+    ("dedup", 1, [ "248e22732c057876"; "e0913fb4f342b5c7"; "2b32a49bea41dfce"; "720828d2f252ec78"; "40b6a8a18f5e3a9a"; "dc0ec23e3e923d96" ]);
+    ("dedup", 7, [ "1a74f341b90c25c5"; "4e0249492be32f31"; "50c206711b557310"; "a1cd42850e1a1e61"; "cd2922509a1da3a8"; "c9b1f51faae70db7" ]);
+    ("ferret", 1, [ "9f7bcce05f38e595"; "750530008c1230ce"; "5c6321176c59b1af"; "88944f8fd2f77049"; "85270943c4bce04d"; "13b2ec6243f69728" ]);
+    ("ferret", 7, [ "3aeb74e1287b2736"; "9fa38a6c1c6cedd3"; "6a161ebdd6826d01"; "6e42c07134a04999"; "249cc5927acb4587"; "9df96c7d6d4747b4" ]);
+    ("swaptions", 1, [ "c1e625faafeacf3a"; "fe05037c25c62164"; "386b9d51489f7b38"; "f1d961698cd9f4fb"; "b463a9b6211b8ec2"; "07fb4e6b8677208c" ]);
+    ("swaptions", 7, [ "9fd16cbc9b7b4f8b"; "5826267fb7fa3f02"; "7289a919f9c30d6b"; "5731e489d9b4b0eb"; "79a7714cd0383c7e"; "93a944f6370da020" ]);
+    ("barnes", 1, [ "23735eadf309f43c"; "97b156b070ff55dd"; "a040128f04684e5a"; "744bfc200448445a"; "584f3abfe19677b8"; "cc7613b6a0f60b50" ]);
+    ("barnes", 7, [ "51b241ff48b6f7bb"; "928980ff8965d77f"; "57fc34095b9d72ab"; "e0c3437fe8ccbdca"; "786fddf1968f0ba9"; "f5764d5b6031478d" ]);
+    ("lu_cb", 1, [ "d98084f328ee5f42"; "58877a536e897cc5"; "57cdf5297de3cb0d"; "ef16502276c6ab41"; "4f0932c810e55297"; "6703470064d75dcb" ]);
+    ("lu_cb", 7, [ "ff7b8934cc474a8e"; "fb1ed04e5388ff1e"; "8f867a48781171d9"; "ee5b29e68bd7dd2e"; "f71e5fae2e622bbb"; "4d0d3b6368590fe1" ]);
+    ("lu_ncb", 1, [ "7c977138cfc339b9"; "80fc6bb8bed6a896"; "f50d65e05cee8e94"; "1452ddcaf8cb144d"; "d0ffd15dcaaa0043"; "e359ab88ddb3cd54" ]);
+    ("lu_ncb", 7, [ "c937855cd32db22e"; "96ce0e1bd985e1d3"; "a18af216d8b85b06"; "7be746007f78aac7"; "c9b8b316b8515750"; "338c0df766a9ce19" ]);
+    ("ocean_cp", 1, [ "d246867253aa70c6"; "9d8313b97ca50bf8"; "144b8f1b36ed87eb"; "ea18ee2332c728cd"; "753c751232eacc49"; "34a805ad039aac78" ]);
+    ("ocean_cp", 7, [ "e14364fb66f248f9"; "0921ead45a924090"; "447bf59eb2061b69"; "0f40dd6c429093d2"; "8f1f3f9ff642e030"; "a579f360ed469dde" ]);
+    ("water_nsquared", 1, [ "dcfa5a8061bd1d22"; "5a419603f0ef47a6"; "0c1642c58241fdd9"; "98f73b3a277ef396"; "a6f7547792385042"; "5fa9b04f282ff64b" ]);
+    ("water_nsquared", 7, [ "2c9d52547a1f6669"; "4e571b9f6a8e9ff8"; "10dd9dcfc38532db"; "c40b17c21b4c271f"; "0ab8760a9528f515"; "f31ebb4772213ba0" ]);
+    ("water_spatial", 1, [ "a3443984dc2ac755"; "2c1b464bb57a5e47"; "961e48fc92c608f2"; "521325f3b53ac4e0"; "663f0f4869d9561d"; "3239ec8738bccdf5" ]);
+    ("water_spatial", 7, [ "79f89d6d73f84495"; "acf12c564c6e1a93"; "592bd3b77e0bb177"; "179aa7afbcbdf045"; "e27bc0b83ac342da"; "4cd9e7fecf54eca9" ]);
+    ("kv_uniform", 1, [ "4594959210cbe038"; "5eb5905db40b2e93"; "673826397674bc03"; "ca9854ced296c307"; "2e707ba65290e664"; "c04011ce67450786" ]);
+    ("kv_uniform", 7, [ "fcaa9d3b04a07201"; "1ba30f49efe569a8"; "c5dafc83ebd8037f"; "c8c083be2dd5c72a"; "70c56f3b838e1588"; "894aa99e408b9c4e" ]);
+    ("kv_zipf", 1, [ "d3542a32be919830"; "b56c27f1ccba7aa1"; "3d9be232ed2b9e7d"; "3049827d8ccb3548"; "a6746bc0f5459537"; "ceafee9ab7dbbd7f" ]);
+    ("kv_zipf", 7, [ "229aabf80dda1414"; "d840dc4ee20660f3"; "3476c596739ca645"; "a966437c8c9dc1eb"; "37b67b6f0dc4f8f1"; "d399585e17c55fc3" ]);
+    ("kv_hot", 1, [ "ab610677988a1c88"; "c3e9d954cb076c77"; "645da72d8a6ace8e"; "0c36a21f0c9caf84"; "9a2028c16757ce32"; "176774220f8af883" ]);
+    ("kv_hot", 7, [ "602a691b40f19127"; "dae9f22eab7c7551"; "d8c46c3989a409e3"; "c3c252afc2fea460"; "4e06914f9a11ffad"; "87b9792528ffc745" ]);
+    ("kv_read", 1, [ "0438b3726ec0b96e"; "2f53443de6ff01be"; "7c1c48b61a67c417"; "2c919efc4fad7162"; "028e4399922190b6"; "a94d7df9890f6cc4" ]);
+    ("kv_read", 7, [ "9dcfaf9dd6f4afa4"; "f6e84c2bd1f9c0b5"; "7dbce64685c92d82"; "76ff80769d6c13e9"; "131f7c87d667d0c3"; "2b8c1da4062459dc" ]);
+    ("kv_write", 1, [ "8546e137a1282107"; "0af5cf82b7b99db0"; "fa3750caf77a6f50"; "9303143146e03c56"; "aff8096cd4b7cb3d"; "83bd8c16bb45ee85" ]);
+    ("kv_write", 7, [ "1d4dab0829f243c8"; "c94eb07269626c4f"; "f255424197062b10"; "0a75c6bca32e6a48"; "5d99e438c9f0df76"; "57b16e0f3c974434" ]);
+    ("kv_scan", 1, [ "7a3f619a54f64f2b"; "af122d877096494a"; "9609ebbf59378323"; "e31e304fa0eff9ed"; "61a8f6d620ac31d3"; "d29892490433fb69" ]);
+    ("kv_scan", 7, [ "277fa772166f86d7"; "e2ab37b48939fe2f"; "6fbedb51f358efc3"; "a747ad792ccc1a51"; "c124c848eaec8942"; "dc837b0bb9cb2b1d" ]);
   ]
 
 let test_golden_accounting () =
-  let runtimes =
-    [
-      ("pthreads", R.pthreads);
-      ("dthreads", R.dthreads);
-      ("dwc", R.dwc);
-      ("rr", R.consequence_rr);
-      ("ic", R.consequence_ic);
-      ("pipe", R.consequence_pipe);
-    ]
-  in
+  check_int "every workload at both seeds" (2 * List.length Workload.Registry.all)
+    (List.length golden_accounting);
   List.iter
-    (fun (bench, rt_name, expected) ->
+    (fun (bench, seed, digests) ->
       let program = (Workload.Registry.find bench).Workload.Registry.program in
-      let r = R.run (List.assoc rt_name runtimes) ~seed:7 ~nthreads:8 program in
-      let json = Obs.Json.to_string (Res.to_json r) in
-      check_string
-        (Printf.sprintf "%s/%s accounting digest" bench rt_name)
-        expected
-        (Sim.Fnv.to_hex (Sim.Fnv.string Sim.Fnv.init json)))
+      List.iter2
+        (fun (rt_name, rt) expected ->
+          let r = R.run rt ~seed ~nthreads:8 program in
+          let json = Obs.Json.to_string (Res.to_json r) in
+          check_string
+            (Printf.sprintf "%s/%s seed=%d accounting digest" bench rt_name seed)
+            expected
+            (Sim.Fnv.to_hex (Sim.Fnv.string Sim.Fnv.init json)))
+        golden_runtimes digests)
     golden_accounting
 
 (* [read_into] is charged exactly like [read] of the same length and

@@ -53,27 +53,6 @@ let test_prng_split_independent () =
   done;
   check_bool "split streams differ" false !same
 
-let test_prng_copy_preserves_state () =
-  let a = Sim.Prng.create ~seed:3 in
-  ignore (Sim.Prng.next_int64 a);
-  let b = Sim.Prng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Sim.Prng.next_int64 a)
-    (Sim.Prng.next_int64 b)
-
-let test_prng_exponential_positive () =
-  let p = Sim.Prng.create ~seed:13 in
-  for _ = 1 to 200 do
-    check_bool "positive" true (Sim.Prng.exponential p ~mean:10.0 > 0.0)
-  done
-
-let test_prng_shuffle_permutation () =
-  let p = Sim.Prng.create ~seed:17 in
-  let arr = Array.init 50 (fun i -> i) in
-  Sim.Prng.shuffle p arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
-
 (* The draws must stay bit-identical to the stream the golden witnesses
    and every simulated figure were computed with. *)
 let test_prng_golden_streams () =
@@ -156,21 +135,6 @@ let test_heap_interleaved_ties () =
     List.init 3 (fun _ -> match Sim.Heap.pop h with Some (_, v) -> v | None -> -1)
   in
   Alcotest.(check (list int)) "key then seq" [ early; late_a; late_b ] popped
-
-let test_heap_clear () =
-  let h = Sim.Heap.create () in
-  for i = 1 to 10 do
-    Sim.Heap.push h ~key:i i
-  done;
-  Sim.Heap.clear h;
-  check_bool "cleared" true (Sim.Heap.is_empty h)
-
-let test_heap_to_list_nondestructive () =
-  let h = Sim.Heap.create () in
-  List.iter (fun k -> Sim.Heap.push h ~key:k k) [ 3; 1; 2 ];
-  let l = Sim.Heap.to_list h in
-  Alcotest.(check (list int)) "snapshot sorted" [ 1; 2; 3 ] (List.map fst l);
-  check_int "heap unchanged" 3 (Sim.Heap.length h)
 
 let prop_heap_pop_sorted =
   QCheck.Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
@@ -296,18 +260,6 @@ let test_engine_spawn_from_fiber () =
                 child_ran_at := Sim.Engine.now eng))));
   Sim.Engine.run eng;
   check_int "child starts at parent's time" 35 !child_ran_at
-
-let test_engine_exit_fiber () =
-  let eng = Sim.Engine.create ~seed:0 () in
-  let after_exit = ref false in
-  let id =
-    Sim.Engine.spawn eng (fun () ->
-        if true then ignore (Sim.Engine.exit_fiber eng);
-        after_exit := true)
-  in
-  Sim.Engine.run eng;
-  check_bool "code after exit not run" false !after_exit;
-  check_bool "fiber finished" true (Sim.Engine.is_finished eng id)
 
 let test_engine_wakeup_finished_noop () =
   let eng = Sim.Engine.create ~seed:0 () in
@@ -572,9 +524,6 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "jitter bounds" `Quick test_prng_jitter_bounds;
           Alcotest.test_case "split independent" `Quick test_prng_split_independent;
-          Alcotest.test_case "copy preserves state" `Quick test_prng_copy_preserves_state;
-          Alcotest.test_case "exponential positive" `Quick test_prng_exponential_positive;
-          Alcotest.test_case "shuffle is permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "golden streams, seeds 1 and 7" `Quick test_prng_golden_streams;
           Alcotest.test_case "draws allocate nothing" `Quick test_prng_draws_allocate_nothing;
         ] );
@@ -584,8 +533,6 @@ let () =
           Alcotest.test_case "orders by key" `Quick test_heap_orders_by_key;
           Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_on_ties;
           Alcotest.test_case "interleaved ties" `Quick test_heap_interleaved_ties;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "to_list nondestructive" `Quick test_heap_to_list_nondestructive;
           QCheck_alcotest.to_alcotest prop_heap_pop_sorted;
           QCheck_alcotest.to_alcotest prop_heap_stable_ties;
         ] );
@@ -598,7 +545,6 @@ let () =
           Alcotest.test_case "pending wakeup permit" `Quick test_engine_pending_wakeup_permit;
           Alcotest.test_case "deadlock detection" `Quick test_engine_deadlock_detection;
           Alcotest.test_case "spawn from fiber" `Quick test_engine_spawn_from_fiber;
-          Alcotest.test_case "exit fiber" `Quick test_engine_exit_fiber;
           Alcotest.test_case "wakeup finished noop" `Quick test_engine_wakeup_finished_noop;
           Alcotest.test_case "blocked reason" `Quick test_engine_blocked_reason;
           Alcotest.test_case "stuck budget" `Quick test_engine_stuck_budget;
