@@ -249,12 +249,7 @@ let profile_cmd =
             exit 1
         | Ok program ->
             let tracer = Obs.Tracer.create () in
-            let obs =
-              match perfetto with
-              | Some _ -> Obs.Tracer.sink tracer
-              | None -> Obs.Sink.null
-            in
-            let r = Prof.Report.run ~runtime ~seed ~nthreads:threads ~whatif ~obs program in
+            let r = Prof.Report.run ~runtime ~seed ~nthreads:threads ~whatif ~tracer program in
             let doc = Obs.Json.to_string (Prof.Report.to_json r) in
             (match out with
             | Some file ->

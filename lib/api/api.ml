@@ -5,7 +5,6 @@ type thread = int
 
 type ops = {
   tid : int;
-  self_name : string;
   work : int -> unit;
   read : addr:int -> len:int -> Bytes.t;
   read_into : addr:int -> Bytes.t -> unit;

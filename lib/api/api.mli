@@ -20,7 +20,6 @@ type thread = int
 
 type ops = {
   tid : int;  (** this thread's id (main = 0) *)
-  self_name : string;
   work : int -> unit;
       (** retire [n] user instructions of pure local computation *)
   read : addr:int -> len:int -> Bytes.t;

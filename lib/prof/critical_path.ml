@@ -24,21 +24,21 @@ let find_before (ivs : St.interval array) t =
   done;
   !lo - 1
 
-(* Each thread's intervals in time order, decoded from the profile's
+(* Each thread's intervals in time order, decoded from the tracer's
    log: arrival order is each thread's time order. *)
-let thread_intervals (p : Profile.t) =
+let thread_intervals tracer =
   let rev : (int, St.interval list) Hashtbl.t = Hashtbl.create 16 in
-  Obs.Interval_log.iter
+  List.iter
     (fun (iv : St.interval) ->
       let tid = iv.St.stid in
       Hashtbl.replace rev tid (iv :: Option.value (Hashtbl.find_opt rev tid) ~default:[]))
-    p.Profile.log;
+    (Obs.Tracer.states tracer);
   let tbl : (int, St.interval array) Hashtbl.t = Hashtbl.create 16 in
   Hashtbl.iter (fun tid l -> Hashtbl.replace tbl tid (Array.of_list (List.rev l))) rev;
   tbl
 
-let compute (p : Profile.t) =
-  let tbl = thread_intervals p in
+let compute (p : Profile.t) tracer =
+  let tbl = thread_intervals tracer in
   let by_state = Array.make St.n 0 in
   let by_thread : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let by_chunk : (int * int, int) Hashtbl.t = Hashtbl.create 256 in

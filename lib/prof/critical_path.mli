@@ -7,9 +7,9 @@
     fence release, or the best-effort token enabler); and a thread's
     first interval depends on its parent's spawn.
 
-    {!compute} decodes each thread's intervals from the profile's
-    interval log, then walks this DAG backward from the globally latest interval
-    end.  Waits with a known waker are {e bridged} — the path jumps to
+    {!compute} decodes each thread's intervals from the run's
+    {!Obs.Tracer}, then walks this DAG backward from the globally latest
+    interval end.  Waits with a known waker are {e bridged} — the path jumps to
     the waker and the wait contributes nothing; waits without one are
     attributed to the path as wait time (reported separately as
     [unbridged_wait_ns], so the quality of the attribution is visible).
@@ -31,7 +31,9 @@ type t = {
   truncated : bool;  (** safety cap hit; [path_ns] is then a lower bound *)
 }
 
-val compute : Profile.t -> t
+val compute : Profile.t -> Obs.Tracer.t -> t
+(** [compute p tracer]: [tracer] recorded the intervals of the run [p]
+    profiles, and of no other run. *)
 
 val projections : t -> (string * float) list
 (** Per-state analytic speedup ceiling: eliminating all on-path time of

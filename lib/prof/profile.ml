@@ -132,7 +132,6 @@ let fold a (iv : St.interval) si d =
 let dense_tids = 4096
 
 type collector = {
-  log : Obs.Interval_log.t;
   mutable accs : acc option array;
   sparse : (int, acc) Hashtbl.t;
   metrics : Obs.Metrics.t;
@@ -143,7 +142,6 @@ type collector = {
 let create () =
   let metrics = Obs.Metrics.create () in
   {
-    log = Obs.Interval_log.create ();
     accs = [||];
     sparse = Hashtbl.create 1;
     metrics;
@@ -180,8 +178,7 @@ let acc_of c tid =
 let add c (iv : St.interval) =
   let d = St.duration iv and si = St.index iv.St.state in
   Obs.Metrics.record c.hists.(si) d;
-  fold (acc_of c iv.St.stid) iv si d;
-  Obs.Interval_log.push c.log iv
+  fold (acc_of c iv.St.stid) iv si d
 
 let sink c = { Obs.Sink.span = (fun _ -> ()); instant = (fun _ -> ()); state = add c }
 
@@ -200,7 +197,7 @@ let observer c : Runtime.Rt_event.observer = function
 type thread_profile = {
   ptid : int;
   by_state : int array; (* St.n entries, ns *)
-  intervals : int; (* how many; the intervals are in [t.log] *)
+  intervals : int; (* how many *)
   first_ns : int;
   last_ns : int;
   gap_ns : int; (* uncovered time strictly inside [first_ns, last_ns] *)
@@ -215,7 +212,6 @@ type t = {
   parents : (int * int) list; (* (child, parent), ascending child *)
   hists : Obs.Metrics.snapshot; (* per-state interval-length histograms *)
   nintervals : int;
-  log : Obs.Interval_log.view;
 }
 
 let lifetime_ns tp = tp.last_ns - tp.first_ns
@@ -268,8 +264,7 @@ let finish c ~wall_ns =
     wall_ns;
     parents = List.sort_uniq compare c.parents_rev;
     hists = Obs.Metrics.snapshot c.metrics;
-    nintervals = Obs.Interval_log.length c.log;
-    log = Obs.Interval_log.view c.log;
+    nintervals = List.fold_left (fun n tp -> n + tp.intervals) 0 threads;
   }
 
 let parent_of t tid = List.assoc_opt tid t.parents

@@ -7,9 +7,10 @@
     thread's birth to its parent during critical-path analysis).  The
     sink folds each interval into its thread's accumulators as it
     arrives (per-state and per-chunk ns, gaps, overlaps, the per-state
-    histograms) and appends it to an {!Obs.Interval_log}; it keeps no
-    record per interval.  {!finish} copies the accumulators out, in
-    O(threads + chunks).
+    histograms) and keeps nothing per interval: a consumer that needs
+    the intervals themselves ({!Critical_path}) reads them from an
+    {!Obs.Tracer} teed beside it.  {!finish} copies the accumulators
+    out, in O(threads + chunks).
 
     The central invariant is {e conservation}: the simulated clock only
     moves while a thread is inside a charged operation or a measured
@@ -35,7 +36,7 @@ val observer : collector -> Runtime.Rt_event.observer
 type thread_profile = {
   ptid : int;
   by_state : int array;  (** ns per state, indexed by {!Obs.Thread_state.index} *)
-  intervals : int;  (** how many; the intervals themselves are in [log] *)
+  intervals : int;  (** how many *)
   first_ns : int;
   last_ns : int;
   gap_ns : int;  (** uncovered ns strictly inside the lifetime; 0 when conserved *)
@@ -55,9 +56,6 @@ type t = {
       (** one histogram per state (["state:<name>"]) over individual
           interval lengths — the p50/p99/p999 columns of the report *)
   nintervals : int;
-  log : Obs.Interval_log.view;
-      (** every interval, in arrival order (so each thread's in time
-          order); {!Critical_path} decodes it *)
 }
 
 val finish : collector -> wall_ns:int -> t

@@ -9,17 +9,24 @@ type t = {
 }
 
 let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Runtime.Cost_model.default)
-    ?(seed = 1) ?nthreads ?(whatif = false) ?(obs = Obs.Sink.null) program
-    =
+    ?(seed = 1) ?nthreads ?(whatif = false) ?tracer program =
   let c = Profile.create () in
-  let sink = Profile.sink c in
-  let sink = if Obs.Sink.is_null obs then sink else Obs.Sink.tee sink obs in
+  (* A tracer of our own keeps only the intervals the critical path
+     reads, not spans and instants that nobody would read. *)
+  let tracer, recorded =
+    match tracer with
+    | Some t -> (t, Obs.Tracer.sink t)
+    | None ->
+        let t = Obs.Tracer.create () in
+        (t, { Obs.Sink.null with Obs.Sink.state = (Obs.Tracer.sink t).Obs.Sink.state })
+  in
   let result =
     Runtime.Run.run runtime ~costs ~seed ?nthreads ~observer:(Profile.observer c)
-      ~obs:sink program
+      ~obs:(Obs.Sink.tee (Profile.sink c) recorded)
+      program
   in
   let profile = Profile.finish c ~wall_ns:result.Stats.Run_result.wall_ns in
-  let cpath = Critical_path.compute profile in
+  let cpath = Critical_path.compute profile tracer in
   let whatif =
     if whatif then
       Some (Whatif.run ~runtime ~costs ~seed ?nthreads program)

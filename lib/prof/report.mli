@@ -19,15 +19,17 @@ val run :
   ?seed:int ->
   ?nthreads:int ->
   ?whatif:bool ->
-  ?obs:Obs.Sink.t ->
+  ?tracer:Obs.Tracer.t ->
   Api.t ->
   t
 (** Profile one run (default [consequence_ic], seed 1).  [whatif]
     additionally records and replays the schedule under the
     {!Whatif.scenarios} (a second run plus one replay per scenario,
     and a measured run under the pipelined sharded-commit config).
-    [obs] is teed with the profiler's own sink, so a {!Obs.Tracer} can
-    capture the same run for Perfetto export without perturbing it. *)
+    The run is recorded into [tracer], whose intervals the critical
+    path walks; pass one to export the same run to Perfetto.  It must
+    not hold another run's events.  Without one, a private tracer keeps
+    the intervals only. *)
 
 val conservation_ok : t -> bool
 

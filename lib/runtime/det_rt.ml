@@ -49,11 +49,6 @@ type thread_state = {
   mutable exited : bool;
   mutable parked : bool;
   mutable joiner : int option;
-  (* Deterministic wake conditions (permits may be spurious; these are not) *)
-  mutable lock_grant : bool;
-  mutable cond_grant : bool;
-  mutable join_grant : bool;
-  mutable barrier_grant : bool;
   mutable post_site : int;
       (* mutex id whose unlock opened the current chunk, or
          [no_post_site]; its length is attributed to this thread's
@@ -93,21 +88,6 @@ type thread_state = {
          token is handed on, so it overlaps the next chunk's execution
          on other threads.  Accumulates across a coarsened chunk's
          deferred commits. *)
-  (* Wall-clock calibration accumulators (real backends only): measured
-     ns spent in real spins, unlocked memory operations, and the actual
-     Vmem commit/update work.  Flushed to wall:* metric counters at
-     thread exit; never read by the algorithms, zero on the DES. *)
-  mutable wall_run : int;
-  mutable wall_mem : int;
-  mutable wall_commit : int;
-  mutable wall_update : int;
-}
-
-type cond_rec = { cond_waitq : int Queue.t }
-
-type barrier_rec = {
-  mutable parties : int;
-  mutable arrived_tids : int list;
 }
 
 type t = {
@@ -129,8 +109,6 @@ type t = {
      is on the per-operation path. *)
   mutex_dense : mutex_rec option array;
   mutexes : (int, mutex_rec) Hashtbl.t;
-  conds : (int, cond_rec) Hashtbl.t;
-  barriers : (int, barrier_rec) Hashtbl.t;
   mutable next_tid : int;
   mutable last_coord_entrant : int;
   mutable peak_mem : int;
@@ -186,7 +164,14 @@ type t = {
 let e_now rt = rt.ex.Sim.Exec.now ()
 let e_block rt ~reason = rt.ex.Sim.Exec.block ~reason
 let e_wakeup rt tid = rt.ex.Sim.Exec.wakeup tid
-let is_real rt = rt.ex.Sim.Exec.real
+
+(* The one substrate test: on a real-parallel backend other domains read
+   committed snapshots without the runtime lock, so history prefixes
+   must never move (see the [hist] publication comment in Segment).
+   Versions are kept until the run ends there — the DES remains the
+   memory-footprint oracle, and [off] staying 0 is what the lock-free
+   read path relies on. *)
+let collects rt = not rt.ex.Sim.Exec.real
 
 (* A tid can be allocated (next_tid bumped) slightly before its state is
    installed by [add_thread] — accounting folds that run in that window
@@ -279,22 +264,6 @@ let mutex_of rt id =
         Hashtbl.replace rt.mutexes id m;
         m
 
-let cond_of rt id =
-  match Hashtbl.find_opt rt.conds id with
-  | Some c -> c
-  | None ->
-      let c = { cond_waitq = Queue.create () } in
-      Hashtbl.replace rt.conds id c;
-      c
-
-let barrier_of rt id =
-  match Hashtbl.find_opt rt.barriers id with
-  | Some b -> b
-  | None ->
-      let b = { parties = 0; arrived_tids = [] } in
-      Hashtbl.replace rt.barriers id b;
-      b
-
 (* Coarsening bounds (section 3.1): the initial adaptive budget and the
    MI/MD floor and cap, in retired instructions.  The self-tuning
    controller retargets them per thread. *)
@@ -342,14 +311,7 @@ let min_base rt =
 
 let gc_and_sample rt =
   let now = e_now rt in
-  (if is_real rt then
-     (* Real-parallel backend: other domains read committed snapshots
-        without the runtime lock, so history prefixes must never move
-        (see the [hist] publication comment in Segment).  Versions are
-        kept until the run ends — the DES remains the memory-footprint
-        oracle, and [off] staying 0 is what the lock-free read path
-        relies on. *)
-     ()
+  (if not (collects rt) then ()
    else if rt.cfg.incremental_gc then
      (* Incremental per-shard collection: one bounded step per commit
         point (plus one per pipelined-commit drain).  The hard page bound
@@ -560,7 +522,7 @@ let emit_commit_hash rt th (ci : Vmem.Workspace.commit_info) =
    the sharded cost formula degenerates to the serial one at 1 shard. *)
 let shard_footprint rt (ci : Vmem.Workspace.commit_info) =
   let nsh = Vmem.Segment.shards rt.seg in
-  if nsh <= 1 || Array.length rt.mh_shard_commit_pages < nsh then ci.pages_committed
+  if nsh <= 1 then ci.pages_committed
   else begin
     let scratch = rt.shard_scratch in
     Array.fill scratch 0 nsh 0;
@@ -672,28 +634,24 @@ let charge_update rt th (ui : Vmem.Workspace.update_info) =
         ()
   end
 
-(* Real Vmem work, timed on real backends: these wrappers are the
+(* The real Vmem work, timed for the substrate: these are the
    measurement points of the wall-vs-model calibration (the charge_*
    functions above account *modelled* ns; here the actual page installs
    and refreshes happen).  Both run with the token and runtime lock
-   held, matching the DES execution points exactly. *)
+   held, matching the DES execution points exactly.  Two clock reads
+   and a direct call, not a wrapping closure, keep the DES path free of
+   allocation. *)
 let ws_commit rt th =
-  if is_real rt then begin
-    let w0 = e_now rt in
-    let ci = Vmem.Workspace.commit th.ws in
-    th.wall_commit <- th.wall_commit + (e_now rt - w0);
-    ci
-  end
-  else Vmem.Workspace.commit th.ws
+  let t0 = e_now rt in
+  let ci = Vmem.Workspace.commit th.ws in
+  rt.ex.Sim.Exec.timed Sim.Exec.Commit (e_now rt - t0);
+  ci
 
 let ws_update rt th =
-  if is_real rt then begin
-    let w0 = e_now rt in
-    let ui = Vmem.Workspace.update th.ws in
-    th.wall_update <- th.wall_update + (e_now rt - w0);
-    ui
-  end
-  else Vmem.Workspace.update th.ws
+  let t0 = e_now rt in
+  let ui = Vmem.Workspace.update th.ws in
+  rt.ex.Sim.Exec.timed Sim.Exec.Update (e_now rt - t0);
+  ui
 
 (* The paper's convCommitAndUpdateMem(). *)
 let commit_and_update rt th =
@@ -810,7 +768,7 @@ let drain_pipe rt th =
     let t0 = e_now rt in
     charge rt th St.Commit_pipe ns;
     span rt ~cat:Obs.Span.Commit ~name:"commit-pipe" ~tid:th.tid ~t0 ();
-    if rt.cfg.incremental_gc && not (is_real rt) then
+    if rt.cfg.incremental_gc && collects rt then
       ignore
         (Vmem.Segment.gc_step rt.seg ~min_base:(min_base rt)
            ~max_pages:rt.costs.Cost_model.gc_step_pages)
@@ -929,13 +887,7 @@ let end_coarsen rt th =
   observe_chunk rt th;
   counter_read rt th;
   commit_and_update rt th;
-  release_global rt th;
-  charge rt th St.Runtime rt.costs.Cost_model.token_ns;
-  th.chunk_start_instr <- th.instr_retired;
-  th.chunk_open_ns <- e_now rt;
-  th.acct.chunk <- th.acct.chunk + 1;
-  Ofp.begin_chunk th.ofp;
-  th.next_overflow_in <- 0
+  leave_coordination rt th
 
 (* Should we coarsen past this coordination phase?  [estimate] is the
    expected length of the upcoming piece of local work. *)
@@ -988,17 +940,9 @@ let rec consume rt th n =
        if th.tune_next_at < max_int && th.next_overflow_in > th.tune_next_at - th.instr_retired
        then th.next_overflow_in <- th.tune_next_at - th.instr_retired);
     let step = min n th.next_overflow_in in
-    if is_real rt then begin
-      (* Execute the chunk's instructions for real, with the runtime
-         lock released (the substrate's spin drops and retakes it) so
-         other domains' chunks genuinely overlap.  Safe because chunk
-         work touches only thread-private state, and safe for ordering
-         because grant eligibility depends only on published sync-point
-         counts, never on when this work physically runs. *)
-      let w0 = e_now rt in
-      rt.ex.Sim.Exec.spin step;
-      th.wall_run <- th.wall_run + (e_now rt - w0)
-    end;
+    (* Real work on a real backend, outside the runtime lock; nothing on
+       the DES, where the charge below is the work. *)
+    rt.ex.Sim.Exec.spin step;
     charge rt th St.Run (Cost_model.work_ns rt.costs th.prng step);
     th.instr_retired <- th.instr_retired + step;
     th.unpublished <- th.unpublished + step;
@@ -1026,29 +970,6 @@ let rec consume rt th n =
 
 let mem_instr rt len = max 1 (len / 8 * rt.costs.Cost_model.mem_op_instr_per_8bytes)
 
-(* Run a workspace data operation.  On a real backend the runtime lock
-   is released for the duration: reads/writes touch only the caller's
-   private workspace plus immutable published segment snapshots (the
-   lock-free read path Segment's [hist] publication order protects), so
-   memory operations from different domains genuinely overlap.  The
-   wrapper re-acquires the lock before re-raising, preserving the
-   invariant that runtime code always unwinds with the lock held. *)
-let unlocked_mem rt th f =
-  if is_real rt then begin
-    let w0 = e_now rt in
-    rt.ex.Sim.Exec.unlock ();
-    let r =
-      try f ()
-      with e ->
-        rt.ex.Sim.Exec.lock ();
-        raise e
-    in
-    rt.ex.Sim.Exec.lock ();
-    th.wall_mem <- th.wall_mem + (e_now rt - w0);
-    r
-  end
-  else f ()
-
 let charge_new_faults rt th before_faults =
   let after = (Vmem.Workspace.stats th.ws).Vmem.Workspace.write_faults in
   let faults = after - before_faults in
@@ -1064,7 +985,7 @@ let charge_new_faults rt th before_faults =
 (* Parking (deterministic wait conditions)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Park the calling thread until [ready ()] holds.  The thread departs
+(* Park the calling thread until it is granted.  The thread departs
    from GMIC consideration (clockDepart, Fig 7) and is excluded from the
    fence while parked.  The matching {!grant} — executed by the waker at
    a deterministic point — re-adds it to GMIC consideration and
@@ -1072,32 +993,26 @@ let charge_new_faults rt th before_faults =
    eligibility depend on the real-time wake latency and break
    determinism (the paper's wakeupThread() likewise "adds the thread
    back into consideration for the GMIC"). *)
-let park rt th ~state ~reason ~ready =
+let park rt th ~state ~reason =
   flush_sticky rt th;
   Lc.depart th.clock;
   th.parked <- true;
   Tok.poke rt.token;
   rt.prof_enabler <- th.tid;
   fence_check rt ~waker:th.tid;
-  let t0 = e_now rt in
-  while not (ready ()) do
-    e_block rt ~reason
-  done;
-  Rt_core.wait rt.core th.acct state ~name:reason ~t0 ~waker:th.acct.waker;
+  Rt_core.park rt.core th.acct state ~reason;
   (* Normally the granter already cleared these (and fast-forwarded our
-     clock); when the grant landed before we even blocked — ready() was
-     true on entry — restore them ourselves.  No simulated time passes in
-     that path, so the flicker is invisible to other threads. *)
+     clock); when the grant landed before we even blocked, restore them
+     ourselves.  No simulated time passes in that path, so the flicker
+     is invisible to other threads. *)
   th.parked <- false;
   Lc.arrive th.clock;
   Tok.poke rt.token
 
-(* The waker's half of a wake-up (the paper's wakeupThread()): set the
-   wakee's deterministic wake condition via [before], fast-forward its
-   clock to the waker's (section 3.5), rejoin it to GMIC consideration,
-   and schedule it. *)
-let grant rt ~waker wakee ~before =
-  before ();
+(* The waker's half of a wake-up (the paper's wakeupThread()):
+   fast-forward the wakee's clock to the waker's (section 3.5), rejoin
+   it to GMIC consideration, then grant and schedule it. *)
+let grant rt ~waker wakee =
   if rt.cfg.fast_forward then begin
     (* The wakee inherits the waker's true progress: publish any
        retired-but-unpublished instructions first, so the target is a
@@ -1112,10 +1027,9 @@ let grant rt ~waker wakee ~before =
     ignore (Lc.fast_forward wakee.clock ~to_count:(Lc.published waker.clock))
   end;
   wakee.parked <- false;
-  wakee.acct.waker <- waker.tid;
   Lc.arrive wakee.clock;
   Tok.poke rt.token;
-  e_wakeup rt wakee.tid
+  Rt_core.grant rt.core wakee.acct ~waker:waker.tid
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization operations                                         *)
@@ -1183,12 +1097,9 @@ and mutex_lock_slow rt th mid =
       | None ->
           (* Held: depart, queue, release the token, block (Fig 7 lines
              9-14) — the paper's first blocking deterministic mutex. *)
-          th.lock_grant <- false;
           Queue.push th.tid m.lock_waitq;
           release_global rt th;
-          park rt th ~state:St.Lock_wait
-            ~reason:(Rt_core.label Rt_core.Lock mid)
-            ~ready:(fun () -> th.lock_grant)
+          park rt th ~state:St.Lock_wait ~reason:(Rt_core.label Rt_core.Lock mid)
     end
   done
 
@@ -1197,9 +1108,7 @@ and mutex_lock_slow rt th mid =
 let release_mutex rt ~waker (m : mutex_rec) =
   m.holder <- -1;
   if not (Queue.is_empty m.lock_waitq) then begin
-    let next = Queue.pop m.lock_waitq in
-    let waiter = thread rt next in
-    grant rt ~waker waiter ~before:(fun () -> waiter.lock_grant <- true)
+    grant rt ~waker (thread rt (Queue.pop m.lock_waitq))
   end
 
 let note_post th mid =
@@ -1249,28 +1158,25 @@ let cond_wait rt th cid mid =
   let m = mutex_of rt mid in
   if m.holder <> th.tid then
     invalid_arg (Printf.sprintf "cond_wait: thread %d does not hold mutex %d" th.tid mid);
-  let c = cond_of rt cid in
+  let c = Rt_core.cond_of rt.core cid in
   enter_coordination rt th;
   update_cs_ewma th m;
   release_mutex rt ~waker:th m;
   commit_and_update rt th;
   record_sync rt th Rt_core.Cond_wait cid;
   emit_release rt th Rt_event.obj_mutex mid;
-  th.cond_grant <- false;
-  Queue.push th.tid c.cond_waitq;
+  Queue.push th.tid c.Rt_core.cond_waitq;
   release_global rt th;
   charge rt th St.Runtime rt.costs.Cost_model.token_ns;
-  park rt th ~state:St.Lock_wait
-    ~reason:(Rt_core.cond_reason cid)
-    ~ready:(fun () -> th.cond_grant);
+  park rt th ~state:St.Lock_wait ~reason:(Rt_core.cond_reason cid);
   emit_acquire rt th Rt_event.obj_cond cid;
   open_chunk rt th;
   (* Re-acquire the mutex, competing deterministically with other lockers. *)
   mutex_lock rt th mid
 
 let rec cond_signal rt th cid ~broadcast =
-  let c = cond_of rt cid in
-  if th.coarsen_holding && Queue.is_empty c.cond_waitq then begin
+  let c = Rt_core.cond_of rt.core cid in
+  if th.coarsen_holding && Queue.is_empty c.Rt_core.cond_waitq then begin
     settle_post_unlock th;
     (* Signalling with no waiter is purely local: nothing to wake, and the
        accompanying commit may be coalesced like any other under TSO, so
@@ -1282,13 +1188,11 @@ let rec cond_signal rt th cid ~broadcast =
   else cond_signal_slow rt th cid ~broadcast
 
 and cond_signal_slow rt th cid ~broadcast =
-  let c = cond_of rt cid in
+  let c = Rt_core.cond_of rt.core cid in
   enter_coordination rt th;
   let rec grant_one () =
-    if not (Queue.is_empty c.cond_waitq) then begin
-      let next = Queue.pop c.cond_waitq in
-      let waiter = thread rt next in
-      grant rt ~waker:th waiter ~before:(fun () -> waiter.cond_grant <- true);
+    if not (Queue.is_empty c.Rt_core.cond_waitq) then begin
+      grant rt ~waker:th (thread rt (Queue.pop c.Rt_core.cond_waitq));
       charge rt th St.Runtime rt.costs.Cost_model.wake_ns;
       if broadcast then grant_one ()
     end
@@ -1299,16 +1203,10 @@ and cond_signal_slow rt th cid ~broadcast =
   emit_release rt th Rt_event.obj_cond cid;
   leave_coordination rt th
 
-let barrier_init rt bid parties =
-  if parties <= 0 then invalid_arg "barrier_init: parties must be > 0";
-  let b = barrier_of rt bid in
-  b.parties <- parties
-
 (* Deterministic barrier with Conversion's two-phase parallel commit
    (section 4.2). *)
 let barrier_wait rt th bid =
-  let b = barrier_of rt bid in
-  if b.parties = 0 then invalid_arg (Printf.sprintf "barrier %d: not initialized" bid);
+  let b = Rt_core.barrier rt.core bid in
   enter_coordination rt th;
   let c = rt.costs in
   let phase2_pages = ref 0 in
@@ -1340,9 +1238,8 @@ let barrier_wait rt th bid =
   th.since_commit <- 0;
   record_sync rt th Rt_core.Barrier bid;
   emit_release rt th Rt_event.obj_barrier bid;
-  b.arrived_tids <- th.tid :: b.arrived_tids;
-  let last = List.length b.arrived_tids = b.parties in
-  th.barrier_grant <- false;
+  b.Rt_core.arrived_tids <- th.tid :: b.Rt_core.arrived_tids;
+  let last = List.length b.Rt_core.arrived_tids = b.Rt_core.parties in
   release_global rt th;
   charge rt th St.Runtime rt.costs.Cost_model.token_ns;
   (* Waiters run phase 2 and the internal (non-deterministic) barrier
@@ -1362,22 +1259,16 @@ let barrier_wait rt th bid =
    if !phase2_pages > 0 then
      span rt ~cat:Obs.Span.Commit ~name:"commit-phase2" ~tid:th.tid ~t0:p2_t0 ());
   if last then begin
-    let others = List.filter (fun tid -> tid <> th.tid) b.arrived_tids in
-    b.arrived_tids <- [];
-    List.iter
-      (fun tid ->
-        let w = thread rt tid in
-        grant rt ~waker:th w ~before:(fun () -> w.barrier_grant <- true))
-      others;
+    let others = List.filter (fun tid -> tid <> th.tid) b.Rt_core.arrived_tids in
+    b.Rt_core.arrived_tids <- [];
+    List.iter (fun tid -> grant rt ~waker:th (thread rt tid)) others;
     charge rt th St.Runtime (List.length others * rt.costs.Cost_model.wake_ns)
   end
   else
     (* The wake condition must be the grant itself: a stale wakeup permit
        plus a generation test could let a waiter slip out of the park
        before its grant ran (leaving it departed forever). *)
-    park rt th ~state:St.Barrier_wait
-      ~reason:(Rt_core.label Rt_core.Barrier bid)
-      ~ready:(fun () -> th.barrier_grant);
+    park rt th ~state:St.Barrier_wait ~reason:(Rt_core.label Rt_core.Barrier bid);
   emit_acquire rt th Rt_event.obj_barrier bid;
   (* Everyone updates to the latest version after the internal barrier;
      these updates run concurrently. *)
@@ -1425,31 +1316,30 @@ let atomic_fetch_add rt th ~addr delta =
 let rec make_ops rt th : Api.ops =
   {
     Api.tid = th.tid;
-    self_name = th.acct.name;
     work = (fun n -> consume rt th n);
     read =
       (fun ~addr ~len ->
         consume rt th (mem_instr rt len);
-        unlocked_mem rt th (fun () -> Vmem.Workspace.read th.ws ~addr ~len));
+        rt.ex.Sim.Exec.unlocked (fun () -> Vmem.Workspace.read th.ws ~addr ~len));
     read_into =
       (fun ~addr buf ->
         consume rt th (mem_instr rt (Bytes.length buf));
-        unlocked_mem rt th (fun () -> Vmem.Workspace.read_into th.ws ~addr buf));
+        rt.ex.Sim.Exec.unlocked (fun () -> Vmem.Workspace.read_into th.ws ~addr buf));
     write =
       (fun ~addr buf ->
         consume rt th (mem_instr rt (Bytes.length buf));
         let before = (Vmem.Workspace.stats th.ws).Vmem.Workspace.write_faults in
-        unlocked_mem rt th (fun () -> Vmem.Workspace.write th.ws ~addr buf);
+        rt.ex.Sim.Exec.unlocked (fun () -> Vmem.Workspace.write th.ws ~addr buf);
         charge_new_faults rt th before);
     read_int =
       (fun ~addr ->
         consume rt th 1;
-        unlocked_mem rt th (fun () -> Vmem.Workspace.read_int th.ws ~addr));
+        rt.ex.Sim.Exec.unlocked (fun () -> Vmem.Workspace.read_int th.ws ~addr));
     write_int =
       (fun ~addr v ->
         consume rt th 1;
         let before = (Vmem.Workspace.stats th.ws).Vmem.Workspace.write_faults in
-        unlocked_mem rt th (fun () -> Vmem.Workspace.write_int th.ws ~addr v);
+        rt.ex.Sim.Exec.unlocked (fun () -> Vmem.Workspace.write_int th.ws ~addr v);
         charge_new_faults rt th before);
     fetch_add = (fun ~addr delta -> plain_fetch_add rt th ~addr delta);
     atomic_fetch_add = (fun ~addr delta -> atomic_fetch_add rt th ~addr delta);
@@ -1458,7 +1348,7 @@ let rec make_ops rt th : Api.ops =
     cond_wait = (fun c m -> cond_wait rt th c m);
     cond_signal = (fun c -> cond_signal rt th c ~broadcast:false);
     cond_broadcast = (fun c -> cond_signal rt th c ~broadcast:true);
-    barrier_init = (fun b parties -> barrier_init rt b parties);
+    barrier_init = (fun b parties -> Rt_core.barrier_init rt.core b parties);
     barrier_wait = (fun b -> barrier_wait rt th b);
     spawn = (fun ?name body -> spawn_thread rt th ?name body);
     join = (fun t -> join_thread rt th t);
@@ -1471,7 +1361,7 @@ let rec make_ops rt th : Api.ops =
            fault, no resident copy.  The pin is GC-safe because callers
            pin at-or-above their own workspace base (see Segment.read_bytes). *)
         consume rt th (mem_instr rt len);
-        unlocked_mem rt th (fun () -> Vmem.Segment.read_bytes rt.seg ~version ~addr ~len));
+        rt.ex.Sim.Exec.unlocked (fun () -> Vmem.Segment.read_bytes rt.seg ~version ~addr ~len));
     now_ns = (fun () -> e_now rt);
     metric_incr = (fun key by -> Rt_core.metric_incr rt.core key by);
     metric_observe = (fun key v -> Rt_core.metric_observe rt.core key v);
@@ -1527,10 +1417,6 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     exited = false;
     parked = false;
     joiner = None;
-    lock_grant = false;
-    cond_grant = false;
-    join_grant = false;
-    barrier_grant = false;
     post_site = no_post_site;
     post_site_instr = 0;
     post_ewma_small = Array.make n_interned 0.0;
@@ -1541,10 +1427,6 @@ and new_thread_state rt ~tid ~name ~inherit_count =
     pipe_pending_ns = 0;
     race_epoch = 1;
     chunk_epoch = 1;
-    wall_run = 0;
-    wall_mem = 0;
-    wall_commit = 0;
-    wall_update = 0;
   }
   in
   (* Epoch-0 decision at thread start: every thread in every backend
@@ -1565,24 +1447,8 @@ and thread_exit rt th =
   Tok.poke rt.token;
   rt.prof_enabler <- th.tid;
   fence_check rt ~waker:th.tid;
-  (match th.joiner with
-  | Some j -> grant rt ~waker:th (thread rt j) ~before:(fun () -> (thread rt j).join_grant <- true)
-  | None -> ());
-  flush_sticky rt th;
-  if is_real rt then begin
-    (* Flush the wall-clock calibration accumulators.  Counter adds are
-       commutative, so the (timing-dependent) exit order cannot affect
-       the totals; the wall:* keys exist only on real backends and are
-       never part of the witness.  Runs under the runtime lock, like
-       every other metrics access. *)
-    let flush name v =
-      if v > 0 then Obs.Metrics.count (Obs.Metrics.counter (Rt_core.metrics rt.core) name) v
-    in
-    flush "wall:run_ns" th.wall_run;
-    flush "wall:mem_ns" th.wall_mem;
-    flush "wall:commit_ns" th.wall_commit;
-    flush "wall:update_ns" th.wall_update
-  end
+  Option.iter (fun j -> grant rt ~waker:th (thread rt j)) th.joiner;
+  flush_sticky rt th
 
 and spawn_thread rt th ?name body =
   let fork_t0 = e_now rt in
@@ -1643,11 +1509,8 @@ and join_thread rt th target_tid =
   if target.joiner <> None then invalid_arg (Printf.sprintf "join: thread %d already joined" target_tid);
   if not target.exited then begin
     target.joiner <- Some th.tid;
-    th.join_grant <- false;
     close_chunk rt th;
-    park rt th ~state:St.Lock_wait
-      ~reason:(Rt_core.label Rt_core.Join target_tid)
-      ~ready:(fun () -> th.join_grant);
+    park rt th ~state:St.Lock_wait ~reason:(Rt_core.label Rt_core.Join target_tid);
     Lc.resume th.clock;
     th.chunk_start_instr <- th.instr_retired
   end;
@@ -1670,9 +1533,10 @@ and join_thread rt th target_tid =
 (* Run [program] on an arbitrary execution substrate.  [start] drives
    the substrate's scheduler to quiescence after the main green thread
    has been registered (the DES calls [Sim.Engine.run]; the domains
-   backend calls [Sim.Sched.run]).  Everything deterministic — thread
-   ids, token grants, commits, witnesses — is computed by the same code
-   on every substrate; only time and physical placement differ. *)
+   backend runs its work-stealing scheduler).  Everything deterministic
+   — thread ids, token grants, commits, witnesses — is computed by the
+   same code on every substrate; only time and physical placement
+   differ. *)
 let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer
     ?(obs = Obs.Sink.null) ?(schedule = false) (program : Api.t) =
   let nthreads = match nthreads with Some n -> n | None -> program.Api.default_threads in
@@ -1698,8 +1562,6 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
       threads = Array.make 8 None;
       mutex_dense = Array.make 64 None;
       mutexes = Hashtbl.create 16;
-      conds = Hashtbl.create 16;
-      barriers = Hashtbl.create 16;
       next_tid = 1;
       last_coord_entrant = -1;
       peak_mem = 0;
@@ -1740,6 +1602,9 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
   in
   assert (fiber_id = 0);
   start ();
+  List.iter
+    (fun (name, v) -> Obs.Metrics.count (Obs.Metrics.counter metrics name) v)
+    (ex.Sim.Exec.counters ());
   let sum f = fold_threads rt (fun th acc -> acc + f th) 0 in
   let ws_stat f = sum (fun th -> f (Vmem.Workspace.stats th.ws)) in
   {

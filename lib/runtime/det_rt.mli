@@ -38,7 +38,8 @@ val run_exec :
     green thread is registered.  All deterministic state — thread ids,
     token grants, commits, the witnesses — is computed by the same code
     on every substrate; substrates differ only in time (simulated vs
-    wall) and physical placement (fibers vs domains).  This is what
+    wall) and physical placement (fibers vs domains), and add their own
+    [counters] to the run's metrics when it ends.  This is what
     [Runtime.Domains_rt] builds on; ordinary callers use {!run}. *)
 
 val run :

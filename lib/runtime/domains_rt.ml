@@ -19,8 +19,11 @@
    modelled costs still flow into the per-thread Breakdown and the
    charged-state histograms (commit/update/commit_pipe ns), so both stay
    comparable to the DES, while every *wait* metric (determ/lock/barrier
-   wait, token hold) measures real ns because the waits are real.  Real work is measured separately into the wall:*
-   calibration counters (see Det_rt's wall accumulators). *)
+   wait, token hold) measures real ns because the waits are real.  Real
+   work is measured separately, by the substrate record built here: the
+   chunk spins, the unlocked memory operations and the workspace
+   commits and updates Det_rt times are summed into the four wall:*
+   calibration counters, which the run reports once when it ends. *)
 
 let available_cores () = Domain.recommended_domain_count ()
 
@@ -50,12 +53,52 @@ let run cfg ?domains ?costs ?seed ?nthreads ?observer ?obs ?schedule (program : 
   let t0 = Monotonic_clock.now () in
   let wall_now () = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
   let prng = Sim.Prng.create ~seed:(Option.value seed ~default:1) in
+  (* Wall-clock calibration sums.  Every update runs with the runtime
+     lock held, so plain refs suffice, and sums commute, so the
+     timing-dependent order of the updates cannot move the totals. *)
+  let run_ns = ref 0 and mem_ns = ref 0 and commit_ns = ref 0 and update_ns = ref 0 in
   let spin n =
     (* Release the runtime lock while the chunk's instructions execute:
-       this is the window where domains genuinely run in parallel. *)
+       this is the window where domains genuinely run in parallel.  Safe
+       because chunk work touches only thread-private state, and safe for
+       ordering because grant eligibility depends only on published
+       sync-point counts, never on when this work physically runs. *)
+    let w0 = wall_now () in
     Sim.Sched.unlock sched;
     spin_body n;
-    Sim.Sched.lock sched
+    Sim.Sched.lock sched;
+    run_ns := !run_ns + (wall_now () - w0)
+  in
+  (* Memory operations touch only the caller's private workspace plus
+     immutable published segment snapshots (the lock-free read path
+     Segment's [hist] publication order protects), so they too run
+     unlocked; runtime code always unwinds with the lock held. *)
+  let unlocked f =
+    let w0 = wall_now () in
+    Sim.Sched.unlock sched;
+    match f () with
+    | r ->
+        Sim.Sched.lock sched;
+        mem_ns := !mem_ns + (wall_now () - w0);
+        r
+    | exception e ->
+        Sim.Sched.lock sched;
+        raise e
+  in
+  let timed (op : Sim.Exec.timed) ns =
+    match op with
+    | Commit -> commit_ns := !commit_ns + ns
+    | Update -> update_ns := !update_ns + ns
+  in
+  let counters () =
+    List.filter
+      (fun (_, v) -> v > 0)
+      [
+        ("wall:run_ns", !run_ns);
+        ("wall:mem_ns", !mem_ns);
+        ("wall:commit_ns", !commit_ns);
+        ("wall:update_ns", !update_ns);
+      ]
   in
   let ex =
     {
@@ -67,8 +110,9 @@ let run cfg ?domains ?costs ?seed ?nthreads ?observer ?obs ?schedule (program : 
       prng;
       real = true;
       spin;
-      lock = (fun () -> Sim.Sched.lock sched);
-      unlock = (fun () -> Sim.Sched.unlock sched);
+      unlocked;
+      timed;
+      counters;
     }
   in
   (* Report the Run-level preset name ("<cfg>-domains", as in

@@ -9,9 +9,6 @@ type thread_state = {
   mutable instr_retired : int;
   mutable exited : bool;
   mutable joiner : int option;
-  mutable lock_grant : bool;
-  mutable cond_grant : bool;
-  mutable join_grant : bool;
   mutable epoch : int;
       (* release count + 1: the thread's own vector-clock component as a
          race detector replaying our event stream would track it.  Only
@@ -19,12 +16,6 @@ type thread_state = {
 }
 
 type mutex_rec = { mutable held_by : int option; waitq : int Queue.t }
-type cond_rec = { cond_waitq : int Queue.t }
-type barrier_rec = {
-  mutable parties : int;
-  mutable arrived_tids : int list;
-  mutable generation : int;
-}
 
 type t = {
   costs : Cost_model.t;
@@ -35,8 +26,6 @@ type t = {
   mutable touched_pages : int;
   threads : (int, thread_state) Hashtbl.t;
   mutexes : (int, mutex_rec) Hashtbl.t;
-  conds : (int, cond_rec) Hashtbl.t;
-  barriers : (int, barrier_rec) Hashtbl.t;
   core : Rt_core.t;
   mutable next_tid : int;
   observer : Rt_event.observer option;
@@ -52,15 +41,7 @@ let thread rt tid = Hashtbl.find rt.threads tid
    commits, no chunks. *)
 let charge rt th st ns = Rt_core.charge rt.core th.acct st ns
 let record_sync rt th op id = Rt_core.sync rt.core ~tid:th.tid op id
-
-(* Block until [granted ()], then account the wait (breakdown, histogram
-   and, when tracing, span + state interval) under [state]. *)
-let block_until rt th ~state ~reason granted =
-  let t0 = Rt_core.now rt.core in
-  while not (granted ()) do
-    Sim.Engine.block rt.eng ~reason
-  done;
-  Rt_core.wait rt.core th.acct state ~name:reason ~t0 ~waker:th.acct.waker
+let grant rt ~waker tid = Rt_core.grant rt.core (thread rt tid).acct ~waker:waker.tid
 
 (* Happens-before event emission.  Pthreads has no deterministic token
    order, so the stream follows simulated wall-clock order — which is the
@@ -146,22 +127,6 @@ let mutex_of rt id =
       Hashtbl.replace rt.mutexes id m;
       m
 
-let cond_of rt id =
-  match Hashtbl.find_opt rt.conds id with
-  | Some c -> c
-  | None ->
-      let c = { cond_waitq = Queue.create () } in
-      Hashtbl.replace rt.conds id c;
-      c
-
-let barrier_of rt id =
-  match Hashtbl.find_opt rt.barriers id with
-  | Some b -> b
-  | None ->
-      let b = { parties = 0; arrived_tids = []; generation = 0 } in
-      Hashtbl.replace rt.barriers id b;
-      b
-
 let work rt th n =
   if n > 0 then begin
     th.instr_retired <- th.instr_retired + n;
@@ -234,10 +199,8 @@ let mutex_lock rt th mid =
   charge rt th St.Runtime rt.costs.Cost_model.pthread_lock_ns;
   if m.held_by = None then m.held_by <- Some th.tid
   else begin
-    th.lock_grant <- false;
     Queue.push th.tid m.waitq;
-    block_until rt th ~state:St.Lock_wait ~reason:(Rt_core.label Rt_core.Lock mid) (fun () ->
-        th.lock_grant);
+    Rt_core.park rt.core th.acct St.Lock_wait ~reason:(Rt_core.label Rt_core.Lock mid);
     m.held_by <- Some th.tid
   end;
   record_sync rt th Rt_core.Lock mid;
@@ -251,39 +214,29 @@ let mutex_unlock rt th mid =
   emit_release rt th Rt_event.obj_mutex mid;
   m.held_by <- None;
   if not (Queue.is_empty m.waitq) then begin
-    let next = Queue.pop m.waitq in
-    let w = thread rt next in
-    w.lock_grant <- true;
-    w.acct.waker <- th.tid;
-    Sim.Engine.wakeup rt.eng next;
+    grant rt ~waker:th (Queue.pop m.waitq);
     charge rt th St.Runtime rt.costs.Cost_model.wake_ns
   end;
   record_sync rt th Rt_core.Unlock mid
 
 let cond_wait rt th cid mid =
-  let c = cond_of rt cid in
+  let c = Rt_core.cond_of rt.core cid in
   charge rt th St.Runtime rt.costs.Cost_model.pthread_cond_ns;
   record_sync rt th Rt_core.Cond_wait cid;
   (* Enqueue before releasing the mutex: wait+release must be atomic or a
      signal between them is lost (the unlock yields the simulated CPU). *)
-  th.cond_grant <- false;
-  Queue.push th.tid c.cond_waitq;
+  Queue.push th.tid c.Rt_core.cond_waitq;
   mutex_unlock rt th mid;
-  block_until rt th ~state:St.Lock_wait ~reason:(Rt_core.cond_reason cid) (fun () ->
-      th.cond_grant);
+  Rt_core.park rt.core th.acct St.Lock_wait ~reason:(Rt_core.cond_reason cid);
   emit_acquire rt th Rt_event.obj_cond cid;
   mutex_lock rt th mid
 
 let cond_signal rt th cid ~broadcast =
-  let c = cond_of rt cid in
+  let c = Rt_core.cond_of rt.core cid in
   charge rt th St.Runtime rt.costs.Cost_model.pthread_cond_ns;
   let rec grant_one () =
-    if not (Queue.is_empty c.cond_waitq) then begin
-      let next = Queue.pop c.cond_waitq in
-      let w = thread rt next in
-      w.cond_grant <- true;
-      w.acct.waker <- th.tid;
-      Sim.Engine.wakeup rt.eng next;
+    if not (Queue.is_empty c.Rt_core.cond_waitq) then begin
+      grant rt ~waker:th (Queue.pop c.Rt_core.cond_waitq);
       charge rt th St.Runtime rt.costs.Cost_model.wake_ns;
       if broadcast then grant_one ()
     end
@@ -292,38 +245,23 @@ let cond_signal rt th cid ~broadcast =
   record_sync rt th (if broadcast then Rt_core.Broadcast else Rt_core.Signal) cid;
   emit_release rt th Rt_event.obj_cond cid
 
-let barrier_init _rt _th b parties =
-  if parties <= 0 then invalid_arg "barrier_init: parties must be > 0";
-  b.parties <- parties
-
 let barrier_wait rt th bid =
-  let b = barrier_of rt bid in
-  if b.parties = 0 then invalid_arg (Printf.sprintf "barrier %d: not initialized" bid);
+  let b = Rt_core.barrier rt.core bid in
   charge rt th St.Runtime rt.costs.Cost_model.pthread_barrier_ns;
   record_sync rt th Rt_core.Barrier bid;
   emit_release rt th Rt_event.obj_barrier bid;
-  b.arrived_tids <- th.tid :: b.arrived_tids;
-  if List.length b.arrived_tids = b.parties then begin
-    let others = List.filter (fun tid -> tid <> th.tid) b.arrived_tids in
-    b.arrived_tids <- [];
-    b.generation <- b.generation + 1;
-    List.iter
-      (fun tid ->
-        (thread rt tid).acct.waker <- th.tid;
-        Sim.Engine.wakeup rt.eng tid)
-      others
+  b.Rt_core.arrived_tids <- th.tid :: b.Rt_core.arrived_tids;
+  if List.length b.Rt_core.arrived_tids = b.Rt_core.parties then begin
+    let others = List.filter (fun tid -> tid <> th.tid) b.Rt_core.arrived_tids in
+    b.Rt_core.arrived_tids <- [];
+    List.iter (grant rt ~waker:th) others
   end
-  else begin
-    let gen = b.generation in
-    block_until rt th ~state:St.Barrier_wait ~reason:(Rt_core.label Rt_core.Barrier bid) (fun () ->
-        b.generation <> gen)
-  end;
+  else Rt_core.park rt.core th.acct St.Barrier_wait ~reason:(Rt_core.label Rt_core.Barrier bid);
   emit_acquire rt th Rt_event.obj_barrier bid
 
 let rec make_ops rt th : Api.ops =
   {
     Api.tid = th.tid;
-    self_name = th.acct.name;
     work = (fun n -> work rt th n);
     read = (fun ~addr ~len -> read rt th ~addr ~len);
     read_into = (fun ~addr buf -> read_into rt th ~addr buf);
@@ -337,7 +275,7 @@ let rec make_ops rt th : Api.ops =
     cond_wait = (fun c m -> cond_wait rt th c m);
     cond_signal = (fun c -> cond_signal rt th c ~broadcast:false);
     cond_broadcast = (fun c -> cond_signal rt th c ~broadcast:true);
-    barrier_init = (fun bid parties -> barrier_init rt th (barrier_of rt bid) parties);
+    barrier_init = (fun bid parties -> Rt_core.barrier_init rt.core bid parties);
     barrier_wait = (fun b -> barrier_wait rt th b);
     spawn = (fun ?name body -> spawn_thread rt th ?name body);
     join = (fun t -> join_thread rt th t);
@@ -373,9 +311,6 @@ and new_thread_state rt ~tid ~tname =
     instr_retired = 0;
     exited = false;
     joiner = None;
-    lock_grant = false;
-    cond_grant = false;
-    join_grant = false;
     epoch = 1;
   }
 
@@ -383,13 +318,7 @@ and thread_exit rt th =
   record_sync rt th Rt_core.Exit 0;
   emit_release rt th Rt_event.obj_thread_exit th.tid;
   th.exited <- true;
-  match th.joiner with
-  | Some j ->
-      let w = thread rt j in
-      w.join_grant <- true;
-      w.acct.waker <- th.tid;
-      Sim.Engine.wakeup rt.eng j
-  | None -> ()
+  Option.iter (grant rt ~waker:th) th.joiner
 
 and spawn_thread rt th ?name body =
   charge rt th St.Fork rt.costs.Cost_model.pthread_spawn_ns;
@@ -419,9 +348,7 @@ and join_thread rt th target_tid =
   if target.joiner <> None then invalid_arg (Printf.sprintf "join: thread %d already joined" target_tid);
   if not target.exited then begin
     target.joiner <- Some th.tid;
-    th.join_grant <- false;
-    block_until rt th ~state:St.Lock_wait ~reason:(Rt_core.label Rt_core.Join target_tid) (fun () ->
-        th.join_grant)
+    Rt_core.park rt.core th.acct St.Lock_wait ~reason:(Rt_core.label Rt_core.Join target_tid)
   end;
   record_sync rt th Rt_core.Join target_tid;
   emit_acquire rt th Rt_event.obj_thread_exit target_tid
@@ -440,8 +367,6 @@ let run ?(costs = Cost_model.default) ?(seed = 1) ?nthreads ?observer ?(obs = Ob
       touched_pages = 0;
       threads = Hashtbl.create 64;
       mutexes = Hashtbl.create 16;
-      conds = Hashtbl.create 16;
-      barriers = Hashtbl.create 16;
       core = Rt_core.create ~schedule ~ex:(Sim.Exec.of_engine eng) ~obs;
       next_tid = 1;
       observer;

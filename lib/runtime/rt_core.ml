@@ -7,9 +7,10 @@ type thread = {
   bd : Bd.t;
   mutable chunk : int;
   mutable waker : int;
+  mutable granted : bool;
 }
 
-let thread ~tid ~name = { tid; name; bd = Bd.create (); chunk = 0; waker = -1 }
+let thread ~tid ~name = { tid; name; bd = Bd.create (); chunk = 0; waker = -1; granted = false }
 
 type op =
   | Lock
@@ -102,6 +103,9 @@ let add tbl key h =
   tbl.handles <- Array.append tbl.handles [| h |];
   h
 
+type cond_rec = { cond_waitq : int Queue.t }
+type barrier_rec = { mutable parties : int; mutable arrived_tids : int list }
+
 (* Interned handles, so the per-operation paths never hash a key. *)
 type t = {
   ex : Sim.Exec.t;
@@ -119,6 +123,8 @@ type t = {
   sync_trace : Sim.Trace.t;
   out_trace : Sim.Trace.t;
   mutable sync_ops : int;
+  conds : (int, cond_rec) Hashtbl.t;
+  barriers : (int, barrier_rec) Hashtbl.t;
 }
 
 let create ~schedule ~ex ~obs =
@@ -140,6 +146,8 @@ let create ~schedule ~ex ~obs =
     sync_trace = Sim.Trace.create ~capture:schedule ();
     out_trace = Sim.Trace.create ();
     sync_ops = 0;
+    conds = Hashtbl.create 16;
+    barriers = Hashtbl.create 16;
   }
 
 let metrics c = c.metrics
@@ -187,6 +195,47 @@ let wait c th st ~name ~t0 ~waker =
     interval c th st ~t0 ~t1 ~waker
   end;
   th.waker <- -1
+
+let grant c th ~waker =
+  th.granted <- true;
+  th.waker <- waker;
+  c.ex.Sim.Exec.wakeup th.tid
+
+(* The flag, not the wakeup, ends the wait: a stale permit can return
+   from [block] before the grant ran.  Consuming the flag here leaves it
+   clear for the thread's next wait. *)
+let park c th st ~reason =
+  let t0 = now c in
+  while not th.granted do
+    c.ex.Sim.Exec.block ~reason
+  done;
+  th.granted <- false;
+  wait c th st ~name:reason ~t0 ~waker:th.waker
+
+let cond_of c id =
+  match Hashtbl.find_opt c.conds id with
+  | Some r -> r
+  | None ->
+      let r = { cond_waitq = Queue.create () } in
+      Hashtbl.replace c.conds id r;
+      r
+
+let barrier_of c id =
+  match Hashtbl.find_opt c.barriers id with
+  | Some b -> b
+  | None ->
+      let b = { parties = 0; arrived_tids = [] } in
+      Hashtbl.replace c.barriers id b;
+      b
+
+let barrier_init c id parties =
+  if parties <= 0 then invalid_arg "barrier_init: parties must be > 0";
+  (barrier_of c id).parties <- parties
+
+let barrier c id =
+  let b = barrier_of c id in
+  if b.parties = 0 then invalid_arg (Printf.sprintf "barrier %d: not initialized" id);
+  b
 
 let sync c ~tid op id =
   let i = op_index op in

@@ -1,5 +1,5 @@
 (** The accounting core both runtimes ({!Det_rt}, {!Pthreads_rt}) build
-    on.  It owns three decisions:
+    on.  It owns four decisions:
 
     - how a nanosecond is accounted: {!charge} and {!wait} are the only
       two entry points, and each one feeds the thread's
@@ -9,6 +9,9 @@
     - how a sync op is recorded: the sync-order witness (a streaming
       hash; the schedule itself is kept only on request), [sync_ops]
       and the interned [op:*] counters;
+    - how a thread waits to be woken: one {!grant} and {!park}
+      protocol, over the condition variables and barriers both runtimes
+      share ({!cond_of}, {!barrier});
     - how the {!Stats.Run_result.t} is assembled.
 
     Event emission (spans other than waits, instants, the
@@ -28,6 +31,10 @@ type thread = {
       (** tid whose grant / wakeup ended (or will end) this thread's
           current wait; -1 = none.  Set by the waker, read by the caller
           of {!wait}, and reset by {!wait}. *)
+  mutable granted : bool;
+      (** the thread's current {!park} has been granted.  A thread
+          waits on one thing at a time, so one flag serves every kind of
+          wait. *)
 }
 
 val thread : tid:int -> name:string -> thread
@@ -56,7 +63,6 @@ val create : schedule:bool -> ex:Sim.Exec.t -> obs:Obs.Sink.t -> t
     nothing. *)
 
 val metrics : t -> Obs.Metrics.t
-val now : t -> int
 
 val charge : t -> thread -> Obs.Thread_state.t -> int -> unit
 (** [charge c th state ns] spends [ns] of modelled time in [state]:
@@ -72,6 +78,31 @@ val wait : t -> thread -> Obs.Thread_state.t -> name:string -> t0:int -> waker:i
     too) and, when tracing and the wait was non-empty, a wait span
     called [name] plus the state interval credited to [waker].  Resets
     [th.waker]. *)
+
+val grant : t -> thread -> waker:int -> unit
+(** [grant c th ~waker] ends [th]'s current or next {!park}: sets
+    [th.granted] and [th.waker] and wakes [th]. *)
+
+val park : t -> thread -> Obs.Thread_state.t -> reason:string -> unit
+(** [park c th state ~reason] blocks until [th] is granted (at once if
+    the grant came first), clears the grant, and accounts the wait as
+    {!wait} does under [state], named [reason]. *)
+
+(** A condition variable: its waiters in arrival order. *)
+type cond_rec = { cond_waitq : int Queue.t }
+
+(** A barrier: its size, and the threads that reached it this round. *)
+type barrier_rec = { mutable parties : int; mutable arrived_tids : int list }
+
+val cond_of : t -> int -> cond_rec
+(** The condition variable [id], created on first use. *)
+
+val barrier_init : t -> int -> int -> unit
+(** [barrier_init c id parties] sizes barrier [id]; [Invalid_argument]
+    unless [parties > 0]. *)
+
+val barrier : t -> int -> barrier_rec
+(** Barrier [id]; [Invalid_argument] if it was never sized. *)
 
 val sync : t -> tid:int -> op -> int -> unit
 (** [sync c ~tid op id] records one synchronization operation on object

@@ -5,7 +5,11 @@
    work-stealing, wall-clock time).  The runtime algorithms are written
    against this record only, which is what makes the cross-backend
    witness identity a mechanical fact rather than a re-implementation
-   claim. *)
+   claim.  Everything a real backend does differently (real work, the
+   runtime lock, wall-clock calibration) sits behind the last four
+   fields; the DES fills them with no-ops. *)
+
+type timed = Commit | Update
 
 type t = {
   now : unit -> int;
@@ -26,18 +30,22 @@ type t = {
   prng : Prng.t;
       (* Master PRNG; subsystems split it. *)
   real : bool;
-      (* True on a real-parallel backend: the runtime skips
-         concurrent-unsafe maintenance (segment GC) and performs real
-         work (spins, unlocked memory ops) where the DES only charges
-         modelled costs. *)
+      (* True when other domains read committed snapshots without the
+         runtime lock, so segment history must never be collected. *)
   spin : int -> unit;
-      (* Execute [n] instructions of real work.  No-op on the DES
-         (which charges modelled time instead). *)
-  lock : unit -> unit;
-  unlock : unit -> unit;
-      (* The global runtime lock on a real backend (every runtime code
-         path holds it; it is released around spins, blocked waits and
-         bulk memory operations).  No-ops on the single-domain DES. *)
+      (* Execute [n] instructions of real work, with the runtime lock
+         released.  No-op on the DES (which charges modelled time
+         instead). *)
+  unlocked : 'a. (unit -> 'a) -> 'a;
+      (* Run a memory operation with the runtime lock released, and
+         retake it before the result or an exception escapes.  Plain
+         application on the DES. *)
+  timed : timed -> int -> unit;
+      (* Host ns one workspace commit or update took; the runtime reads
+         [now] around the call.  Dropped on the DES. *)
+  counters : unit -> (string * int) list;
+      (* Counters the substrate itself kept, added to the run's metrics
+         once when the run ends.  None on the DES. *)
 }
 
 let of_engine eng =
@@ -50,6 +58,7 @@ let of_engine eng =
     prng = Engine.prng eng;
     real = false;
     spin = ignore;
-    lock = ignore;
-    unlock = ignore;
+    unlocked = (fun f -> f ());
+    timed = (fun _ _ -> ());
+    counters = (fun () -> []);
   }

@@ -2,9 +2,7 @@
    on arrival: per-tid lists grouped through a hashtable, a hashtable
    of chunk slots per thread, and one string-keyed histogram
    observation per interval.  It reads the intervals as a plain
-   argument, and besides the profile (whose [log] it leaves empty)
-   returns each thread's intervals, in time order, for comparison
-   with the decoded log. *)
+   argument. *)
 
 module St = Obs.Thread_state
 open Prof.Profile
@@ -71,13 +69,11 @@ let finish ~states_rev ~nstates ~parents_rev ~wall_ns =
     (fun tp -> Array.iteri (fun i v -> totals.(i) <- totals.(i) + v) tp.by_state)
     threads;
   let parents = List.sort_uniq compare parents_rev in
-  ( {
-      threads;
-      totals;
-      wall_ns;
-      parents;
-      hists = Obs.Metrics.snapshot metrics;
-      nintervals = nstates;
-      log = Obs.Interval_log.empty;
-    },
-    per_thread )
+  {
+    threads;
+    totals;
+    wall_ns;
+    parents;
+    hists = Obs.Metrics.snapshot metrics;
+    nintervals = nstates;
+  }

@@ -16,13 +16,21 @@ let program_of name = (Workload.Registry.find name).Workload.Registry.program
 
 let det_runtimes = List.filter Runtime.Run.deterministic Runtime.Run.all
 
-let profile_run rt ?(seed = 1) ?(nthreads = 8) program =
+(* [tracer], when given, records the run beside the collector. *)
+let profile_run rt ?(seed = 1) ?(nthreads = 8) ?tracer program =
   let c = Prof.Profile.create () in
-  let r =
-    Runtime.Run.run rt ~seed ~nthreads ~observer:(Prof.Profile.observer c)
-      ~obs:(Prof.Profile.sink c) program
+  let obs =
+    match tracer with
+    | None -> Prof.Profile.sink c
+    | Some t -> Obs.Sink.tee (Prof.Profile.sink c) (Obs.Tracer.sink t)
   in
+  let r = Runtime.Run.run rt ~seed ~nthreads ~observer:(Prof.Profile.observer c) ~obs program in
   (Prof.Profile.finish c ~wall_ns:r.Res.wall_ns, r)
+
+let critical_path name =
+  let tracer = Obs.Tracer.create () in
+  let p, _ = profile_run Runtime.Run.consequence_ic ~tracer (program_of name) in
+  Prof.Critical_path.compute p tracer
 
 let assert_conserved ~what p =
   if not (Prof.Profile.conservation_ok p) then
@@ -143,8 +151,7 @@ let test_report_runs_whole_registry () =
 let test_critical_path_sanity () =
   List.iter
     (fun name ->
-      let p, _ = profile_run Runtime.Run.consequence_ic (program_of name) in
-      let c = Prof.Critical_path.compute p in
+      let c = critical_path name in
       check_bool (name ^ " path positive") true (c.Prof.Critical_path.path_ns > 0);
       check_bool (name ^ " path <= wall") true
         (c.Prof.Critical_path.path_ns <= c.Prof.Critical_path.wall_ns);
@@ -163,11 +170,7 @@ let test_critical_path_sanity () =
     Workload.Registry.names
 
 let test_critical_path_deterministic () =
-  let run () =
-    let p, _ = profile_run Runtime.Run.consequence_ic (program_of "ferret") in
-    Prof.Critical_path.compute p
-  in
-  let a = run () and b = run () in
+  let a = critical_path "ferret" and b = critical_path "ferret" in
   check_bool "identical critical path across runs" true (a = b)
 
 (* ------------------------------------------------------------------ *)
@@ -279,24 +282,11 @@ let intervals_of ~clock ~chunk steps =
       iv)
     steps
 
-(* [p] equals the oracle's profile of [fed], and its log decodes to the
-   oracle's per-thread intervals. *)
+(* [p] equals the oracle's profile of [fed]. *)
 let matches_oracle p ~fed ~spawns ~wall_ns =
-  let expect, per_thread =
-    Profile_oracle.finish ~states_rev:(List.rev fed) ~nstates:(List.length fed)
+  p
+  = Profile_oracle.finish ~states_rev:(List.rev fed) ~nstates:(List.length fed)
       ~parents_rev:(List.rev spawns) ~wall_ns
-  in
-  let decoded = Hashtbl.create 16 in
-  Obs.Interval_log.iter
-    (fun (iv : St.interval) ->
-      Hashtbl.replace decoded iv.St.stid
-        (iv :: Option.value (Hashtbl.find_opt decoded iv.St.stid) ~default:[]))
-    p.Prof.Profile.log;
-  { p with Prof.Profile.log = Obs.Interval_log.empty } = expect
-  && List.for_all
-       (fun (tid, ivs) -> List.rev (Hashtbl.find decoded tid) = Array.to_list ivs)
-       per_thread
-  && Hashtbl.length decoded = List.length per_thread
 
 let prop_finish_matches_oracle =
   QCheck.Test.make ~name:"finish equals the previous implementation" ~count:500 ~long_factor:50

@@ -1128,6 +1128,27 @@ let test_domains_pipe_witness_identity () =
         (domains_witness ~cfg:pipe ~domains:2 ~seed:1 program))
     [ "histogram"; "word_count"; "dedup"; "barnes" ]
 
+(* The calibration contract: the domains substrate times real work (chunk
+   spins, unlocked memory operations, workspace commits and updates) into
+   four wall:* counters; the DES keeps no such counter. *)
+let test_domains_calibration_counters () =
+  let program = (Workload.Registry.find "kmeans").Workload.Registry.program in
+  let counters (r : Res.t) = r.Res.metrics.Obs.Metrics.counters in
+  let dom =
+    Runtime.Domains_rt.run Runtime.Config.consequence_ic ~domains:2 ~seed:1 ~nthreads:8 program
+  in
+  List.iter
+    (fun key ->
+      let v = Option.value (List.assoc_opt key (counters dom)) ~default:0 in
+      check_bool (Printf.sprintf "domains %s = %d > 0" key v) true (v > 0))
+    [ "wall:run_ns"; "wall:mem_ns"; "wall:commit_ns"; "wall:update_ns" ];
+  let des = R.run R.consequence_ic ~seed:1 ~nthreads:8 program in
+  check_bool "DES has commits" true (des.Res.commits > 0);
+  check_bool "DES reports no wall:* counter" true
+    (List.for_all
+       (fun (key, _) -> not (String.starts_with ~prefix:"wall:" key))
+       (counters des))
+
 (* --- Self-tuning controller (lib/tune) --------------------------------- *)
 
 let test_run_names_cover_presets () =
@@ -1360,6 +1381,8 @@ let () =
         [
           Alcotest.test_case "witness-identical to DES (quick)" `Quick
             test_domains_witness_identity_quick;
+          Alcotest.test_case "wall:* calibration counters only on domains" `Quick
+            test_domains_calibration_counters;
           Alcotest.test_case "witness-identical across seeds and domain counts" `Slow
             test_domains_witness_identity;
           Alcotest.test_case "pipelined config witness-identical" `Slow
