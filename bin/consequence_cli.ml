@@ -19,37 +19,38 @@
 
 open Cmdliner
 
-let runtime_of_string = function
-  | "pthreads" -> Ok Runtime.Run.pthreads
-  | "dthreads" -> Ok Runtime.Run.dthreads
-  | "dwc" -> Ok Runtime.Run.dwc
-  | "consequence-rr" | "rr" -> Ok Runtime.Run.consequence_rr
-  | "consequence-ic" | "ic" | "consequence" -> Ok Runtime.Run.consequence_ic
-  | "consequence-pipe" | "pipe" -> Ok (Runtime.Run.Det Runtime.Config.consequence_pipe)
-  | "domains" -> Ok Runtime.Run.domains
-  | s ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown runtime %S; known: %s" s
-             (String.concat ", " Runtime.Run.names)))
-
 let runtime_conv =
-  Arg.conv
-    ( (fun s -> runtime_of_string s),
-      fun fmt rt -> Format.pp_print_string fmt (Runtime.Run.name rt) )
+  let parse s =
+    match Runtime.Run.of_name s with
+    | Some rt -> Ok rt
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown runtime %S; known: %s" s
+               (String.concat ", " Runtime.Run.names)))
+  in
+  Arg.conv (parse, fun fmt rt -> Format.pp_print_string fmt (Runtime.Run.name rt))
 
 let runtime_arg =
   let doc =
-    "Threading library: pthreads, dthreads, dwc, consequence-rr, consequence-ic, \
-     consequence-pipe (consequence-ic with pipelined sharded commit and incremental GC; \
-     witness-identical to consequence-ic), domains (consequence-ic on real OCaml 5 \
-     domains with work-stealing; witness-identical, wall-clock timings; worker count \
-     from -j)."
+    "Threading library: pthreads, dthreads, dwc, consequence-rr (rr), consequence-ic (ic, \
+     consequence), consequence-pipe (pipe: consequence-ic with pipelined sharded commit \
+     and incremental GC; witness-identical to consequence-ic), consequence-ic-domains \
+     (domains: consequence-ic on real OCaml 5 domains with work-stealing; \
+     witness-identical, wall-clock timings; worker count from -j)."
   in
   Arg.(value & opt runtime_conv Runtime.Run.consequence_ic & info [ "r"; "runtime" ] ~doc)
 
 let threads_arg =
-  Arg.(value & opt int 8 & info [ "t"; "threads" ] ~doc:"Worker thread count.")
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer >= 1" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 8
+    & info [ "t"; "threads" ] ~doc:"Worker thread count (at least 1).")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~doc:"Simulation seed (perturbs timing only).")
@@ -164,10 +165,7 @@ let trace_cmd =
           Printf.sprintf "%s / %s (%d threads, seed %d)" name (Runtime.Run.name runtime)
             threads seed
         in
-        (try Obs.Chrome_trace.write_file ~process_name out tracer
-         with Sys_error e ->
-           prerr_endline e;
-           exit 1);
+        Obs.Chrome_trace.write_file ~process_name out tracer;
         Printf.printf "%s: %d spans + %d instants on %d tracks -> %s\n" process_name
           (Obs.Tracer.span_count tracer)
           (Obs.Tracer.instant_count tracer)
@@ -458,9 +456,8 @@ let stress_cmd =
 (* --- races ------------------------------------------------------------ *)
 
 let races_cmd =
-  let action runtime threads seed name full_vector json out jobs =
+  let action runtime threads seed name json out jobs =
     apply_jobs jobs;
-    let mode = if full_vector then Race.Detector.Full_vector else Race.Detector.Epoch in
     match name with
     | Some name -> (
         (* The bank calibration workloads are auditable by name even
@@ -476,7 +473,7 @@ let races_cmd =
             prerr_endline e;
             exit 1
         | Ok program ->
-            let report, _ = Race.Audit.run ~mode ~seed ~nthreads:threads runtime program in
+            let report, _ = Race.Audit.run ~seed ~nthreads:threads runtime program in
             if json then print_endline (Obs.Json.to_string (Race.Report.to_json report))
             else print_endline (Race.Report.to_string report))
     | None ->
@@ -494,12 +491,6 @@ let races_cmd =
             "Benchmark to audit (also bank-racy / bank-locked / bank-atomic).  Without it, \
              sweep the whole suite and write the JSON report.")
   in
-  let full_vector_arg =
-    Arg.(
-      value & flag
-      & info [ "full-vector" ]
-          ~doc:"Use the full-vector oracle instead of the O(1) epoch verdicts.")
-  in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the single-benchmark report as JSON.")
   in
@@ -515,8 +506,8 @@ let races_cmd =
          "Classify merge conflicts racy vs sync-ordered; the deterministic runtimes make \
           the report byte-identical across seeds.")
     Term.(
-      const action $ runtime_arg $ threads_arg $ seed_arg $ name_arg $ full_vector_arg
-      $ json_arg $ out_arg $ jobs_arg)
+      const action $ runtime_arg $ threads_arg $ seed_arg $ name_arg $ json_arg $ out_arg
+      $ jobs_arg)
 
 (* --- record / replay / explore ---------------------------------------- *)
 
@@ -529,10 +520,7 @@ let record_cmd =
     | Ok program ->
         let log, res = Replay.Schedule.record runtime ~seed ~nthreads:threads program in
         let out = Option.value out ~default:(name ^ ".schedule.json") in
-        (try Replay.Schedule.save log out
-         with Sys_error e ->
-           prerr_endline e;
-           exit 1);
+        Replay.Schedule.save log out;
         Format.printf "%a@." Replay.Schedule.pp_meta log;
         Printf.printf "schedule -> %s (%d events, wall %d ns)\n" out
           (Replay.Schedule.length log) res.Stats.Run_result.wall_ns
@@ -746,22 +734,35 @@ let () =
     Cmd.info "consequence" ~version:"1.0.0"
       ~doc:"Deterministic multithreading with TSO consistency (EuroSys 2015 reproduction)"
   in
+  let cmd =
+    Cmd.group info
+      [
+        run_cmd;
+        trace_cmd;
+        profile_cmd;
+        bench_cmd;
+        litmus_cmd;
+        lrc_cmd;
+        check_cmd;
+        schedule_cmd;
+        stress_cmd;
+        races_cmd;
+        record_cmd;
+        replay_cmd;
+        explore_cmd;
+        tune_cmd;
+      ]
+  in
+  (* A run that its arguments cannot make, or a file it cannot write,
+     fails with one line and exit code 1 on every subcommand, never with
+     an uncaught exception. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            run_cmd;
-            trace_cmd;
-            profile_cmd;
-            bench_cmd;
-            litmus_cmd;
-            lrc_cmd;
-            check_cmd;
-            schedule_cmd;
-            stress_cmd;
-            races_cmd;
-            record_cmd;
-            replay_cmd;
-            explore_cmd;
-            tune_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Invalid_argument msg
+    | Failure msg
+    | Sys_error msg
+    | Sim.Engine.Deadlock msg
+    | Sim.Engine.Stuck msg
+    ->
+      prerr_endline ("consequence: " ^ msg);
+      1)

@@ -14,12 +14,7 @@ let threads_sweep = [ 8; 16; 32; 64; 128; 256 ]
 
 let serial_cfg = Runtime.Config.without_coarsening Runtime.Config.consequence_ic
 
-let pipe_cfg =
-  Runtime.Config.with_incremental_gc
-    (Runtime.Config.with_commit_shards
-       (Runtime.Config.with_pipelined_commit
-          (Runtime.Config.without_coarsening Runtime.Config.consequence_ic))
-       8)
+let pipe_cfg = Runtime.Config.with_pipelined_commit serial_cfg
 
 type sample = {
   s_cfg : string;

@@ -116,16 +116,14 @@ let acquires t = t.acquires
 let commits t = t.commits
 let page_updates t = t.page_updates
 
-let run ?costs ?seed ?nthreads (program : Api.t) =
+let run ?seed ?nthreads (program : Api.t) =
   let tracker = create_tracker () in
   (* Coarsening coalesces many sync ops into one commit+update window,
      which would make the TSO side count batched windows against LRC's
      per-edge counting; disable it so edges and windows correspond 1:1,
      as in the paper's instrumented build. *)
   let cfg = Runtime.Config.without_coarsening Runtime.Config.consequence_ic in
-  let res =
-    Runtime.Det_rt.run cfg ?costs ?seed ?nthreads ~observer:(observer tracker) program
-  in
+  let res = Runtime.Det_rt.run cfg ?seed ?nthreads ~observer:(observer tracker) program in
   {
     program = program.Api.name;
     tso_pages = res.Stats.Run_result.pages_propagated;

@@ -39,6 +39,5 @@ val acquires : tracker -> int
 val commits : tracker -> int
 val page_updates : tracker -> int
 
-val run :
-  ?costs:Runtime.Cost_model.t -> ?seed:int -> ?nthreads:int -> Api.t -> result
+val run : ?seed:int -> ?nthreads:int -> Api.t -> result
 (** Execute the program under Consequence-IC with tracking enabled. *)

@@ -14,9 +14,6 @@ val set : t -> int -> int -> t
 val join : t -> t -> t
 (** Pointwise maximum. *)
 
-val leq : t -> t -> bool
-(** Pointwise <=. *)
-
 val equal : t -> t -> bool
 
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a

@@ -104,7 +104,7 @@ let counter_events ?(buckets = 240) states =
           keys
       end
 
-let of_events ?(process_name = "consequence") ?(states = []) ~spans ~instants () =
+let document ?(process_name = "consequence") ~states ~spans ~instants () =
   let module S = Set.Make (Int) in
   let tids =
     let s = List.fold_left (fun acc (sp : Span.t) -> S.add sp.Span.tid acc) S.empty spans in
@@ -143,9 +143,12 @@ let of_events ?(process_name = "consequence") ?(states = []) ~spans ~instants ()
           ] );
     ]
 
+let of_events ?process_name ~spans ~instants () =
+  document ?process_name ~states:[] ~spans ~instants ()
+
 let of_tracer ?process_name tr =
-  of_events ?process_name ~states:(Tracer.states tr)
-    ~spans:(Tracer.spans tr) ~instants:(Tracer.instants tr) ()
+  document ?process_name ~states:(Tracer.states tr) ~spans:(Tracer.spans tr)
+    ~instants:(Tracer.instants tr) ()
 
 let write_file ?process_name path tr =
   Json.to_file path (of_tracer ?process_name tr)

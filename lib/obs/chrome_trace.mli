@@ -18,17 +18,13 @@ val counter_events : ?buckets:int -> Thread_state.interval list -> Json.t list
     per-window ns sum equals the intervals' total duration. *)
 
 val of_events :
-  ?process_name:string ->
-  ?states:Thread_state.interval list ->
-  spans:Span.t list ->
-  instants:Span.instant list ->
-  unit ->
-  Json.t
+  ?process_name:string -> spans:Span.t list -> instants:Span.instant list -> unit -> Json.t
 (** The full document: [{"traceEvents": [...], "displayTimeUnit": "ms",
     "otherData": {...}}], with one metadata event naming the process and
-    one naming each thread track.  [states] (default []) adds the
-    thread-state counter tracks. *)
+    one naming each thread track. *)
 
 val of_tracer : ?process_name:string -> Tracer.t -> Json.t
+(** {!of_events} over the tracer's spans and instants, plus its
+    thread-state intervals as counter tracks. *)
 
 val write_file : ?process_name:string -> string -> Tracer.t -> unit

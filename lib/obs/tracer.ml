@@ -25,6 +25,7 @@ let sink t =
 let spans t = List.rev t.spans_rev
 let instants t = List.rev t.instants_rev
 let states t = Interval_log.to_list (Interval_log.view t.states)
+let iter_states f t = Interval_log.iter f (Interval_log.view t.states)
 let span_count t = t.nspans
 let instant_count t = t.ninstants
 let state_count t = Interval_log.length t.states

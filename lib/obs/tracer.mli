@@ -26,6 +26,10 @@ val states : t -> Thread_state.interval list
 (** Decoded from the log, in arrival order; per-thread subsequences are
     in time order. *)
 
+val iter_states : (Thread_state.interval -> unit) -> t -> unit
+(** {!states} without the list: each interval is decoded and passed on
+    in arrival order. *)
+
 val span_count : t -> int
 val instant_count : t -> int
 val state_count : t -> int

@@ -24,21 +24,31 @@ let find_before (ivs : St.interval array) t =
   done;
   !lo - 1
 
-(* Each thread's intervals in time order, decoded from the tracer's
-   log: arrival order is each thread's time order. *)
-let thread_intervals tracer =
-  let rev : (int, St.interval list) Hashtbl.t = Hashtbl.create 16 in
+(* One thread's intervals, filled in arrival order. *)
+type slot = { size : int; mutable ivs : St.interval array; mutable filled : int }
+
+(* Each thread's intervals in time order, decoded from the tracer's log
+   in one pass: arrival order is each thread's time order, and the
+   profile counts each thread's intervals, which sizes its array. *)
+let thread_intervals (p : Profile.t) tracer =
+  let slots = Hashtbl.create 16 in
   List.iter
+    (fun (tp : Profile.thread_profile) ->
+      Hashtbl.replace slots tp.Profile.ptid { size = tp.Profile.intervals; ivs = [||]; filled = 0 })
+    p.Profile.threads;
+  Obs.Tracer.iter_states
     (fun (iv : St.interval) ->
-      let tid = iv.St.stid in
-      Hashtbl.replace rev tid (iv :: Option.value (Hashtbl.find_opt rev tid) ~default:[]))
-    (Obs.Tracer.states tracer);
+      let s = Hashtbl.find slots iv.St.stid in
+      if s.filled = 0 then s.ivs <- Array.make s.size iv;
+      s.ivs.(s.filled) <- iv;
+      s.filled <- s.filled + 1)
+    tracer;
   let tbl : (int, St.interval array) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter (fun tid l -> Hashtbl.replace tbl tid (Array.of_list (List.rev l))) rev;
+  Hashtbl.iter (fun tid s -> if s.filled > 0 then Hashtbl.replace tbl tid s.ivs) slots;
   tbl
 
 let compute (p : Profile.t) tracer =
-  let tbl = thread_intervals tracer in
+  let tbl = thread_intervals p tracer in
   let by_state = Array.make St.n 0 in
   let by_thread : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let by_chunk : (int * int, int) Hashtbl.t = Hashtbl.create 256 in

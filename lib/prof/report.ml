@@ -8,8 +8,8 @@ type t = {
   whatif : Whatif.t option;
 }
 
-let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Runtime.Cost_model.default)
-    ?(seed = 1) ?nthreads ?(whatif = false) ?tracer program =
+let run ?(runtime = Runtime.Run.consequence_ic) ?(seed = 1) ?nthreads ?(whatif = false) ?tracer
+    program =
   let c = Profile.create () in
   (* A tracer of our own keeps only the intervals the critical path
      reads, not spans and instants that nobody would read. *)
@@ -21,7 +21,7 @@ let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Runtime.Cost_model.def
         (t, { Obs.Sink.null with Obs.Sink.state = (Obs.Tracer.sink t).Obs.Sink.state })
   in
   let result =
-    Runtime.Run.run runtime ~costs ~seed ?nthreads ~observer:(Profile.observer c)
+    Runtime.Run.run runtime ~seed ?nthreads ~observer:(Profile.observer c)
       ~obs:(Obs.Sink.tee (Profile.sink c) recorded)
       program
   in
@@ -29,7 +29,7 @@ let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Runtime.Cost_model.def
   let cpath = Critical_path.compute profile tracer in
   let whatif =
     if whatif then
-      Some (Whatif.run ~runtime ~costs ~seed ?nthreads program)
+      Some (Whatif.run ~runtime ~seed ?nthreads program)
     else None
   in
   { runtime_name = Runtime.Run.name runtime; result; profile; cpath; whatif }

@@ -15,7 +15,6 @@ type t = {
 
 val run :
   ?runtime:Runtime.Run.runtime ->
-  ?costs:Runtime.Cost_model.t ->
   ?seed:int ->
   ?nthreads:int ->
   ?whatif:bool ->

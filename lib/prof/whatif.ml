@@ -80,14 +80,13 @@ let scenarios : (string * string * (Cm.t -> Cm.t)) list =
       fun c -> { c with Cm.page_fault_ns = 0 } );
   ]
 
-let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Cm.default) ?(seed = 1) ?nthreads
-    program =
-  let sched, base = Replay.Schedule.record runtime ~costs ~seed ?nthreads program in
+let run ?(runtime = Runtime.Run.consequence_ic) ?(seed = 1) ?nthreads program =
+  let sched, base = Replay.Schedule.record runtime ~seed ?nthreads program in
   let base_wall = base.Stats.Run_result.wall_ns in
   let rows =
     List.map
       (fun (scenario, descr, f) ->
-        let outcome = Replay.Replayer.replay ~costs:(f costs) sched program in
+        let outcome = Replay.Replayer.replay ~costs:(f Cm.default) sched program in
         let wall = outcome.Replay.Replayer.result.Stats.Run_result.wall_ns in
         {
           scenario;
@@ -110,10 +109,8 @@ let run ?(runtime = Runtime.Run.consequence_ic) ?(costs = Cm.default) ?(seed = 1
   let pipelined =
     match runtime with
     | Runtime.Run.Det cfg when not cfg.Runtime.Config.pipelined_commit ->
-        let pcfg =
-          Runtime.Config.with_commit_shards (Runtime.Config.with_pipelined_commit cfg) 8
-        in
-        let pr = Runtime.Run.run (Runtime.Run.Det pcfg) ~costs ~seed ?nthreads program in
+        let pcfg = Runtime.Config.with_pipelined_commit cfg in
+        let pr = Runtime.Run.run (Runtime.Run.Det pcfg) ~seed ?nthreads program in
         let witness (r : Stats.Run_result.t) =
           (r.Stats.Run_result.mem_hash, r.Stats.Run_result.sync_order_hash,
            r.Stats.Run_result.output_hash)

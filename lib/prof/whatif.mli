@@ -48,10 +48,9 @@ type t = {
   pipelined : pipelined option;
       (** Populated when the recorded runtime is a deterministic config
           without [pipelined_commit]: the same workload is re-run (not
-          replayed) under {!Runtime.Config.with_pipelined_commit} + 8
-          commit shards, giving the {e measured} counterpart to the
-          commit-free {e projection} and the remaining gap between
-          them. *)
+          replayed) under {!Runtime.Config.with_pipelined_commit},
+          giving the {e measured} counterpart to the commit-free
+          {e projection} and the remaining gap between them. *)
 }
 
 val scenarios : (string * string * (Runtime.Cost_model.t -> Runtime.Cost_model.t)) list
@@ -59,7 +58,6 @@ val scenarios : (string * string * (Runtime.Cost_model.t -> Runtime.Cost_model.t
 
 val run :
   ?runtime:Runtime.Run.runtime ->
-  ?costs:Runtime.Cost_model.t ->
   ?seed:int ->
   ?nthreads:int ->
   Api.t ->

@@ -6,17 +6,11 @@
     timing-neutral in every runtime). *)
 
 val run :
-  ?mode:Detector.mode ->
-  ?costs:Runtime.Cost_model.t ->
-  ?seed:int ->
-  ?nthreads:int ->
-  Runtime.Run.runtime ->
-  Api.t ->
-  Report.t * Stats.Run_result.t
+  ?seed:int -> ?nthreads:int -> Runtime.Run.runtime -> Api.t -> Report.t * Stats.Run_result.t
 (** Audit one run; returns the report and the ordinary run result. *)
 
 val stable_across_seeds :
-  ?mode:Detector.mode -> ?nthreads:int -> seeds:int list -> Runtime.Run.runtime -> Api.t -> bool
+  ?nthreads:int -> seeds:int list -> Runtime.Run.runtime -> Api.t -> bool
 (** Whether {!Report.to_string} is byte-identical over all [seeds] —
     true for every workload under every deterministic runtime, and
     generally false under pthreads for racy workloads. *)

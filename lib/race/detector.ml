@@ -1,8 +1,6 @@
 module Vc = Hb.Vector_clock
 module Ev = Runtime.Rt_event
 
-type mode = Epoch | Full_vector
-
 type verdict = Racy | Sync_ordered
 
 type finding = {
@@ -13,15 +11,8 @@ type finding = {
 }
 
 type t = {
-  dmode : mode;
   thread_vc : (int, Vc.t) Hashtbl.t;
   obj_vc : (string, Vc.t) Hashtbl.t;
-  (* Full_vector only: (tid, k) -> the clock thread [tid] published at
-     its k-th Release.  The k-th published clock has own component k, so
-     the Epoch verdict below is a single-lookup shortcut over this
-     history. *)
-  released : (int * int, Vc.t) Hashtbl.t;
-  released_count : (int, int) Hashtbl.t;
   last_acq : (int, string) Hashtbl.t;
   mutable findings_rev : finding list;
   mutable n_events : int;
@@ -31,13 +22,10 @@ type t = {
   mutable bytes_racy : int;
 }
 
-let create ?(mode = Epoch) () =
+let create () =
   {
-    dmode = mode;
     thread_vc = Hashtbl.create 16;
     obj_vc = Hashtbl.create 64;
-    released = Hashtbl.create 256;
-    released_count = Hashtbl.create 16;
     last_acq = Hashtbl.create 16;
     findings_rev = [];
     n_events = 0;
@@ -58,9 +46,6 @@ let thread_vc t tid =
 let obj_vc t obj =
   match Hashtbl.find_opt t.obj_vc obj with Some vc -> vc | None -> Vc.empty
 
-let released_count t tid =
-  match Hashtbl.find_opt t.released_count tid with Some n -> n | None -> 0
-
 let observer t ev =
   match ev with
   | Ev.Boundary _ | Ev.Commit_hash _ | Ev.Txn_abort _ | Ev.Tune_decision _ ->
@@ -73,11 +58,6 @@ let observer t ev =
   | Ev.Boundary _ | Ev.Commit_hash _ | Ev.Txn_abort _ | Ev.Tune_decision _ -> ()
   | Ev.Release { tid; obj } ->
       let c = thread_vc t tid in
-      if t.dmode = Full_vector then begin
-        let n = released_count t tid in
-        Hashtbl.replace t.released (tid, n + 1) c;
-        Hashtbl.replace t.released_count tid (n + 1)
-      end;
       Hashtbl.replace t.obj_vc obj (Vc.join (obj_vc t obj) c);
       Hashtbl.replace t.thread_vc tid (Vc.set c tid (Vc.get c tid + 1))
   | Ev.Acquire { tid; obj } ->
@@ -92,21 +72,9 @@ let observer t ev =
       let cw = thread_vc t w in
       (* [loser_version] is the loser's release epoch at the start of the
          chunk that wrote the bytes: the chunks are ordered iff the
-         winner has seen that release or a later one of the same thread.
-         Epoch mode reads that off the winner's component for the loser;
-         Full_vector mode replays the loser's release history — the
-         naive oracle the qcheck suite checks the shortcut against. *)
-      let ordered =
-        match t.dmode with
-        | Epoch -> Vc.get cw loser_tid >= loser_version
-        | Full_vector ->
-            let n = released_count t loser_tid in
-            let rec scan j =
-              j <= n
-              && (Vc.leq (Hashtbl.find t.released (loser_tid, j)) cw || scan (j + 1))
-            in
-            scan loser_version
-      in
+         winner has seen that release or a later one of the same thread,
+         which the winner's component for the loser says. *)
+      let ordered = Vc.get cw loser_tid >= loser_version in
       let nbytes = last_byte - first_byte + 1 in
       t.bytes_all <- t.bytes_all + nbytes;
       let verdict =

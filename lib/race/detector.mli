@@ -23,16 +23,14 @@
 
     A conflict stamped with loser epoch [e] is ordered iff the winner
     has (transitively) acquired the loser's [e]-th release or a later
-    one.  [Epoch] mode decides that with a single component comparison
-    against the winner's clock, FastTrack's O(1) same-epoch trick.
-    [Full_vector] mode keeps every clock each thread has ever published
-    and scans the loser's release history pointwise with [leq] — the
-    naive oracle.  The two are provably equivalent (a thread's clock is
-    monotone, and another thread's component only enters a clock via
-    joins against that thread's released clocks); the qcheck suite
-    checks they agree on random streams. *)
-
-type mode = Epoch | Full_vector
+    one.  The detector decides that with a single component comparison
+    against the winner's clock, FastTrack's O(1) same-epoch trick.  The
+    naive oracle keeps every clock each thread has ever published and
+    scans the loser's release history pointwise.  The two are provably
+    equivalent (a thread's clock is monotone, and another thread's
+    component only enters a clock via joins against that thread's
+    released clocks); test/race keeps the oracle and checks that they
+    agree on random streams and on recorded runs. *)
 
 type verdict = Racy | Sync_ordered
 
@@ -48,8 +46,7 @@ type finding = {
 
 type t
 
-val create : ?mode:mode -> unit -> t
-(** Fresh detector; [mode] defaults to [Epoch]. *)
+val create : unit -> t
 
 val observer : t -> Runtime.Rt_event.t -> unit
 (** Feed one event.  Pass this as the [?observer] of {!Runtime.Run.run}. *)

@@ -78,11 +78,11 @@ let base_config (log : Schedule.t) =
       invalid_arg "Explore.explore: pthreads logs have no chunk boundaries to perturb"
   | None -> invalid_arg (Printf.sprintf "Explore.explore: unknown runtime preset %S" name)
 
-let run_variant ?costs (log : Schedule.t) cfg program ~description ~boundaries =
+let run_variant (log : Schedule.t) cfg program ~description ~boundaries =
   let rt = Runtime.Run.Det (Runtime.Config.with_scripted_schedule cfg ~boundaries) in
   let det = Race.Detector.create () in
   let res =
-    Runtime.Run.run rt ?costs ~seed:log.Schedule.meta.Schedule.seed
+    Runtime.Run.run rt ~seed:log.Schedule.meta.Schedule.seed
       ~nthreads:log.Schedule.meta.Schedule.nthreads
       ~observer:(Race.Detector.observer det) program
   in
@@ -98,7 +98,7 @@ let run_variant ?costs (log : Schedule.t) cfg program ~description ~boundaries =
 let distinct_by f rs =
   List.length (List.sort_uniq compare (List.map f rs))
 
-let explore ?costs ?config ?(variants = 12) ?(seed = 7) (log : Schedule.t) (program : Api.t) =
+let explore ?config ?(variants = 12) ?(seed = 7) (log : Schedule.t) (program : Api.t) =
   let cfg = match config with Some c -> c | None -> base_config log in
   let recorded = Schedule.boundaries log in
   (* Threads that never overflowed still deserve perturbation: pad the
@@ -107,9 +107,7 @@ let explore ?costs ?config ?(variants = 12) ?(seed = 7) (log : Schedule.t) (prog
   let bounds =
     Array.init nthreads (fun i -> if i < Array.length recorded then recorded.(i) else [||])
   in
-  let base =
-    run_variant ?costs log cfg program ~description:"recorded schedule" ~boundaries:bounds
-  in
+  let base = run_variant log cfg program ~description:"recorded schedule" ~boundaries:bounds in
   let prng = Sim.Prng.create ~seed in
   let out = ref [] in
   let attempts = ref 0 in
@@ -118,7 +116,7 @@ let explore ?costs ?config ?(variants = 12) ?(seed = 7) (log : Schedule.t) (prog
     match perturb prng bounds with
     | None -> ()
     | Some (description, boundaries) ->
-        out := run_variant ?costs log cfg program ~description ~boundaries :: !out
+        out := run_variant log cfg program ~description ~boundaries :: !out
   done;
   let vs = List.rev !out in
   let all = base :: vs in

@@ -45,7 +45,6 @@ type report = {
 }
 
 val explore :
-  ?costs:Runtime.Cost_model.t ->
   ?config:Runtime.Config.t ->
   ?variants:int ->
   ?seed:int ->

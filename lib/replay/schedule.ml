@@ -13,10 +13,10 @@ type meta = {
 
 type t = { meta : meta; events : Ev.t array }
 
-let record rt ?costs ?seed ?nthreads (program : Api.t) =
+let record rt ?seed ?nthreads (program : Api.t) =
   let acc = ref [] in
   let observer ev = acc := ev :: !acc in
-  let res = Runtime.Run.run rt ?costs ?seed ?nthreads ~observer program in
+  let res = Runtime.Run.run rt ?seed ?nthreads ~observer program in
   let events = Array.of_list (List.rev !acc) in
   let meta =
     {

@@ -37,7 +37,6 @@ type t = { meta : meta; events : Runtime.Rt_event.t array }
 
 val record :
   Runtime.Run.runtime ->
-  ?costs:Runtime.Cost_model.t ->
   ?seed:int ->
   ?nthreads:int ->
   Api.t ->

@@ -1,14 +1,14 @@
 type ordering = Round_robin | Instruction_count
 type lock_granularity = Single_global | Per_lock
 type coarsening = No_coarsening | Static of int | Adaptive
+type isolation = Versioned | Mprotect
 type scheduling = Emergent | Scripted of int array array
 
 type t = {
   name : string;
   ordering : ordering;
   lock_granularity : lock_granularity;
-  fault_cost_mult : float;
-  commit_cost_mult : float;
+  isolation : isolation;
   coarsening : coarsening;
   adaptive_overflow : bool;
   userspace_reads : bool;
@@ -18,10 +18,7 @@ type t = {
   chunk_limit : int option;
   polling_locks : int option;
   counter_jitter_ppm : int;
-  gc_budgeted : bool;
   pipelined_commit : bool;
-  commit_shards : int;
-  incremental_gc : bool;
   scheduling : scheduling;
   tune : Tune_ctl.params option;
 }
@@ -31,8 +28,7 @@ let base =
     name = "base";
     ordering = Instruction_count;
     lock_granularity = Per_lock;
-    fault_cost_mult = 1.0;
-    commit_cost_mult = 1.0;
+    isolation = Versioned;
     coarsening = Adaptive;
     adaptive_overflow = true;
     userspace_reads = true;
@@ -42,10 +38,7 @@ let base =
     chunk_limit = None;
     polling_locks = None;
     counter_jitter_ppm = 0;
-    gc_budgeted = true;
     pipelined_commit = false;
-    commit_shards = 1;
-    incremental_gc = false;
     scheduling = Emergent;
     tune = None;
   }
@@ -67,16 +60,7 @@ let dwc =
     thread_pool = false;
   }
 
-let dthreads =
-  {
-    dwc with
-    name = "dthreads";
-    (* mprotect-based isolation: pricier faults and commits than
-       Conversion's kernel support (paper section 2.5 / [23]). *)
-    fault_cost_mult = 3.0;
-    commit_cost_mult = 4.5;
-    gc_budgeted = false;
-  }
+let dthreads = { dwc with name = "dthreads"; isolation = Mprotect }
 
 (* The scaled commit path of this repro's parallel-commit work: sealed
    write-sets published under the token with the install/merge charged
@@ -84,14 +68,7 @@ let dthreads =
    per-shard collector.  Witness-identical to consequence_ic (only cost
    placement moves); kept out of {!presets} so the four-library figure
    sweeps are unchanged. *)
-let consequence_pipe =
-  {
-    base with
-    name = "consequence-pipe";
-    pipelined_commit = true;
-    commit_shards = 8;
-    incremental_gc = true;
-  }
+let consequence_pipe = { base with name = "consequence-pipe"; pipelined_commit = true }
 
 let presets = [ dthreads; dwc; consequence_rr; consequence_ic ]
 
@@ -118,12 +95,6 @@ let with_polling_locks t ~increment =
 let with_counter_jitter t ~ppm = { t with name = t.name ^ "-cjitter"; counter_jitter_ppm = ppm }
 
 let with_pipelined_commit t = { t with name = t.name ^ "-pipe"; pipelined_commit = true }
-
-let with_commit_shards t n =
-  if n < 1 then invalid_arg "Config.with_commit_shards: shards must be >= 1";
-  { t with name = Printf.sprintf "%s-shard%d" t.name n; commit_shards = n }
-
-let with_incremental_gc t = { t with name = t.name ^ "-incgc"; incremental_gc = true }
 
 let with_scripted_schedule t ~boundaries =
   { t with name = t.name ^ "-replay"; scheduling = Scripted boundaries }

@@ -6,8 +6,8 @@
 
     - {!dthreads}: round-robin ordering (all threads rendezvous at the
       epoch fence and commit serially in thread-id order, Fig 3a), a
-      single global lock, mprotect-based isolation cost multipliers, no
-      Consequence optimizations.
+      single global lock, {!Mprotect} isolation, no Consequence
+      optimizations.
     - {!dwc} (DThreads-with-Conversion [23]): the same ordering and
       single global lock over Conversion's versioned memory (its fault
       and commit costs, rate-limited GC).
@@ -16,8 +16,8 @@
     - {!consequence_ic}: the main system — GMIC (instruction-count)
       ordering plus all optimizations of section 3.
 
-    Every optimization is independently toggleable for the Fig 13
-    ablation study. *)
+    Every field is one design point, and every optimization is
+    independently toggleable for the Fig 13 ablation study. *)
 
 type ordering = Round_robin | Instruction_count
 
@@ -29,6 +29,18 @@ type coarsening =
   | No_coarsening
   | Static of int  (** always coalesce exactly this many sync ops *)
   | Adaptive  (** EWMA estimates + multiplicative max adaptation (section 3.1) *)
+
+type isolation =
+  | Versioned
+      (** Conversion's versioned memory [23]: page snapshots are held
+          until its rate-limited single-threaded collector reclaims them
+          (Fig 12), and the footprint counts every live snapshot. *)
+  | Mprotect
+      (** DThreads' mprotect-based isolation: write faults cost 3.0x and
+          commits 4.5x Conversion's kernel support (section 2.5),
+          snapshots are reclaimed eagerly, and the footprint counts the
+          touched pages of the one shared image plus per-thread copies
+          and twins. *)
 
 type scheduling =
   | Emergent  (** boundaries fall out of the adaptive policies (normal runs) *)
@@ -46,8 +58,7 @@ type t = {
   name : string;
   ordering : ordering;
   lock_granularity : lock_granularity;
-  fault_cost_mult : float;  (** isolation-cost multiplier vs Conversion *)
-  commit_cost_mult : float;
+  isolation : isolation;
   coarsening : coarsening;
   adaptive_overflow : bool;  (** section 3.2; false = fixed overflow interval *)
   userspace_reads : bool;  (** section 3.4 *)
@@ -68,32 +79,27 @@ type t = {
       (** parts-per-million multiplicative noise on {e published} counter
           values; nonzero models untrusted performance counters [30] and
           intentionally breaks determinism for the soundness study. *)
-  gc_budgeted : bool;
-      (** true = Conversion's rate-limited single-threaded GC (Fig 12);
-          false = snapshots reclaimed eagerly (DThreads-style accounting,
-          which keeps only the live image plus twins) *)
   pipelined_commit : bool;
-      (** pipeline commits with execution: the token holder seals and
-          publishes its write-set (charged per page at
-          [commit_seal_page_ns] while holding the global) and releases
-          immediately; the bulk install/merge is charged after the
-          release as a {!Obs.Thread_state.Commit_pipe} interval, so the
-          twin-diff/merge of chunk N overlaps execution of chunk N+1.
-          The installed {e data} still lands at the token hold (version
-          order is unchanged), so witnesses, merges, conflict capture
-          and commit digests are byte-identical to the serial path. *)
-  commit_shards : int;
-      (** split the segment into this many contiguous page-range shards
-          with independent live accounting and GC cursors; a commit
-          whose footprint spans several shards is charged its largest
-          single-shard footprint as the install term (the shards
-          install concurrently in the cost model) rather than the sum.
-          The pages themselves install serially, so data and witnesses
-          are unchanged.  1 = unsharded (the default). *)
-  incremental_gc : bool;
-      (** replace the single rate-limited GC sweep with the incremental
-          per-shard collector: bounded steps ([gc_step_pages]) that run
-          in commit slack (at every pipelined-commit drain point) *)
+      (** the scaled commit path, three parts that only move together:
+          - pipelining: the token holder seals and publishes its
+            write-set (charged per page at [commit_seal_page_ns] while
+            holding the global) and releases immediately; the bulk
+            install/merge is charged after the release as a
+            {!Obs.Thread_state.Commit_pipe} interval, so the
+            twin-diff/merge of chunk N overlaps execution of chunk N+1;
+          - 8 shards: the segment is split into contiguous page-range
+            shards with independent live accounting and GC cursors, and
+            a commit is charged its largest single-shard footprint as
+            the install term (the shards install concurrently in the
+            cost model) rather than the sum;
+          - the incremental per-shard collector replaces the
+            rate-limited sweep: bounded steps ([gc_step_pages]) that
+            run in commit slack (at every drain point).
+
+          The installed {e data} still lands at the token hold, one page
+          at a time and in version order, so witnesses, merges,
+          conflict capture and commit digests are byte-identical to the
+          serial path. *)
   scheduling : scheduling;
   tune : Tune_ctl.params option;
       (** [Some p]: the self-tuning controller is on — at each
@@ -113,8 +119,8 @@ val consequence_rr : t
 val consequence_ic : t
 
 val consequence_pipe : t
-(** {!consequence_ic} with [pipelined_commit], 8 [commit_shards] and
-    [incremental_gc] — the scaled commit path.  Witness-identical to
+(** {!consequence_ic} with [pipelined_commit], the scaled commit path.
+    Witness-identical to
     {!consequence_ic} by construction (only cost placement changes);
     not part of {!presets}. *)
 
@@ -134,8 +140,6 @@ val with_polling_locks : t -> increment:int -> t
 val with_counter_jitter : t -> ppm:int -> t
 
 val with_pipelined_commit : t -> t
-val with_commit_shards : t -> int -> t
-val with_incremental_gc : t -> t
 
 val with_scripted_schedule : t -> boundaries:int array array -> t
 (** Replay a recorded schedule: force per-thread chunk boundaries at the

@@ -300,6 +300,20 @@ let settle_post_unlock th =
 (* Memory accounting and GC                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* {!Config.Mprotect} isolation prices write faults and commits above
+   Conversion's kernel support (paper section 2.5, [23]). *)
+let mprotect_fault_mult = 3.0
+let mprotect_commit_mult = 4.5
+
+(* Simulated ns of commit work that costs [ns] under versioned memory. *)
+let commit_ns rt ns =
+  match rt.cfg.isolation with
+  | Config.Versioned -> ns
+  | Config.Mprotect -> int_of_float (float_of_int ns *. mprotect_commit_mult)
+
+(* Page-range shards of the segment on the pipelined commit path. *)
+let pipe_shards = 8
+
 (* Oldest version any runnable workspace still reads.  Parked threads do
    not pin history: every wake path performs a commit+update before user
    code touches memory again, so their stale bases are never read. *)
@@ -312,7 +326,7 @@ let min_base rt =
 let gc_and_sample rt =
   let now = e_now rt in
   (if not (collects rt) then ()
-   else if rt.cfg.incremental_gc then
+   else if rt.cfg.pipelined_commit then
      (* Incremental per-shard collection: one bounded step per commit
         point (plus one per pipelined-commit drain).  The hard page bound
         replaces the rate budget — steps are cheap enough to hide in
@@ -320,17 +334,19 @@ let gc_and_sample rt =
      ignore
        (Vmem.Segment.gc_step rt.seg ~min_base:(min_base rt)
           ~max_pages:rt.costs.Cost_model.gc_step_pages)
-   else if rt.cfg.gc_budgeted then begin
-     (* Conversion's single-threaded collector reclaims at a bounded rate;
-        allocation bursts outpace it (Fig 12). *)
-     let elapsed = now - rt.last_gc_ns in
-     let budget = elapsed * rt.costs.Cost_model.gc_pages_per_ms / 1_000_000 in
-     if budget > 0 then begin
-       rt.last_gc_ns <- now;
-       ignore (Vmem.Segment.gc rt.seg ~min_base:(min_base rt) ~budget)
-     end
-   end
-   else ignore (Vmem.Segment.gc rt.seg ~min_base:(min_base rt) ~budget:max_int));
+   else
+     match rt.cfg.isolation with
+     | Config.Versioned ->
+         (* Conversion's single-threaded collector reclaims at a bounded
+            rate; allocation bursts outpace it (Fig 12). *)
+         let elapsed = now - rt.last_gc_ns in
+         let budget = elapsed * rt.costs.Cost_model.gc_pages_per_ms / 1_000_000 in
+         if budget > 0 then begin
+           rt.last_gc_ns <- now;
+           ignore (Vmem.Segment.gc rt.seg ~min_base:(min_base rt) ~budget)
+         end
+     | Config.Mprotect ->
+         ignore (Vmem.Segment.gc rt.seg ~min_base:(min_base rt) ~budget:max_int));
   let resident =
     fold_threads rt
       (fun th acc ->
@@ -343,8 +359,9 @@ let gc_and_sample rt =
      single shared image plus per-thread copies and twins, so its
      footprint ignores version history. *)
   let mem =
-    if rt.cfg.gc_budgeted then Vmem.Segment.live_snapshots rt.seg + resident
-    else Vmem.Segment.touched_pages rt.seg + resident
+    match rt.cfg.isolation with
+    | Config.Versioned -> Vmem.Segment.live_snapshots rt.seg + resident
+    | Config.Mprotect -> Vmem.Segment.touched_pages rt.seg + resident
   in
   if mem > rt.peak_mem then rt.peak_mem <- mem
 
@@ -536,9 +553,7 @@ let shard_footprint rt (ci : Vmem.Workspace.commit_info) =
       if scratch.(s) > 0 then begin
         Obs.Metrics.record rt.mh_shard_commit_pages.(s) scratch.(s);
         Obs.Metrics.record rt.mh_shard_commit_ns.(s)
-          (int_of_float
-             (float_of_int (scratch.(s) * rt.costs.Cost_model.page_commit_ns)
-             *. rt.cfg.commit_cost_mult));
+          (commit_ns rt (scratch.(s) * rt.costs.Cost_model.page_commit_ns));
         if scratch.(s) > !max_pages then max_pages := scratch.(s)
       end
     done;
@@ -599,7 +614,7 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
        let seal_ns =
          c.Cost_model.commit_base_ns + (ci.pages_committed * c.Cost_model.commit_seal_page_ns)
        in
-       charge rt th St.Commit (int_of_float (float_of_int seal_ns *. rt.cfg.commit_cost_mult));
+       charge rt th St.Commit (commit_ns rt seal_ns);
        th.pipe_pending_ns <-
          th.pipe_pending_ns
          + (install_pages * c.Cost_model.page_commit_ns)
@@ -611,7 +626,7 @@ let charge_commit rt th (ci : Vmem.Workspace.commit_info) =
          + (install_pages * c.Cost_model.page_commit_ns)
          + (ci.pages_merged * c.Cost_model.page_merge_ns)
        in
-       charge rt th St.Commit (int_of_float (float_of_int ns *. rt.cfg.commit_cost_mult))
+       charge rt th St.Commit (commit_ns rt ns)
      end);
     publish_commit rt th ci ~t0 ~phase1:false
   end
@@ -763,12 +778,12 @@ let acquire_global rt th =
    slack the collector is meant to hide in. *)
 let drain_pipe rt th =
   if th.pipe_pending_ns > 0 then begin
-    let ns = int_of_float (float_of_int th.pipe_pending_ns *. rt.cfg.commit_cost_mult) in
+    let ns = commit_ns rt th.pipe_pending_ns in
     th.pipe_pending_ns <- 0;
     let t0 = e_now rt in
     charge rt th St.Commit_pipe ns;
     span rt ~cat:Obs.Span.Commit ~name:"commit-pipe" ~tid:th.tid ~t0 ();
-    if rt.cfg.incremental_gc && collects rt then
+    if collects rt then
       ignore
         (Vmem.Segment.gc_step rt.seg ~min_base:(min_base rt)
            ~max_pages:rt.costs.Cost_model.gc_step_pages)
@@ -974,11 +989,11 @@ let charge_new_faults rt th before_faults =
   let after = (Vmem.Workspace.stats th.ws).Vmem.Workspace.write_faults in
   let faults = after - before_faults in
   if faults > 0 then begin
-    let ns =
-      int_of_float
-        (float_of_int (faults * rt.costs.Cost_model.page_fault_ns) *. rt.cfg.fault_cost_mult)
-    in
-    charge rt th St.Fault ns
+    let ns = faults * rt.costs.Cost_model.page_fault_ns in
+    charge rt th St.Fault
+      (match rt.cfg.isolation with
+      | Config.Versioned -> ns
+      | Config.Mprotect -> int_of_float (float_of_int ns *. mprotect_fault_mult))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1255,7 +1270,7 @@ let barrier_wait rt th bid =
     rt.prof_enabler <- th.tid
   end;
   (let p2_t0 = e_now rt in
-   charge rt th St.Commit (int_of_float (float_of_int !phase2_pages *. rt.cfg.commit_cost_mult));
+   charge rt th St.Commit (commit_ns rt !phase2_pages);
    if !phase2_pages > 0 then
      span rt ~cat:Obs.Span.Commit ~name:"commit-phase2" ~tid:th.tid ~t0:p2_t0 ());
   if last then begin
@@ -1544,7 +1559,7 @@ let run_exec cfg ~ex ~start ?(costs = Cost_model.default) ?(seed = 1) ?nthreads 
     Vmem.Segment.create ~name:program.Api.name ~pages:program.Api.heap_pages
       ~page_size:program.Api.page_size ()
   in
-  if cfg.Config.commit_shards > 1 then Vmem.Segment.set_shards seg cfg.Config.commit_shards;
+  if cfg.Config.pipelined_commit then Vmem.Segment.set_shards seg pipe_shards;
   let nshards = Vmem.Segment.shards seg in
   let clocks = Lc.create () in
   let token = Tok.create ex clocks in

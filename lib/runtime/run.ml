@@ -26,7 +26,22 @@ let all = [ pthreads; dthreads; dwc; consequence_rr; consequence_ic ]
    the DES) by looking their preset up by name, and "consequence-pipe"
    runs must resolve the same way. *)
 let resolvable = all @ [ consequence_pipe; domains ]
-let of_name n = List.find_opt (fun rt -> String.equal (name rt) n) resolvable
+
+(* Short names the CLI accepts beside the full ones. *)
+let aliases =
+  [
+    ("rr", consequence_rr);
+    ("ic", consequence_ic);
+    ("consequence", consequence_ic);
+    ("pipe", consequence_pipe);
+    ("domains", domains);
+  ]
+
+let of_name n =
+  match List.find_opt (fun rt -> String.equal (name rt) n) resolvable with
+  | Some _ as rt -> rt
+  | None -> List.assoc_opt n aliases
+
 let names = List.map name resolvable
 
 let deterministic = function
@@ -39,13 +54,13 @@ let run rt ?costs ?seed ?nthreads ?observer ?obs ?schedule program =
   | Det cfg -> Det_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs ?schedule program
   | Domains cfg -> Domains_rt.run cfg ?costs ?seed ?nthreads ?observer ?obs ?schedule program
 
-let best_over_threads rt ?costs ?seed ~threads program =
+let best_over_threads rt ?seed ~threads program =
   match threads with
   | [] -> invalid_arg "Run.best_over_threads: empty thread list"
   | first :: rest ->
       List.fold_left
         (fun best n ->
-          let r = run rt ?costs ?seed ~nthreads:n program in
+          let r = run rt ?seed ~nthreads:n program in
           if r.Stats.Run_result.wall_ns < best.Stats.Run_result.wall_ns then r else best)
-        (run rt ?costs ?seed ~nthreads:first program)
+        (run rt ?seed ~nthreads:first program)
         rest

@@ -1,7 +1,17 @@
 (** Uniform entry point over all five threading libraries of the
     evaluation (section 5). *)
 
-type runtime = Pthreads | Det of Config.t | Domains of Config.t
+type runtime =
+  | Pthreads
+  | Det of Config.t
+  | Domains of Config.t
+      (** The same algorithms as [Det] executed on real OCaml 5 domains
+          with work-stealing ({!Domains_rt}).  Witness-identical to
+          [Det]; [wall_ns] is real wall-clock, so it is excluded from
+          {!all} (whose members must reproduce [wall_ns] bit-for-bit
+          across runs).  The worker count follows the process-wide [-j]
+          knob ({!Sim.Par.set_jobs}).  [Domains Config.consequence_ic]
+          resolves by {!of_name} as ["consequence-ic-domains"]. *)
 
 val name : runtime -> string
 
@@ -18,25 +28,20 @@ val consequence_pipe : runtime
     sweeps are unchanged, but resolvable via {!of_name} ("consequence-
     pipe", the CLI's [pipe]). *)
 
-val domains : runtime
-(** [Domains Config.consequence_ic]: the same Consequence-IC algorithms
-    executed on real OCaml 5 domains with work-stealing
-    ({!Domains_rt}).  Witness-identical to {!consequence_ic}; [wall_ns]
-    is real wall-clock, so it is excluded from {!all} (whose members
-    must reproduce [wall_ns] bit-for-bit across runs).  The worker
-    count follows the process-wide [-j] knob ({!Sim.Par.set_jobs}). *)
-
 val all : runtime list
 (** pthreads + the four deterministic libraries, in Fig 10 display order. *)
 
 val of_name : string -> runtime option
 (** Resolve a preset by its {!name}.  Covers {!all} plus
-    {!consequence_pipe} and {!domains} (which [all] excludes), so
-    schedules recorded under those runtimes still resolve. *)
+    {!consequence_pipe} and [Domains Config.consequence_ic] (which [all]
+    excludes), so
+    schedules recorded under those runtimes still resolve, and the short
+    aliases [rr], [ic], [consequence], [pipe] and [domains]. *)
 
 val names : string list
-(** Every name {!of_name} resolves, in display order — the full runtime
-    set CLI help and error messages should list. *)
+(** Every runtime's {!name}, in display order — the full runtime set
+    CLI help and error messages should list.  {!of_name} also resolves
+    the aliases, which this list leaves out. *)
 
 val deterministic : runtime -> bool
 (** Whether the runtime guarantees determinism (i.e. everything except
@@ -62,7 +67,6 @@ val run :
 
 val best_over_threads :
   runtime ->
-  ?costs:Cost_model.t ->
   ?seed:int ->
   threads:int list ->
   Api.t ->

@@ -112,14 +112,14 @@ let random_params prng =
   Ctl.validate p;
   p
 
-let search ?costs ?(nthreads = 8) ?(seed = 1) ?(quick = false) ?(check = true) name =
+let search ?(nthreads = 8) ?(seed = 1) ?(quick = false) ?(check = true) name =
   let entry = Workload.Registry.find name in
   let program = entry.Workload.Registry.program in
   let base = Cfg.consequence_ic in
   let evaluations = ref 0 in
   let memo : (Ctl.params, int) Hashtbl.t = Hashtbl.create 64 in
   let wall_of cfg' =
-    let res = Runtime.Run.run (Runtime.Run.Det cfg') ?costs ~seed ~nthreads program in
+    let res = Runtime.Run.run (Runtime.Run.Det cfg') ~seed ~nthreads program in
     incr evaluations;
     res.Stats.Run_result.wall_ns
   in
@@ -139,8 +139,7 @@ let search ?costs ?(nthreads = 8) ?(seed = 1) ?(quick = false) ?(check = true) n
   let profile_params =
     let c = Prof.Profile.create () in
     let res =
-      Runtime.Run.run (Runtime.Run.Det base) ?costs ~seed ~nthreads
-        ~obs:(Prof.Profile.sink c) program
+      Runtime.Run.run (Runtime.Run.Det base) ~seed ~nthreads ~obs:(Prof.Profile.sink c) program
     in
     incr evaluations;
     Controller.params_of_profile
@@ -192,24 +191,22 @@ let search ?costs ?(nthreads = 8) ?(seed = 1) ?(quick = false) ?(check = true) n
     if not check then (true, false, false, None)
     else begin
       let witness_at seed =
-        let res = Runtime.Run.run (Runtime.Run.Det tuned) ?costs ~seed ~nthreads program in
+        let res = Runtime.Run.run (Runtime.Run.Det tuned) ~seed ~nthreads program in
         Stats.Run_result.deterministic_witness res
       in
       let seed_stable = String.equal (witness_at 1) (witness_at 7) in
-      let log, _ = Replay.Schedule.record (Runtime.Run.Det tuned) ?costs ~seed ~nthreads program in
+      let log, _ = Replay.Schedule.record (Runtime.Run.Det tuned) ~seed ~nthreads program in
       let scripted =
         Cfg.with_scripted_schedule tuned ~boundaries:(Replay.Schedule.boundaries log)
       in
-      let outcome =
-        Replay.Replayer.replay ?costs ~runtime:(Runtime.Run.Det scripted) log program
-      in
+      let outcome = Replay.Replayer.replay ~runtime:(Runtime.Run.Det scripted) log program in
       let decisions_ok =
         Controller.matches_prediction searched (Array.to_list log.Replay.Schedule.events)
       in
       let floor =
         if quick then None
         else
-          let rep = Replay.Explore.explore ?costs ~config:tuned ~variants:6 log program in
+          let rep = Replay.Explore.explore ~config:tuned ~variants:6 log program in
           Some
             (List.fold_left
                (fun acc v -> min acc v.Replay.Explore.wall_ns)

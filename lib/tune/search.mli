@@ -53,7 +53,6 @@ val hand_grid : (string * Runtime.Tune_ctl.params) list
     untuned configuration bit-for-bit. *)
 
 val search :
-  ?costs:Runtime.Cost_model.t ->
   ?nthreads:int ->
   ?seed:int ->
   ?quick:bool ->

@@ -301,7 +301,7 @@ let test_outcomes_identical_across_all_runtimes () =
      timings) may differ between runtimes. *)
   let all_runtimes =
     [ R.pthreads; R.dthreads; R.dwc; R.consequence_rr; R.consequence_ic;
-      R.Det Runtime.Config.consequence_pipe; R.domains ]
+      R.Det Runtime.Config.consequence_pipe; R.Domains Runtime.Config.consequence_ic ]
   in
   List.iter
     (fun shape ->
@@ -338,7 +338,7 @@ let test_full_witness_identity_ic_pipe_domains () =
                    seed)
                 base
                 (Res.deterministic_witness (run_one runtime ~seed shape)))
-            [ R.Det Runtime.Config.consequence_pipe; R.domains ])
+            [ R.Det Runtime.Config.consequence_pipe; R.Domains Runtime.Config.consequence_ic ])
         seeds)
     shapes
 
@@ -393,7 +393,7 @@ let test_golden_witnesses () =
           (R.consequence_ic, ic_expected);
           (R.consequence_rr, rr_expected);
           (R.Det Runtime.Config.consequence_pipe, ic_expected);
-          (R.domains, ic_expected);
+          (R.Domains Runtime.Config.consequence_ic, ic_expected);
         ])
     golden
 

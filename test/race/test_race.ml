@@ -1,5 +1,6 @@
 (* Tests for the race detector: synthetic verdicts, the bank regression,
-   value-determinism of reports, and epoch/full-vector agreement. *)
+   value-determinism of reports, and agreement with the full-vector
+   oracle (full_vector_oracle.ml). *)
 
 module Det = Race.Detector
 module Rep = Race.Report
@@ -17,6 +18,8 @@ let feed events =
   let det = Det.create () in
   List.iter (Det.observer det) events;
   det
+
+let verdicts det = List.map (fun f -> f.Det.verdict) (Det.findings det)
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic streams                                                  *)
@@ -188,15 +191,71 @@ let test_pthreads_conflicts_vary () =
   check_bool "seed-varying pthreads conflict counts" true
     (List.length (List.sort_uniq compare counts) > 1)
 
+(* ------------------------------------------------------------------ *)
+(* Epoch shortcut vs the full-vector oracle                           *)
+(* ------------------------------------------------------------------ *)
+
+let prop_race_epoch_agrees_with_oracle =
+  (* Random synchronization streams over 4 threads and 3 objects, with
+     conflicts stamped near the loser's current release count (some
+     beyond it, i.e. unpublished): the O(1) epoch verdict must match the
+     full-vector release-history scan on every finding. *)
+  let op =
+    QCheck.(
+      oneof
+        [
+          map (fun (t, o) -> `Rel (t, o)) (pair (int_bound 3) (int_bound 2));
+          map (fun (t, o) -> `Acq (t, o)) (pair (int_bound 3) (int_bound 2));
+          map
+            (fun (w, (l, off)) -> `Confl (w, l, off))
+            (pair (int_bound 3) (pair (int_bound 3) (int_range (-2) 2)));
+        ])
+  in
+  let stream = QCheck.(list_of_size (QCheck.Gen.int_range 0 40) op) in
+  QCheck.Test.make ~name:"race: epoch verdicts agree with full-vector oracle" ~count:500 stream
+    (fun ops ->
+      let released = Array.make 4 0 in
+      let events =
+        List.filter_map
+          (function
+            | `Rel (t, o) ->
+                released.(t) <- released.(t) + 1;
+                Some (Ev.Release { tid = t; obj = "m:" ^ string_of_int o })
+            | `Acq (t, o) -> Some (Ev.Acquire { tid = t; obj = "m:" ^ string_of_int o })
+            | `Confl (w, l, off) ->
+                if w = l then None
+                else
+                  Some
+                    (Ev.Conflict
+                       {
+                         tid = w;
+                         version = 0;
+                         page = 0;
+                         first_byte = 0;
+                         last_byte = 7;
+                         loser_tid = l;
+                         loser_version = max 1 (released.(l) + off);
+                       }))
+          ops
+      in
+      let oracle = Full_vector_oracle.create () in
+      List.iter (Full_vector_oracle.observer oracle) events;
+      verdicts (feed events) = Full_vector_oracle.verdicts oracle)
+
+(* The same agreement over the streams of recorded runs. *)
 let test_modes_agree_on_runs () =
   List.iter
     (fun (rt, p) ->
-      let epoch, _ = Audit.run ~mode:Det.Epoch ~seed:1 ~nthreads:4 rt p in
-      let vector, _ = Audit.run ~mode:Det.Full_vector ~seed:1 ~nthreads:4 rt p in
+      let det = Det.create () and oracle = Full_vector_oracle.create () in
+      let observer ev =
+        Det.observer det ev;
+        Full_vector_oracle.observer oracle ev
+      in
+      ignore (Runtime.Run.run rt ~seed:1 ~nthreads:4 ~observer p);
       check_bool
-        (Printf.sprintf "modes agree on %s under %s" p.Api.name (Runtime.Run.name rt))
+        (Printf.sprintf "oracle agrees on %s under %s" p.Api.name (Runtime.Run.name rt))
         true
-        (Rep.to_string epoch = Rep.to_string vector))
+        (verdicts det = Full_vector_oracle.verdicts oracle))
     [
       (Runtime.Run.consequence_ic, Workload.Bank.racy);
       (Runtime.Run.consequence_ic, Workload.Bank.locked);
@@ -216,6 +275,7 @@ let () =
           Alcotest.test_case "unpublished epoch racy" `Quick test_unpublished_epoch_racy;
           Alcotest.test_case "transitive order" `Quick test_transitive_order;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
+          QCheck_alcotest.to_alcotest prop_race_epoch_agrees_with_oracle;
         ] );
       ( "bank",
         [

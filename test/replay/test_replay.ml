@@ -115,7 +115,7 @@ let test_domains_log_replays_on_des () =
      domains logs (their global interleave is timing-dependent), so
      faithfulness here means witness identity, not stream identity. *)
   let prog = program_of "kmeans" in
-  let log, res = Sch.record Runtime.Run.domains ~seed:3 ~nthreads:8 prog in
+  let log, res = Sch.record (Runtime.Run.Domains Runtime.Config.consequence_ic) ~seed:3 ~nthreads:8 prog in
   check_string "log names the domains preset" "consequence-ic-domains"
     log.Sch.meta.Sch.runtime;
   let o = Rep.replay log prog in

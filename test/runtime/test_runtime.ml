@@ -659,10 +659,10 @@ let test_config_presets_invariants () =
   (* The presets must encode the papers' design points. *)
   let open Runtime.Config in
   Alcotest.(check bool) "dthreads single lock" true (dthreads.lock_granularity = Single_global);
-  Alcotest.(check bool) "dthreads pays mprotect multipliers" true
-    (dthreads.fault_cost_mult > 1.5 && dthreads.commit_cost_mult > 2.0);
+  Alcotest.(check bool) "dthreads isolates with mprotect" true (dthreads.isolation = Mprotect);
   Alcotest.(check bool) "dwc single lock" true (dwc.lock_granularity = Single_global);
   Alcotest.(check bool) "dwc round-robin" true (dwc.ordering = Round_robin);
+  Alcotest.(check bool) "dwc versioned memory" true (dwc.isolation = Versioned);
   Alcotest.(check bool) "cons-rr round-robin" true (consequence_rr.ordering = Round_robin);
   Alcotest.(check bool) "cons-ic instruction-count" true
     (consequence_ic.ordering = Instruction_count);
@@ -868,10 +868,7 @@ let golden_witnesses =
    the live counterpart of the hardcoded golden list above: it pins the
    optimized path to whatever the baseline path produces today. *)
 let test_parallel_commit_witness_identity () =
-  let pipe_of cfg =
-    Runtime.Config.with_incremental_gc
-      (Runtime.Config.with_commit_shards (Runtime.Config.with_pipelined_commit cfg) 8)
-  in
+  let pipe_of = Runtime.Config.with_pipelined_commit in
   List.iter
     (fun (entry : Workload.Registry.entry) ->
       List.iter
@@ -1049,7 +1046,7 @@ let test_read_into_matches_read () =
       check_string
         (Printf.sprintf "domains into=%b witness" into)
         des
-        (Res.deterministic_witness (run R.domains ~into)))
+        (Res.deterministic_witness (run (R.Domains Runtime.Config.consequence_ic) ~into)))
     [ false; true ]
 
 (* Program metric keys resolve through a per-run cache of interned
@@ -1110,12 +1107,7 @@ let test_domains_witness_identity () =
 (* Same identity for the pipelined sharded-commit configuration, on a
    subset (the full matrix above already covers the base config). *)
 let test_domains_pipe_witness_identity () =
-  let pipe =
-    Runtime.Config.with_incremental_gc
-      (Runtime.Config.with_commit_shards
-         (Runtime.Config.with_pipelined_commit Runtime.Config.consequence_ic)
-         8)
-  in
+  let pipe = Runtime.Config.with_pipelined_commit Runtime.Config.consequence_ic in
   List.iter
     (fun bench ->
       let program = (Workload.Registry.find bench).Workload.Registry.program in
@@ -1152,8 +1144,9 @@ let test_domains_calibration_counters () =
 (* --- Self-tuning controller (lib/tune) --------------------------------- *)
 
 let test_run_names_cover_presets () =
-  (* The full resolvable runtime set must round-trip name <-> preset and
-     include the two presets `all` excludes (pipe, domains). *)
+  (* The full resolvable runtime set must round-trip name <-> preset,
+     include the two presets `all` excludes (pipe, domains), and resolve
+     the short aliases. *)
   List.iter
     (fun n ->
       match R.of_name n with
@@ -1163,9 +1156,26 @@ let test_run_names_cover_presets () =
   check_bool "all presets listed" true
     (List.for_all (fun rt -> List.mem (R.name rt) R.names) R.all);
   check_bool "pipe listed" true (List.mem (R.name R.consequence_pipe) R.names);
-  check_bool "domains listed" true (List.mem (R.name R.domains) R.names);
+  check_bool "domains listed" true (List.mem "consequence-ic-domains" R.names);
   check_bool "unknown name rejected" true (R.of_name "no-such-runtime" = None);
-  Alcotest.(check int) "seven resolvable runtimes" 7 (List.length R.names)
+  Alcotest.(check int) "seven resolvable runtimes" 7 (List.length R.names);
+  (* Every name and alias the CLI's -r accepts, and what it runs. *)
+  List.iter
+    (fun (n, rt) -> check_bool (n ^ " resolves to " ^ R.name rt) true (R.of_name n = Some rt))
+    [
+      ("pthreads", R.pthreads);
+      ("dthreads", R.dthreads);
+      ("dwc", R.dwc);
+      ("consequence-rr", R.consequence_rr);
+      ("rr", R.consequence_rr);
+      ("consequence-ic", R.consequence_ic);
+      ("ic", R.consequence_ic);
+      ("consequence", R.consequence_ic);
+      ("consequence-pipe", R.consequence_pipe);
+      ("pipe", R.consequence_pipe);
+      ("consequence-ic-domains", R.Domains Runtime.Config.consequence_ic);
+      ("domains", R.Domains Runtime.Config.consequence_ic);
+    ]
 
 (* The five runtimes of the controller's cross-runtime identity claim. *)
 let tuned_runtimes params =

@@ -1,6 +1,8 @@
 (* The exported surface of lib/.  Every [val] in lib/*/*.mli must have a
    caller outside its own module, in lib/, bin/, bench/, examples/ or
-   test/, and the number of exports that only test/ calls must not grow.
+   test/; every optional argument of one must be passed by one of those
+   callers; and the number of exports that only test/ calls must not
+   grow.
 
    The scan is conservative: it may miss a dead export, but it never
    fails on a live one.  It reads the .mli files with the compiler's own
@@ -266,13 +268,19 @@ let test_every_export_called () =
     (List.length (lib_mlis ()));
   Printf.printf "optional arguments on exported values: %d\n"
     (List.fold_left (fun n e -> n + List.length e.optionals) 0 s.exports);
-  print_list "optional arguments no caller outside the module passes"
-    (List.map (fun (e, o) -> qualified e ^ " ?" ^ o) s.unpassed);
   let dead = List.map qualified (uncalled s) in
   print_list "exports with no caller outside their module" dead;
   if dead <> [] then
     Alcotest.failf "%d exported values have no caller outside their module: %s" (List.length dead)
       (String.concat ", " dead)
+
+let test_every_optional_passed () =
+  let s = Lazy.force the_scan in
+  let unpassed = List.map (fun (e, o) -> qualified e ^ " ?" ^ o) s.unpassed in
+  print_list "optional arguments no caller outside the module passes" unpassed;
+  if unpassed <> [] then
+    Alcotest.failf "%d optional arguments are passed by no caller outside their module: %s"
+      (List.length unpassed) (String.concat ", " unpassed)
 
 let test_test_only_bounded () =
   let s = Lazy.force the_scan in
@@ -318,6 +326,8 @@ let () =
       ( "exports",
         [
           Alcotest.test_case "every export has an outside caller" `Quick test_every_export_called;
+          Alcotest.test_case "every optional argument has an outside caller that passes it"
+            `Quick test_every_optional_passed;
           Alcotest.test_case "test-only exports do not grow" `Quick test_test_only_bounded;
         ] );
       ("scan", [ Alcotest.test_case "resolution rules" `Quick test_rules ]);
